@@ -14,18 +14,36 @@ two passes: a uint8 screen XOR-accumulates only the *low byte* of every
 evaluation; a zero value implies a zero low byte, so no root is missed),
 then the few surviving candidates (~n/256 plus the real roots) are
 evaluated exactly.  Per-degree position exponents ``(i * -j) mod order``
-come from a lazily-built int32 table, so the screen loop is one add, one
-gather and one XOR per locator coefficient.  The hardware latency model
-in :mod:`repro.bch.hardware` accounts for the real h-way datapath.
+come from a lazily-grown intp table shared by every live search over the
+same code (one per die), so the screen loop is one add, one gather and
+one XOR per locator coefficient.  The hardware latency model in
+:mod:`repro.bch.hardware` accounts for the real h-way datapath.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
 from repro.bch.params import BCHCodeSpec
 from repro.gf.field import GF2m
 from repro.gf.polygf import GFPoly
+
+
+class _ExponentRows:
+    """Rows 0..d of ``(i * eval_log_j) mod order`` for one code, grown to
+    the highest locator degree any search over that code has seen."""
+
+    __slots__ = ("rows", "__weakref__")
+
+    def __init__(self):
+        self.rows: np.ndarray | None = None
+
+
+#: The exponent rows of every code some live search uses, keyed by
+#: (field, n_stored); an entry goes when its last user does.
+_EXPONENT_ROWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class ChienSearch:
@@ -41,32 +59,40 @@ class ChienSearch:
         # lambda at alpha^e with e = (-j) mod order for j = 0..n-1.
         exponents = (order - np.arange(n, dtype=np.int64)) % order
         self._eval_logs = exponents
-        # Lazy fast-path tables (built to the highest degree seen so far).
-        self._ipl: np.ndarray | None = None
+        key = (self.field, n)
+        shared = _EXPONENT_ROWS.get(key)
+        if shared is None:
+            shared = _EXPONENT_ROWS[key] = _ExponentRows()
+        self._exponents = shared
+        # Lazy per-instance fast-path table and scratch buffers.
         self._exp2_lo: np.ndarray | None = None
         self._acc8: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
 
     def _degree_exponents(self, degree: int) -> np.ndarray:
-        """Rows 0..degree of ``(i * eval_log_j) mod order``.
+        """Rows 0..degree (at least) of ``(i * eval_log_j) mod order``.
 
         Stored as intp: numpy re-casts any other index dtype to intp on
         every fancy-indexing gather, which would cost a full extra pass
-        per locator coefficient.
+        per locator coefficient.  Growing keeps the rows already built.
         """
-        if self._ipl is None or self._ipl.shape[0] <= degree:
+        rows = self._exponents.rows
+        if rows is None or rows.shape[0] <= degree:
             order = np.intp(self.field.order)
             pl = (self._eval_logs % self.field.order).astype(np.intp)
-            rows = np.empty((max(degree + 1, 2), pl.size), dtype=np.intp)
-            rows[0] = 0
-            rows[1] = pl
-            for i in range(2, rows.shape[0]):
-                np.add(rows[i - 1], pl, out=rows[i])
+            grown = np.zeros((max(degree + 1, 2), pl.size), dtype=np.intp)
+            start = 1
+            if rows is not None:
+                start = rows.shape[0]
+                grown[:start] = rows
+            for i in range(start, grown.shape[0]):
+                np.add(grown[i - 1], pl, out=grown[i])
                 np.subtract(
-                    rows[i], order, out=rows[i], where=rows[i] >= order
+                    grown[i], order, out=grown[i], where=grown[i] >= order
                 )
-            self._ipl = rows
-        return self._ipl
+            grown.flags.writeable = False
+            self._exponents.rows = rows = grown
+        return rows
 
     def error_positions(self, locator: GFPoly) -> list[int]:
         """Bit positions (0 = MSB of byte 0) whose locator inverse is a root.

@@ -3,8 +3,12 @@
 Wraps per-t encoders/decoders behind a single object whose correction
 capability can be changed at runtime through ``set_correction_capability``
 — the "dedicated input port" of the paper's adaptable ECC block.  Designed
-codes, encoder reduction tables and syndrome tables are cached per t,
-mirroring the small ROM of characteristic polynomials in the hardware.
+codes are memoised per (k, t, m) for the whole process, mirroring the
+small ROM of characteristic polynomials in the hardware; each codec keeps
+one encoder and one decoder per t.  The tables behind them are built once
+per code, not per codec: encoder reduction tables live for the process,
+and the syndrome and Chien tables are shared by every live decoder of the
+code (one per die).
 
 ``encode_batch``/``decode_batch`` expose the vectorized batch datapath
 (see :mod:`repro.bch` for the design): whole page groups move through

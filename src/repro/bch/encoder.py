@@ -18,6 +18,11 @@ paper's r-bit LFSR does.  Two datapaths share the same math:
   message-byte work shrinks from one Python big-int update to 1/S-th of
   a handful of vectorized ops shared by the batch.
 
+Both tables are built once per code and process, keyed by (generator,
+r[, S]), and shared read-only by every encoder of that code (one per
+die): by linearity over GF(2) they need only the 8*S reduced powers
+``x^(r + e) mod g``, not one long division per entry.
+
 Bit convention: the MSB of the first message byte is the highest-degree
 coefficient; the codeword is ``message || parity``.
 """
@@ -25,17 +30,73 @@ coefficient; the codeword is ``message || parity``.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
 from repro.bch.params import BCHCodeSpec
 from repro.errors import CodeDesignError
-from repro.gf.poly2 import poly2_mod
 
 #: Message bytes absorbed per batched LFSR step (slicing-by-N); wide
 #: slices need at least two full 64-bit state words (r >= 128).
 _SLICE_BYTES = 8
 _WIDE_SLICE_BYTES = 16
+
+
+def _reduced_powers(generator: int, r: int, count: int) -> list[int]:
+    """``x^(r + e) mod g`` for ``e = 0 .. count-1`` (shift and reduce)."""
+    powers = [generator ^ (1 << r)]
+    for _ in range(count - 1):
+        value = powers[-1] << 1
+        if value >> r:
+            value ^= generator
+        powers.append(value)
+    return powers
+
+
+@lru_cache(maxsize=None)
+def _scalar_table(generator: int, r: int) -> tuple[int, ...]:
+    """``table[v] = v(x) * x^r mod g`` for every byte value v.
+
+    By linearity entry v is the XOR of ``x^(r + j) mod g`` over the set
+    bits j of v, so eight reduced powers give all 256 entries.  A tuple,
+    because every encoder of the code shares it.
+    """
+    table = [0]
+    for power in _reduced_powers(generator, r, 8):
+        table += [entry ^ power for entry in table]
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _slice_tables(generator: int, r: int, slice_bytes: int) -> np.ndarray:
+    """Chunked reduction tables: ``T_p[v] = v * x^(r + 8*(S-1-p)) mod g``.
+
+    Returns a read-only ``(S, 256, ceil(r/64))`` uint64 array shared by
+    every encoder of the code.  Rows are left-aligned into ``ceil(r/64)``
+    words, word 0 holding the polynomial's top 64 bits as a native
+    integer (the quantity folded with incoming message words).  Built by
+    linearity from the 8*S reduced powers ``x^(r + e) mod g``: bit j of
+    v contributes the power with ``e = 8*(S-1-p) + j``.
+    """
+    state_words = (r + 63) // 64
+    align = 64 * state_words - r
+    rows = b"".join(
+        (power << align).to_bytes(8 * state_words, "big")
+        for power in _reduced_powers(generator, r, 8 * slice_bytes)
+    )
+    # powers[q, j] holds e = 8*q + j; reversing q puts p = S-1-q first.
+    powers = (
+        np.frombuffer(rows, dtype=np.uint8)
+        .view(np.dtype(">u8"))
+        .astype(np.uint64)
+        .reshape(slice_bytes, 8, state_words)[::-1]
+    )
+    tables = np.zeros((slice_bytes, 256, state_words), dtype=np.uint64)
+    for j in range(8):
+        tables[:, 1 << j:2 << j] = tables[:, :1 << j] ^ powers[:, j, None]
+    tables.flags.writeable = False
+    return tables
 
 
 class BCHEncoder:
@@ -49,11 +110,8 @@ class BCHEncoder:
         self.spec = spec
         self._mask = (1 << spec.r) - 1
         self._shift = spec.r - 8
-        # table[v] = (v(x) * x^r) mod g(x) for each byte value v.
-        self._table = [poly2_mod(v << spec.r, spec.generator) for v in range(256)]
-        # Lazily-built slicing tables for the batched datapath, keyed by
-        # slice width in bytes.
-        self._slice_tables: dict[int, list[np.ndarray]] = {}
+        # Shared by every encoder of this code (built once per process).
+        self._table = _scalar_table(spec.generator, spec.r)
 
     def parity_int(self, message: bytes) -> int:
         """Parity bits as an integer polynomial (bit i = coeff of x^i)."""
@@ -122,35 +180,10 @@ class BCHEncoder:
         """
         return self.spec.r >= 64 and self.spec.k % 64 == 0
 
-    def _batch_tables(self, slice_bytes: int) -> list[np.ndarray]:
-        """Chunked reduction tables: T_p[v] = v * x^(r + 8*(S-1-p)) mod g.
-
-        Rows are left-aligned into ``ceil(r/64)`` uint64 words and
-        byteswapped so word 0 holds the polynomial's top 64 bits as a
-        native integer (the quantity folded with incoming message words).
-        """
-        if slice_bytes not in self._slice_tables:
-            r, g = self.spec.r, self.spec.generator
-            state_words = (r + 63) // 64
-            align = 64 * state_words - r
-            tables = []
-            for p in range(slice_bytes):
-                shift = r + 8 * (slice_bytes - 1 - p)
-                rows = b"".join(
-                    (poly2_mod(v << shift, g) << align).to_bytes(
-                        8 * state_words, "big"
-                    )
-                    for v in range(256)
-                )
-                table = (
-                    np.frombuffer(rows, dtype=np.uint8)
-                    .reshape(256, 8 * state_words)
-                    .view(np.dtype(">u8"))
-                    .astype(np.uint64)
-                )
-                tables.append(table)
-            self._slice_tables[slice_bytes] = tables
-        return self._slice_tables[slice_bytes]
+    def _batch_tables(self, slice_bytes: int) -> np.ndarray:
+        """This code's slicing tables: row ``[p]`` is ``T_p`` (shared and
+        read-only, see :func:`_slice_tables`)."""
+        return _slice_tables(self.spec.generator, self.spec.r, slice_bytes)
 
     def _parity_batch_kernel(self, messages: Sequence[bytes]) -> list[bytes]:
         """Lockstep LFSR over the whole batch; returns stored parity bytes."""

@@ -15,9 +15,11 @@ S_i = c(alpha^i) for i = 1..2t.  Two implementations coexist:
   every odd syndrome is one uint16 gather from a precomputed power table
   ``alpha^(i * (n - 1 - j))`` followed by ``np.bitwise_xor.reduce``, so
   the 2t Python LFSR passes collapse into a handful of array ops (~30x
-  on a 4 KiB page at t = 65).  The table is built lazily per calculator
-  (the software analogue of the hardware's parallel syndrome datapath)
-  and the byte-serial path stays as the cross-checked reference.
+  on a 4 KiB page at t = 65).  The table is built lazily, once per code:
+  every live calculator of the code (one per die) shares it, and it is
+  freed with the last of them.  It is the software analogue of the
+  hardware's parallel syndrome datapath; the byte-serial path stays as
+  the cross-checked reference.
 
 Implementation note: the byte-serial reduction loop computes
 ``c(x) * x^d mod m_i(x)`` (d = deg m_i), so the evaluated remainder carries
@@ -27,6 +29,7 @@ per-syndrome compensation constant.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -43,6 +46,38 @@ def _reduction_table(minpoly: int) -> tuple[int, ...]:
     """256-entry table: (v(x) << deg) mod minpoly for byte-serial reduction."""
     deg = poly2_deg(minpoly)
     return tuple(poly2_mod(v << deg, minpoly) for v in range(256))
+
+
+#: Bit power tables of the codes some live calculator has used, keyed by
+#: (field, n_stored, t); an entry goes when its last user does.
+_POWER_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _build_power_table(field: GF2m, n: int, t: int) -> np.ndarray:
+    """Read-only (n, t) uint16 table: entry [j, row] = alpha^(i*(n-1-j))
+    for the column's odd syndrome index i = 2*row + 1.
+
+    Column i+2 is derived from column i by adding 2*(n-1-j) to the
+    exponents (one vector add plus conditional subtracts), avoiding a
+    full 64-bit modulo over the whole table.  The position-major layout
+    makes the per-word gather a contiguous row fetch.
+    """
+    order = np.int32(field.order)
+    exp_u16 = field.exp.astype(np.uint16)
+    pos_exp = ((n - 1 - np.arange(n, dtype=np.int64))
+               % field.order).astype(np.int32)
+    step = pos_exp + pos_exp
+    np.subtract(step, order, out=step, where=step >= order)
+    rows = np.empty((t, n), dtype=np.uint16)
+    exps = pos_exp.copy()
+    rows[0] = exp_u16[exps]
+    for row in range(1, t):
+        exps += step
+        np.subtract(exps, order, out=exps, where=exps >= order)
+        rows[row] = exp_u16[exps]
+    table = np.ascontiguousarray(rows.T)
+    table.flags.writeable = False
+    return table
 
 
 def reduce_codeword(data: bytes, minpoly: int) -> int:
@@ -106,30 +141,17 @@ class SyndromeCalculator:
     # -- vectorized fast path -------------------------------------------------
 
     def _bit_power_table(self) -> np.ndarray:
-        """Lazy (n_stored, t) uint16 table: entry [j, row] = alpha^(i*(n-1-j))
-        for the column's odd syndrome index i = 2*row + 1.
-
-        Column i+2 is derived from column i by adding 2*(n-1-j) to the
-        exponents (one vector add plus conditional subtracts), avoiding a
-        full 64-bit modulo over the whole table.  The position-major
-        layout makes the per-word gather a contiguous row fetch.
+        """This code's power table (see :func:`_build_power_table`),
+        built on first use and shared with every calculator of the code.
         """
         if self._power_table is None:
-            n = self.spec.n_stored
-            order = np.int32(self.field.order)
-            exp_u16 = self.field.exp.astype(np.uint16)
-            pos_exp = ((n - 1 - np.arange(n, dtype=np.int64))
-                       % self.field.order).astype(np.int32)
-            step = pos_exp + pos_exp
-            np.subtract(step, order, out=step, where=step >= order)
-            rows = np.empty((self.spec.t, n), dtype=np.uint16)
-            exps = pos_exp.copy()
-            rows[0] = exp_u16[exps]
-            for row in range(1, self.spec.t):
-                exps += step
-                np.subtract(exps, order, out=exps, where=exps >= order)
-                rows[row] = exp_u16[exps]
-            self._power_table = np.ascontiguousarray(rows.T)
+            spec = self.spec
+            key = (self.field, spec.n_stored, spec.t)
+            table = _POWER_TABLES.get(key)
+            if table is None:
+                table = _build_power_table(self.field, spec.n_stored, spec.t)
+                _POWER_TABLES[key] = table
+            self._power_table = table
         return self._power_table
 
     def _odd_syndromes_of_bits(self, bits: np.ndarray) -> np.ndarray:

@@ -80,20 +80,23 @@ class GF2m:
         self.order = self.q - 1
         self.primitive_poly = primitive_poly
 
-        exp = np.zeros(self.order, dtype=np.int64)
+        def lfsr():
+            value = 1
+            while True:
+                yield value
+                value <<= 1
+                if value & self.q:
+                    value ^= primitive_poly
+
+        # alpha^0 .. alpha^order from a plain-int LFSR, then one scatter
+        # for the logs.  p(x) is primitive iff alpha^0 .. alpha^(order-1)
+        # are pairwise distinct (the scatter fills `order` slots) and
+        # alpha^order == 1.
+        powers = np.fromiter(lfsr(), dtype=np.int64, count=self.q)
+        exp = powers[:-1]
         log = np.full(self.q, -1, dtype=np.int64)
-        value = 1
-        for i in range(self.order):
-            exp[i] = value
-            if log[value] != -1:
-                raise GaloisFieldError(
-                    f"polynomial 0x{primitive_poly:x} is not primitive for m={m}"
-                )
-            log[value] = i
-            value <<= 1
-            if value & self.q:
-                value ^= primitive_poly
-        if value != 1:
+        log[exp] = np.arange(self.order, dtype=np.int64)
+        if powers[-1] != 1 or np.count_nonzero(log >= 0) != self.order:
             raise GaloisFieldError(
                 f"polynomial 0x{primitive_poly:x} is not primitive for m={m}"
             )
@@ -267,7 +270,18 @@ class GF2m:
         return hash((self.m, self.primitive_poly))
 
 
-@lru_cache(maxsize=None)
 def get_field(m: int, primitive_poly: int | None = None) -> GF2m:
-    """Memoized field constructor (table building for m=16 is not free)."""
+    """Memoized field constructor (table building for m=16 is not free).
+
+    The default polynomial is resolved before the cache lookup, so
+    ``get_field(m)`` and ``get_field(m, default_primitive_poly(m))`` return
+    the same object.
+    """
+    if primitive_poly is None:
+        primitive_poly = default_primitive_poly(m)
+    return _field(m, primitive_poly)
+
+
+@lru_cache(maxsize=None)
+def _field(m: int, primitive_poly: int) -> GF2m:
     return GF2m(m, primitive_poly)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.errors import GaloisFieldError
-from repro.gf.field import GF2m
+from repro.gf.field import GF2m, get_field
 from repro.gf.polygf import GFPoly
 
 
@@ -45,7 +45,7 @@ def cyclotomic_cosets(m: int, up_to: int | None = None) -> list[tuple[int, ...]]
 
 @lru_cache(maxsize=None)
 def _minimal_polynomial_cached(i: int, m: int, primitive_poly: int) -> int:
-    field = GF2m(m, primitive_poly)
+    field = get_field(m, primitive_poly)
     coset = cyclotomic_coset(i, m)
     roots = [field.alpha_pow(j) for j in coset]
     poly = GFPoly.from_roots(field, roots)

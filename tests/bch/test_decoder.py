@@ -1,9 +1,13 @@
 """Full decoder pipeline tests."""
 
+import gc
+
 import pytest
 
+from repro.bch import chien, syndrome
 from repro.bch.decoder import BCHDecoder
 from repro.bch.encoder import BCHEncoder
+from repro.bch.params import design_code
 from repro.errors import DecodingFailure
 from tests.conftest import flip_bits
 
@@ -107,3 +111,59 @@ class TestDecoder:
         result = decoder.decode(flip_bits(codeword, positions))
         assert result.data == message
         assert result.corrected_bits == 12
+
+
+class TestSharedTables:
+    """Decoders of one code (one per die) share their lazy tables."""
+
+    def test_two_dies_share_tables_and_decode_like_fresh_decoders(self, rng):
+        spec = design_code(32768, 14)
+        encoder = BCHEncoder(spec)
+        words = []
+        for weight in range(1, spec.t + 1):
+            message = rng.bytes(spec.k // 8)
+            positions = sorted(
+                rng.choice(spec.n_stored, weight, replace=False).tolist()
+            )
+            words.append(
+                (message, positions,
+                 flip_bits(encoder.encode_codeword(message), positions))
+            )
+        # One fresh decoder per word, each the only live decoder of the
+        # code, so it builds its own tables.
+        fresh = []
+        for _, _, corrupted in words:
+            result = BCHDecoder(spec).decode(corrupted)
+            fresh.append((result.data, result.error_positions))
+            gc.collect()
+
+        dies = (BCHDecoder(spec), BCHDecoder(spec))
+        die_a, die_b = dies
+        assert (die_a.syndrome_calculator._bit_power_table()
+                is die_b.syndrome_calculator._bit_power_table())
+        assert die_a.chien._exponents is die_b.chien._exponents
+        heights = []
+        for index, (message, positions, corrupted) in enumerate(words):
+            result = dies[index % 2].decode(corrupted)
+            assert (result.data, result.error_positions) == fresh[index]
+            assert result.data == message
+            assert list(result.error_positions) == positions
+            heights.append(die_a.chien._exponents.rows.shape[0])
+        # The shared Chien rows grew mid-run, driven by both dies.
+        assert heights[0] < heights[-1]
+        assert heights == sorted(heights)
+
+    def test_tables_are_freed_with_the_last_decoder(self):
+        spec = design_code(1024, 5)
+        decoder = BCHDecoder(spec)
+        decoder.syndrome_calculator._bit_power_table()
+        decoder.chien._degree_exponents(spec.t)
+        field = spec.field()
+        power_key = (field, spec.n_stored, spec.t)
+        rows_key = (field, spec.n_stored)
+        assert power_key in syndrome._POWER_TABLES
+        assert rows_key in chien._EXPONENT_ROWS
+        del decoder
+        gc.collect()
+        assert power_key not in syndrome._POWER_TABLES
+        assert rows_key not in chien._EXPONENT_ROWS

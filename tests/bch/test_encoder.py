@@ -1,5 +1,6 @@
 """Systematic BCH encoder tests."""
 
+import numpy as np
 import pytest
 
 from repro.bch.encoder import BCHEncoder
@@ -98,3 +99,56 @@ class TestSliceWidths:
         assert encoder.encode_batch(messages) == [
             encoder.encode(message) for message in messages
         ]
+
+
+class TestSharedTables:
+    """Reduction tables are built once per code and shared read-only."""
+
+    @pytest.mark.parametrize(
+        "k,t",
+        [(32768, t) for t in (1, 3, 8, 14, 33, 65)]
+        + [(64, 3)],  # r = 21 < 64: encode_batch takes the scalar path
+    )
+    def test_tables_match_poly2_mod_definition(self, k, t):
+        spec = design_code(k, t)
+        r, g = spec.r, spec.generator
+        encoder = BCHEncoder(spec)
+        assert list(encoder._table) == [poly2_mod(v << r, g) for v in range(256)]
+        align = 64 * ((r + 63) // 64) - r
+        for slice_bytes in (8, 16):
+            tables = encoder._batch_tables(slice_bytes)
+            assert tables.shape == (slice_bytes, 256, (r + 63) // 64)
+            for p in range(slice_bytes):
+                shift = r + 8 * (slice_bytes - 1 - p)
+                rows = tables[p].astype(np.dtype(">u8")).tobytes()
+                width = len(rows) // 256
+                assert [
+                    int.from_bytes(rows[v * width:(v + 1) * width], "big")
+                    >> align
+                    for v in range(256)
+                ] == [poly2_mod(v << shift, g) for v in range(256)]
+
+    def test_scalar_fallback_code_batch_matches_scalar(self, small_spec, rng):
+        encoder = BCHEncoder(small_spec)
+        assert not encoder.supports_batch_kernel
+        messages = [rng.bytes(small_spec.k // 8) for _ in range(3)]
+        assert encoder.encode_batch(messages) == [
+            encoder.encode(message) for message in messages
+        ]
+
+    def test_encoders_of_one_code_share_tables(self, page_spec):
+        first, second = BCHEncoder(page_spec), BCHEncoder(page_spec)
+        assert first._table is second._table
+        for slice_bytes in (8, 16):
+            assert (first._batch_tables(slice_bytes)
+                    is second._batch_tables(slice_bytes))
+
+    def test_cached_tables_are_read_only(self, page_spec):
+        encoder = BCHEncoder(page_spec)
+        tables = encoder._batch_tables(encoder.slice_bytes)
+        with pytest.raises(ValueError):
+            tables[0, 1, 0] = 0
+        with pytest.raises(ValueError):
+            tables[0][1] ^= tables[0][2]
+        with pytest.raises(TypeError):
+            encoder._table[1] = 0

@@ -47,6 +47,27 @@ class TestConstruction:
         for e in range(gf16.order):
             assert gf16.log[gf16.exp[e]] == e
 
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_tables_match_element_by_element_lfsr(self, m):
+        field = GF2m(m)
+        exp = []
+        log = [-1] * field.q
+        value = 1
+        for i in range(field.order):
+            exp.append(value)
+            log[value] = i
+            value <<= 1
+            if value & field.q:
+                value ^= field.primitive_poly
+        assert field.exp.tolist() == exp
+        assert field.log.tolist() == log
+
+    def test_get_field_default_polynomial_forms_share_one_object(self):
+        poly = default_primitive_poly(16)
+        field = get_field(16)
+        assert get_field(16, poly) is field
+        assert get_field(16, primitive_poly=poly) is field
+
     def test_equality_and_hash(self):
         assert get_field(4) == GF2m(4)
         assert hash(GF2m(4)) == hash(GF2m(4))

@@ -1,7 +1,13 @@
 """Cyclotomic cosets and minimal polynomials."""
 
-from repro.gf.field import get_field
-from repro.gf.minpoly import cyclotomic_coset, cyclotomic_cosets, minimal_polynomial
+from repro.bch.params import generator_polynomial
+from repro.gf.field import GF2m, get_field
+from repro.gf.minpoly import (
+    _minimal_polynomial_cached,
+    cyclotomic_coset,
+    cyclotomic_cosets,
+    minimal_polynomial,
+)
 from repro.gf.poly2 import poly2_deg, poly2_eval_in_field, poly2_mod, poly2_mul
 
 
@@ -67,3 +73,28 @@ class TestMinimalPolynomials:
         assert p1 != p3
         product = poly2_mul(p1, p3)
         assert poly2_deg(product) == poly2_deg(p1) + poly2_deg(p3)
+
+
+class TestFieldReuse:
+    def test_recomputed_minpolys_build_no_field(self, monkeypatch):
+        # The t = 65 page code: every odd index 1..129 over GF(2^16).
+        field = get_field(16)
+        generator = generator_polynomial(16, 65)
+        builds = []
+        original = GF2m.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GF2m, "__init__", counting_init)
+        _minimal_polynomial_cached.cache_clear()
+        product = 1
+        seen = set()
+        for i in range(1, 2 * 65, 2):
+            minpoly = minimal_polynomial(field, i)
+            if minpoly not in seen:
+                seen.add(minpoly)
+                product = poly2_mul(product, minpoly)
+        assert product == generator
+        assert builds == []
