@@ -1,6 +1,7 @@
 """Setup shim for environments without the `wheel` package.
 
-`pip install -e .` requires building an editable wheel (PEP 660); on
+All package metadata and dependencies live in `pyproject.toml`.
+`pip install -e ".[test]"` builds an editable wheel (PEP 660); on
 offline machines without `wheel` installed, `python setup.py develop`
 provides the equivalent editable install through this shim.
 """

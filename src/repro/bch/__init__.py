@@ -6,8 +6,8 @@ the Chen-style programmable-LFSR architecture the paper instantiates:
 
 * :mod:`repro.bch.params` — code design (n, k, t, generator polynomial),
   memoized at module level;
-* :mod:`repro.bch.encoder` — systematic encoder (table-driven LFSR) plus
-  the batched slicing-by-8 kernel behind ``encode_batch``;
+* :mod:`repro.bch.encoder` — systematic encoder: one fold-table
+  remainder kernel behind every encode call;
 * :mod:`repro.bch.syndrome` / :mod:`berlekamp` / :mod:`chien` — the three
   decoding stages of Fig. 2;
 * :mod:`repro.bch.codec` — the adaptive codec with its polynomial ROM;
@@ -20,14 +20,18 @@ Fast-path design (the vectorized batch datapath)
 The throughput-oriented datapath mirrors how real controllers push pages
 through a wide ECC engine instead of streaming bits:
 
-* **Syndromes**: codewords are bit-unpacked (``np.unpackbits``) and every
-  odd syndrome is one uint16 gather from a lazily-built power table
-  ``alpha^(i*(n-1-j))`` XOR-folded over the set-bit positions; even
-  syndromes are vectorized squarings (S_2i = S_i^2).
-* **Encoder**: ``encode_batch`` advances the whole message batch in
-  lockstep through a word-sliced LFSR — the r-bit state of every message
-  lives in one ``(B, ceil(r/64))`` uint64 array and each step absorbs 8
-  message bytes through chunked 256-entry reduction tables.
+* **Encoder**: one fold-table remainder kernel computes
+  ``m(x) * x^r mod g`` for a single page and a whole batch alike.  Each
+  step folds the r-bit state into the next 1 KiB block of every message
+  and reduces the block's 2048 nibbles with one ``np.take`` gather from
+  a shared ``(ceil(r/64), 32768)`` uint64 table and an XOR-reduction
+  (CRC slicing widened to 1 KiB per step).
+* **Syndromes**: the same kernel reduces every received word's message
+  bytes mod g; XOR-ing in the received parity gives a remainder D
+  congruent to the word, so S_i = D(alpha^i).  Clean words (D = 0) stop
+  there; the others evaluate D's parity-width bits against a small power
+  table.  Even syndromes are filled one power of two at a time by
+  vectorized squarings (S_2i = S_i^2).
 * **Decoder**: ``decode_batch`` computes all syndromes in one vectorized
   pass and applies the all-zero-syndrome early exit across the batch, so
   clean pages never reach Berlekamp-Massey; errored words run a
@@ -39,11 +43,12 @@ Batch API contract: ``encode_batch``/``decode_batch`` (on
 :class:`BCHEncoder`, :class:`BCHDecoder` and :class:`AdaptiveBCHCodec`)
 take a sequence of equal-length words at one capability and return
 per-word results bit-identical to the scalar ``encode``/``decode``,
-including permissive-mode failures and telemetry; the byte-serial scalar
-path survives as the cross-checked reference
+including permissive-mode failures and telemetry.  Encoder output is
+tested against the long-division definition ``poly2_mod(m << r, g)``;
+the byte-serial syndrome path survives as the decoder's test oracle
 (``BCHDecoder(spec, vectorized=False)``).  Measured on a 4 KiB page at
-t = 65: clean-page decode ~41x, errored-page (t/2 errors) ~6x, encode
-~1.7x over the scalar path (``benchmarks/bench_ecc_throughput.py``).
+t = 65: clean-page decode ~41x, errored-page (t/2 errors) ~6x over the
+byte-serial path (``benchmarks/bench_ecc_throughput.py``).
 """
 
 from repro.bch.params import BCHCodeSpec, design_code

@@ -6,9 +6,9 @@ capability can be changed at runtime through ``set_correction_capability``
 codes are memoised per (k, t, m) for the whole process, mirroring the
 small ROM of characteristic polynomials in the hardware; each codec keeps
 one encoder and one decoder per t.  The tables behind them are built once
-per code, not per codec: encoder reduction tables live for the process,
-and the syndrome and Chien tables are shared by every live decoder of the
-code (one per die).
+per code, not per codec: the fold table is shared by every live encoder
+and decoder of the code (one per die), the syndrome and Chien tables by
+every live decoder, and each is freed with its last user.
 
 ``encode_batch``/``decode_batch`` expose the vectorized batch datapath
 (see :mod:`repro.bch` for the design): whole page groups move through
@@ -152,8 +152,8 @@ class AdaptiveBCHCodec:
     ) -> list[bytes]:
         """Systematic codewords for a batch of messages (one capability).
 
-        Routed through the encoder's slicing-by-8 batched LFSR; bit-exact
-        against per-message :meth:`encode`.
+        Routed through the encoder's fold-table kernel, the same one
+        behind per-message :meth:`encode`.
         """
         t = self._t if t is None else t
         return self._encoder(t).encode_codeword_batch(messages)

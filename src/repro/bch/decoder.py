@@ -5,13 +5,14 @@ syndrome stage.  Decoding failures (more than t errors) raise
 :class:`repro.errors.DecodingFailure` or, in permissive mode, are reported
 in the :class:`DecodeResult`.
 
-Fast path: single-word decodes use the vectorized bit-unpack syndrome
-kernel by default (``vectorized=False`` restores the byte-serial seed
-path, kept as the benchmark/cross-check reference), and
-:meth:`BCHDecoder.decode_batch` decodes a whole batch of pages with one
-batched syndrome computation — the all-zero-syndrome early exit is
-evaluated vectorized across the batch, so clean pages never reach
-Berlekamp-Massey.
+Fast path: single-word decodes take their syndromes from the encoder's
+fold-table remainder kernel by default (``vectorized=False`` restores
+the byte-serial seed path, kept as the test oracle and benchmark
+reference), and :meth:`BCHDecoder.decode_batch` decodes a whole batch of
+pages with one batched syndrome computation — the all-zero-syndrome
+early exit is evaluated vectorized across the batch, so clean pages
+never reach Berlekamp-Massey.  The decoder shares the encoder's table
+for its code but never builds an encoder.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class BCHDecoder:
     spec:
         The designed code.
     vectorized:
-        Use the numpy bit-unpack syndrome kernel for single-word decodes
+        Use the fold-table syndrome kernel for single-word decodes
         (default).  ``False`` selects the byte-serial reference path —
         identical results, kept for cross-checking and as the benchmark
         baseline.

@@ -1,27 +1,23 @@
 """Systematic BCH encoder.
 
 Computes the r parity bits as ``m(x) * x^r mod g(x)`` — exactly what the
-paper's r-bit LFSR does.  Two datapaths share the same math:
+paper's r-bit LFSR does — with one fold-table remainder kernel,
+:func:`fold_remainders`, behind every call, single page or batch.
 
-* **Scalar** (:meth:`BCHEncoder.parity_int` / :meth:`encode`): a
-  byte-at-a-time precomputed reduction table over a big-int LFSR state,
-  kept as the cross-checked reference.
-* **Batched word-sliced LFSR** (:meth:`BCHEncoder.encode_batch`): the
-  whole batch of messages advances in lockstep through a word-sliced
-  LFSR.  The r-bit state of every message lives in one
-  ``(B, ceil(r/64))`` uint64 numpy array; each step absorbs a slice of
-  S message bytes at once by folding the state's top S/8 words with the
-  next message words and XOR-ing S chunked 256-entry reduction tables
-  ``T_p[v] = v(x) * x^(r + 8*(S-1-p)) mod g``.  Codes with r >= 128
-  parity bits slice by 16 bytes (two words per step — half the Python
-  loop iterations); smaller codes with r >= 64 slice by 8.  Per
-  message-byte work shrinks from one Python big-int update to 1/S-th of
-  a handful of vectorized ops shared by the batch.
+The kernel is table-driven CRC slicing (Kounavis & Berry, ISCC 2005)
+widened until one step absorbs :data:`FOLD_BYTES` = S = 1024 bytes of
+every message: the left-aligned r-bit state is XORed into the first
+bytes of the next block, and the new state is the XOR-reduction of one
+``np.take`` gather of the block's 2S nibbles from the code's
+``(ceil(r/64), 2S * 16)`` uint64 fold table (:func:`_build_fold_table`).
+A message that is not a whole number of blocks starts with a short
+block, because leading zero bytes do not change m(x).  The state must
+fit in one block, so r <= 8S.  The same kernel gives the decoder its
+syndromes (:mod:`repro.bch.syndrome`).
 
-Both tables are built once per code and process, keyed by (generator,
-r[, S]), and shared read-only by every encoder of that code (one per
-die): by linearity over GF(2) they need only the 8*S reduced powers
-``x^(r + e) mod g``, not one long division per entry.
+The table takes 256 KiB per 64 parity bits.  Every live encoder and
+decoder of a code (one per die) shares it read-only, and it is freed
+with the last of them.
 
 Bit convention: the MSB of the first message byte is the highest-degree
 coefficient; the codeword is ``message || parity``.
@@ -29,18 +25,23 @@ coefficient; the codeword is ``message || parity``.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
-from functools import lru_cache
 
 import numpy as np
 
 from repro.bch.params import BCHCodeSpec
 from repro.errors import CodeDesignError
 
-#: Message bytes absorbed per batched LFSR step (slicing-by-N); wide
-#: slices need at least two full 64-bit state words (r >= 128).
-_SLICE_BYTES = 8
-_WIDE_SLICE_BYTES = 16
+#: Message bytes absorbed per fold step (S).
+FOLD_BYTES = 1024
+
+#: Table column of nibble q of a block is ``16 * q + value``.
+_NIBBLE_COLUMNS = 16 * np.arange(2 * FOLD_BYTES, dtype=np.intp)
+
+#: Fold tables of the codes some live encoder or decoder has used, keyed
+#: by (generator, r); an entry goes when its last user does.
+_FOLD_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _reduced_powers(generator: int, r: int, count: int) -> list[int]:
@@ -54,80 +55,118 @@ def _reduced_powers(generator: int, r: int, count: int) -> list[int]:
     return powers
 
 
-@lru_cache(maxsize=None)
-def _scalar_table(generator: int, r: int) -> tuple[int, ...]:
-    """``table[v] = v(x) * x^r mod g`` for every byte value v.
+def _build_fold_table(generator: int, r: int) -> np.ndarray:
+    """Read-only ``(W, 2S * 16)`` uint64 fold table of one code.
 
-    By linearity entry v is the XOR of ``x^(r + j) mod g`` over the set
-    bits j of v, so eight reduced powers give all 256 entries.  A tuple,
-    because every encoder of the code shares it.
+    Entry ``[w, 16q + v]`` is word w of ``v(x) * x^(r + 4(2S-1-q)) mod g``
+    left-aligned into W words, word 0 holding the top 64 bits.  By
+    linearity bit j of v contributes the reduced power with
+    ``e = 4(2S-1-q) + j``.
     """
-    table = [0]
-    for power in _reduced_powers(generator, r, 8):
-        table += [entry ^ power for entry in table]
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _slice_tables(generator: int, r: int, slice_bytes: int) -> np.ndarray:
-    """Chunked reduction tables: ``T_p[v] = v * x^(r + 8*(S-1-p)) mod g``.
-
-    Returns a read-only ``(S, 256, ceil(r/64))`` uint64 array shared by
-    every encoder of the code.  Rows are left-aligned into ``ceil(r/64)``
-    words, word 0 holding the polynomial's top 64 bits as a native
-    integer (the quantity folded with incoming message words).  Built by
-    linearity from the 8*S reduced powers ``x^(r + e) mod g``: bit j of
-    v contributes the power with ``e = 8*(S-1-p) + j``.
-    """
-    state_words = (r + 63) // 64
-    align = 64 * state_words - r
+    words = (r + 63) // 64
+    align = 64 * words - r
+    nibbles = 2 * FOLD_BYTES
     rows = b"".join(
-        (power << align).to_bytes(8 * state_words, "big")
-        for power in _reduced_powers(generator, r, 8 * slice_bytes)
+        (power << align).to_bytes(8 * words, "big")
+        for power in _reduced_powers(generator, r, 4 * nibbles)
     )
-    # powers[q, j] holds e = 8*q + j; reversing q puts p = S-1-q first.
+    # powers[w, p, j] is word w of e = 4p + j; reversing p puts
+    # q = 2S-1-p first.
     powers = (
-        np.frombuffer(rows, dtype=np.uint8)
-        .view(np.dtype(">u8"))
+        np.frombuffer(rows, dtype=">u8")
+        .reshape(nibbles, 4, words)[::-1]
+        .transpose(2, 0, 1)
         .astype(np.uint64)
-        .reshape(slice_bytes, 8, state_words)[::-1]
     )
-    tables = np.zeros((slice_bytes, 256, state_words), dtype=np.uint64)
-    for j in range(8):
-        tables[:, 1 << j:2 << j] = tables[:, :1 << j] ^ powers[:, j, None]
-    tables.flags.writeable = False
-    return tables
+    table = np.zeros((words, nibbles, 16), dtype=np.uint64)
+    for j in range(4):
+        table[:, :, 1 << j:2 << j] = (
+            table[:, :, :1 << j] ^ powers[:, :, j, None]
+        )
+    table = table.reshape(words, 16 * nibbles)
+    table.flags.writeable = False
+    return table
+
+
+def fold_remainders(table: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Left-aligned ``d(x) * x^r mod g`` of every row d of ``data``.
+
+    ``data`` is a ``(B, L)`` uint8 array of big-endian polynomials and
+    ``table`` the code's fold table.  Returns ``(B, 8W)`` uint8: row b
+    holds the remainder of row b shifted to the top of W big-endian
+    words, so its first ``parity_bytes`` bytes are the stored parity
+    ``(d(x) * x^r mod g) << pad_bits``.
+    """
+    batch, length = data.shape
+    words = table.shape[0]
+    state = np.zeros((batch, 8 * words), dtype=np.uint8)
+    start = 0
+    for end in range(length % FOLD_BYTES or FOLD_BYTES, length + 1,
+                     FOLD_BYTES):
+        block = data[:, start:end]
+        if start:
+            # R(x) * x^(8S - r): the state is the top of the new block.
+            block = block.copy()
+            block[:, :8 * words] ^= state
+        nibbles = np.empty((batch, 2 * block.shape[1]), dtype=np.intp)
+        np.right_shift(block, 4, out=nibbles[:, 0::2], casting="unsafe")
+        np.bitwise_and(block, 15, out=nibbles[:, 1::2], casting="unsafe")
+        nibbles += _NIBBLE_COLUMNS[-nibbles.shape[1]:]
+        folded = np.bitwise_xor.reduce(np.take(table, nibbles, axis=1), axis=2)
+        state = np.ascontiguousarray(folded.T, dtype=">u8").view(np.uint8)
+        start = end
+    return state
 
 
 class BCHEncoder:
-    """Table-driven systematic encoder for one :class:`BCHCodeSpec`."""
+    """Fold-table systematic encoder for one :class:`BCHCodeSpec`."""
 
     def __init__(self, spec: BCHCodeSpec):
-        if spec.r < 8:
+        if spec.r > 8 * FOLD_BYTES:
             raise CodeDesignError(
-                "byte-parallel encoder requires r >= 8 parity bits"
+                f"encoder folds at most {8 * FOLD_BYTES} parity bits per "
+                f"step, got r={spec.r}"
             )
         self.spec = spec
-        self._mask = (1 << spec.r) - 1
-        self._shift = spec.r - 8
-        # Shared by every encoder of this code (built once per process).
-        self._table = _scalar_table(spec.generator, spec.r)
+        # This code's fold table, fetched on first use.
+        self._table: np.ndarray | None = None
+
+    @staticmethod
+    def _batch_tables(spec: BCHCodeSpec) -> np.ndarray:
+        """The fold table of ``spec``'s code (see :func:`_build_fold_table`),
+        shared by every live encoder and decoder of the code.
+
+        Call it through the class: the end-to-end trace replaces it with
+        a plain function.
+        """
+        key = (spec.generator, spec.r)
+        table = _FOLD_TABLES.get(key)
+        if table is None:
+            table = _build_fold_table(spec.generator, spec.r)
+            _FOLD_TABLES[key] = table
+        return table
+
+    def _stored_parity(self, messages: Sequence[bytes]) -> np.ndarray:
+        """``(B, parity_bytes)`` uint8 stored parity of every message."""
+        spec = self.spec
+        expected = spec.k // 8
+        for message in messages:
+            if len(message) != expected:
+                raise ValueError(
+                    f"message must be exactly {expected} bytes, "
+                    f"got {len(message)}"
+                )
+        if self._table is None:
+            self._table = BCHEncoder._batch_tables(spec)
+        data = np.frombuffer(b"".join(messages), dtype=np.uint8)
+        remainders = fold_remainders(
+            self._table, data.reshape(len(messages), expected)
+        )
+        return remainders[:, :spec.parity_bytes]
 
     def parity_int(self, message: bytes) -> int:
         """Parity bits as an integer polynomial (bit i = coeff of x^i)."""
-        if len(message) * 8 != self.spec.k:
-            raise ValueError(
-                f"message must be exactly {self.spec.k // 8} bytes, "
-                f"got {len(message)}"
-            )
-        state = 0
-        table = self._table
-        shift = self._shift
-        mask = self._mask
-        for byte in message:
-            idx = ((state >> shift) ^ byte) & 0xFF
-            state = ((state << 8) & mask) ^ table[idx]
-        return state
+        return int.from_bytes(self.encode(message), "big") >> self.spec.pad_bits
 
     def encode(self, message: bytes) -> bytes:
         """Parity bytes for ``message`` (big-endian bit order, MSB first).
@@ -137,8 +176,7 @@ class BCHEncoder:
         bits at the tail, keeping the byte stream a valid polynomial (see
         :attr:`BCHCodeSpec.pad_bits`).
         """
-        parity = self.parity_int(message) << self.spec.pad_bits
-        return parity.to_bytes(self.spec.parity_bytes, "big")
+        return self._stored_parity([message])[0].tobytes()
 
     def encode_codeword(self, message: bytes) -> bytes:
         """Full systematic codeword ``message || parity``."""
@@ -146,95 +184,19 @@ class BCHEncoder:
 
     def is_codeword(self, codeword: bytes) -> bool:
         """Check divisibility by the generator (true for clean codewords)."""
-        expected = self.spec.k // 8 + self.spec.parity_bytes
+        message_bytes = self.spec.k // 8
+        expected = message_bytes + self.spec.parity_bytes
         if len(codeword) != expected:
             raise ValueError(f"codeword must be {expected} bytes, got {len(codeword)}")
-        message = codeword[: self.spec.k // 8]
-        parity = int.from_bytes(codeword[self.spec.k // 8:], "big")
-        return (self.parity_int(message) << self.spec.pad_bits) == parity
-
-    # -- batched slicing-by-8 datapath ----------------------------------------
-
-    @property
-    def slice_bytes(self) -> int:
-        """Message bytes absorbed per batched LFSR step for this code.
-
-        Codes with r >= 128 (at least two 64-bit state words) and a
-        message splitting into 128-bit chunks run the wide 16-byte slice;
-        otherwise the 8-byte slice applies.
-        """
-        if (
-            self.spec.r >= 8 * _WIDE_SLICE_BYTES
-            and self.spec.k % (8 * _WIDE_SLICE_BYTES) == 0
-        ):
-            return _WIDE_SLICE_BYTES
-        return _SLICE_BYTES
-
-    @property
-    def supports_batch_kernel(self) -> bool:
-        """Whether the word-sliced kernel applies to this code's shape.
-
-        The top-word fold needs at least one full state word (r >= 64) and
-        the message must split into whole 64-bit chunks; smaller codes fall
-        back to the scalar path inside :meth:`encode_batch`.
-        """
-        return self.spec.r >= 64 and self.spec.k % 64 == 0
-
-    def _batch_tables(self, slice_bytes: int) -> np.ndarray:
-        """This code's slicing tables: row ``[p]`` is ``T_p`` (shared and
-        read-only, see :func:`_slice_tables`)."""
-        return _slice_tables(self.spec.generator, self.spec.r, slice_bytes)
-
-    def _parity_batch_kernel(self, messages: Sequence[bytes]) -> list[bytes]:
-        """Lockstep LFSR over the whole batch; returns stored parity bytes."""
-        spec = self.spec
-        batch = len(messages)
-        slice_bytes = self.slice_bytes
-        slice_words = slice_bytes // 8
-        tables = self._batch_tables(slice_bytes)
-        state_words = (spec.r + 63) // 64
-        raw = np.frombuffer(b"".join(messages), dtype=np.uint8)
-        chunks = (
-            raw.reshape(batch, spec.k // 8)
-            .view(np.dtype(">u8"))
-            .astype(np.uint64)
+        return self.encode(codeword[:message_bytes]) == bytes(
+            codeword[message_bytes:]
         )
-        state = np.zeros((batch, state_words), dtype=np.uint64)
-        u = np.empty((batch, slice_words), dtype=np.uint64)
-        byte_mask = np.uint64(0xFF)
-        for i in range(0, chunks.shape[1], slice_words):
-            # Fold the state's top words with the next S message bytes...
-            np.bitwise_xor(
-                state[:, :slice_words], chunks[:, i:i + slice_words], out=u
-            )
-            # ...shift the state left by the slice (x^(8*S))...
-            state[:, :-slice_words] = state[:, slice_words:]
-            state[:, -slice_words:] = 0
-            # ...and reduce the folded words byte-by-byte through the
-            # tables (byte p of the slice lives in word p//8 of u).
-            for p in range(slice_bytes):
-                idx = (u[:, p // 8] >> np.uint64(8 * (7 - p % 8))) & byte_mask
-                state ^= tables[p][idx.astype(np.intp)]
-        # Left-aligned state words == parity << pad_bits within the first
-        # parity_bytes of the big-endian byte stream.
-        stream = state.astype(np.dtype(">u8")).view(np.uint8)
-        pb = spec.parity_bytes
-        return [stream[b, :pb].tobytes() for b in range(batch)]
 
     def encode_batch(self, messages: Sequence[bytes]) -> list[bytes]:
         """Stored parity bytes for every message (batch analogue of
-        :meth:`encode`; bit-exact against the scalar path).
+        :meth:`encode`, through the same kernel).
         """
-        expected = self.spec.k // 8
-        for message in messages:
-            if len(message) != expected:
-                raise ValueError(
-                    f"message must be exactly {expected} bytes, "
-                    f"got {len(message)}"
-                )
-        if not self.supports_batch_kernel or len(messages) < 2:
-            return [self.encode(m) for m in messages]
-        return self._parity_batch_kernel(messages)
+        return [row.tobytes() for row in self._stored_parity(messages)]
 
     def encode_codeword_batch(self, messages: Sequence[bytes]) -> list[bytes]:
         """Full systematic codewords for every message."""

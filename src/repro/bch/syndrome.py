@@ -7,19 +7,16 @@ S_i = c(alpha^i) for i = 1..2t.  Two implementations coexist:
   codeword modulo the corresponding minimal polynomial (a small LFSR) and
   evaluating the 16-bit remainder at alpha^i; even syndromes come for free
   over GF(2) since S_{2i} = S_i^2.  Reduction is table-driven
-  byte-at-a-time per minimal polynomial.
+  byte-at-a-time per minimal polynomial.  It is kept as the test oracle.
 
-* **Vectorized fast path** (:meth:`SyndromeCalculator.syndromes_vectorized`
-  / :meth:`syndromes_batch`): the codeword (or a whole batch of codewords)
-  is bit-unpacked with ``np.unpackbits``; for the set-bit positions ``j``
-  every odd syndrome is one uint16 gather from a precomputed power table
-  ``alpha^(i * (n - 1 - j))`` followed by ``np.bitwise_xor.reduce``, so
-  the 2t Python LFSR passes collapse into a handful of array ops (~30x
-  on a 4 KiB page at t = 65).  The table is built lazily, once per code:
-  every live calculator of the code (one per die) shares it, and it is
-  freed with the last of them.  It is the software analogue of the
-  hardware's parallel syndrome datapath; the byte-serial path stays as
-  the cross-checked reference.
+* **Fold-table fast path** (:meth:`SyndromeCalculator.syndromes_batch` /
+  :meth:`syndromes_vectorized`): the encoder's remainder kernel reduces
+  every word's message bytes mod g in one batched pass; XOR-ing in the
+  received parity bytes gives a remainder D congruent to the word mod g
+  (Lin & Costello, *Error Control Coding*, ch. 6), so S_i = D(alpha^i).
+  Clean words (D = 0) need no evaluation; the others evaluate D's
+  8 * parity_bytes bits against a small power table.  Both tables are
+  shared by every live calculator of the code and freed with the last.
 
 Implementation note: the byte-serial reduction loop computes
 ``c(x) * x^d mod m_i(x)`` (d = deg m_i), so the evaluated remainder carries
@@ -35,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.bch.encoder import BCHEncoder, fold_remainders
 from repro.bch.params import BCHCodeSpec
 from repro.gf.field import GF2m
 from repro.gf.minpoly import minimal_polynomial
@@ -48,14 +46,16 @@ def _reduction_table(minpoly: int) -> tuple[int, ...]:
     return tuple(poly2_mod(v << deg, minpoly) for v in range(256))
 
 
-#: Bit power tables of the codes some live calculator has used, keyed by
-#: (field, n_stored, t); an entry goes when its last user does.
+#: Parity-bit power tables of the codes some live calculator has used,
+#: keyed by (field, 8 * parity_bytes, t); an entry goes when its last
+#: user does.
 _POWER_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _build_power_table(field: GF2m, n: int, t: int) -> np.ndarray:
-    """Read-only (n, t) uint16 table: entry [j, row] = alpha^(i*(n-1-j))
-    for the column's odd syndrome index i = 2*row + 1.
+    """Read-only (n, t) uint16 table over the bits j of an n-bit remainder:
+    entry [j, row] = alpha^(i*(n-1-j)) for the column's odd syndrome
+    index i = 2*row + 1.
 
     Column i+2 is derived from column i by adding 2*(n-1-j) to the
     exponents (one vector add plus conditional subtracts), avoiding a
@@ -116,6 +116,8 @@ class SyndromeCalculator:
             self._odd_minpolys[i] = minpoly
             deg = poly2_deg(minpoly)
             self._compensation[i] = self.field.alpha_pow((-i * deg) % order)
+        # Shared fast-path tables, fetched on first use.
+        self._fold_table: np.ndarray | None = None
         self._power_table: np.ndarray | None = None
 
     def syndromes(self, codeword: bytes) -> list[int]:
@@ -138,34 +140,32 @@ class SyndromeCalculator:
             out[i - 1] = field.mul(half, half)
         return out
 
-    # -- vectorized fast path -------------------------------------------------
+    # -- fold-table fast path -------------------------------------------------
 
     def _bit_power_table(self) -> np.ndarray:
-        """This code's power table (see :func:`_build_power_table`),
-        built on first use and shared with every calculator of the code.
+        """This code's power table over the parity bits (see
+        :func:`_build_power_table`), built on first use and shared with
+        every calculator of the code.
         """
         if self._power_table is None:
             spec = self.spec
-            key = (self.field, spec.n_stored, spec.t)
+            key = (self.field, 8 * spec.parity_bytes, spec.t)
             table = _POWER_TABLES.get(key)
             if table is None:
-                table = _build_power_table(self.field, spec.n_stored, spec.t)
+                table = _build_power_table(*key)
                 _POWER_TABLES[key] = table
             self._power_table = table
         return self._power_table
 
     def _odd_syndromes_of_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Odd syndromes [S_1, S_3, ...] of one unpacked bit vector.
+        """Odd syndromes [S_1, S_3, ...] of one unpacked parity-bit vector.
 
         The gathered (positions, t) block is XOR-folded in halves: each
         fold is one large contiguous vector op, so the whole reduction
         costs ~2 passes over the gathered data instead of a strided
         reduce.
         """
-        positions = np.flatnonzero(bits)
-        if positions.size == 0:
-            return np.zeros(self.spec.t, dtype=np.int64)
-        gathered = self._bit_power_table()[positions]
+        gathered = self._bit_power_table()[np.flatnonzero(bits)]
         count = gathered.shape[0]
         while count > 1:
             half = count >> 1
@@ -175,34 +175,62 @@ class SyndromeCalculator:
         return gathered[0].astype(np.int64)
 
     def _fill_even_syndromes(self, out: np.ndarray) -> None:
-        """Complete even columns of ``out[..., 2t]`` via S_{2i} = S_i^2."""
-        field = self.field
-        for i in range(2, 2 * self.spec.t + 1, 2):
-            out[..., i - 1] = field.square_vec(out[..., i // 2 - 1])
+        """Complete even columns of ``out[..., 2t]`` one power of two at a
+        time: S_(2^a * o) = S_(2^(a-1) * o)^2 for every odd o at once.
+        """
+        step = 2
+        while step <= 2 * self.spec.t:
+            targets = out[..., step - 1::2 * step]
+            sources = out[..., step // 2 - 1::step]
+            targets[...] = self.field.square_vec(
+                sources[..., :targets.shape[-1]]
+            )
+            step *= 2
+
+    def _syndromes(self, codewords: Sequence[bytes]) -> np.ndarray:
+        """``(B, 2t)`` int64 syndromes of every received word.
+
+        The fold remainder E of the message bytes XOR the parity bytes P
+        is congruent to the word mod g, and g(alpha^i) = 0 for i <= 2t,
+        so S_i = D(alpha^i) with D = E ^ P; rows with D = 0 are clean.
+        """
+        spec = self.spec
+        message_bytes = spec.k // 8
+        expected = message_bytes + spec.parity_bytes
+        for codeword in codewords:
+            if len(codeword) != expected:
+                raise ValueError(
+                    f"codeword must be {expected} bytes, got {len(codeword)}"
+                )
+        if self._fold_table is None:
+            self._fold_table = BCHEncoder._batch_tables(spec)
+        words = np.frombuffer(b"".join(codewords), dtype=np.uint8).reshape(
+            len(codewords), expected
+        )
+        remainders = fold_remainders(
+            self._fold_table, words[:, :message_bytes]
+        )[:, :spec.parity_bytes] ^ words[:, message_bytes:]
+        out = np.zeros((len(codewords), 2 * spec.t), dtype=np.int64)
+        dirty = np.flatnonzero(remainders.any(axis=1))
+        if dirty.size:
+            bits = np.unpackbits(remainders[dirty], axis=1)
+            for b, row in zip(dirty, bits):
+                out[b, 0::2] = self._odd_syndromes_of_bits(row)
+            self._fill_even_syndromes(out)
+        return out
 
     def syndromes_vectorized(self, codeword: bytes) -> list[int]:
         """Fast-path equivalent of :meth:`syndromes` (same return value)."""
-        bits = np.unpackbits(np.frombuffer(codeword, dtype=np.uint8))
-        out = np.zeros(2 * self.spec.t, dtype=np.int64)
-        out[0::2] = self._odd_syndromes_of_bits(bits)
-        self._fill_even_syndromes(out)
-        return out.tolist()
+        return self._syndromes([codeword])[0].tolist()
 
     def syndromes_batch(self, codewords: Sequence[bytes]) -> np.ndarray:
-        """Syndromes of a batch of equal-length codewords.
+        """Syndromes of a batch of received words.
 
         Returns an int64 array of shape ``(len(codewords), 2t)``; row b is
-        identical to ``syndromes(codewords[b])``.
+        identical to ``syndromes(codewords[b])``.  Every word must be
+        ``k/8 + parity_bytes`` bytes long.
         """
-        if len(codewords) == 0:
-            return np.zeros((0, 2 * self.spec.t), dtype=np.int64)
-        raw = np.frombuffer(b"".join(codewords), dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(len(codewords), -1), axis=1)
-        out = np.zeros((len(codewords), 2 * self.spec.t), dtype=np.int64)
-        for b in range(len(codewords)):
-            out[b, 0::2] = self._odd_syndromes_of_bits(bits[b])
-        self._fill_even_syndromes(out)
-        return out
+        return self._syndromes(codewords)
 
     @staticmethod
     def all_zero(syndromes: list[int]) -> bool:

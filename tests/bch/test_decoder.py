@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from repro.bch import chien, syndrome
+from repro.bch import encoder as encoder_module
 from repro.bch.decoder import BCHDecoder
 from repro.bch.encoder import BCHEncoder
 from repro.bch.params import design_code
@@ -156,14 +157,19 @@ class TestSharedTables:
     def test_tables_are_freed_with_the_last_decoder(self):
         spec = design_code(1024, 5)
         decoder = BCHDecoder(spec)
-        decoder.syndrome_calculator._bit_power_table()
-        decoder.chien._degree_exponents(spec.t)
+        # The all-zero word is a codeword; one flipped bit needs every
+        # table of the fast path.
+        word = flip_bits(bytes(spec.k // 8 + spec.parity_bytes), [3])
+        assert decoder.decode(word).error_positions == (3,)
         field = spec.field()
-        power_key = (field, spec.n_stored, spec.t)
+        fold_key = (spec.generator, spec.r)
+        power_key = (field, 8 * spec.parity_bytes, spec.t)
         rows_key = (field, spec.n_stored)
+        assert fold_key in encoder_module._FOLD_TABLES
         assert power_key in syndrome._POWER_TABLES
         assert rows_key in chien._EXPONENT_ROWS
         del decoder
         gc.collect()
+        assert fold_key not in encoder_module._FOLD_TABLES
         assert power_key not in syndrome._POWER_TABLES
         assert rows_key not in chien._EXPONENT_ROWS

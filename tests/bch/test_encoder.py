@@ -1,12 +1,19 @@
 """Systematic BCH encoder tests."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
-from repro.bch.encoder import BCHEncoder
-from repro.bch.params import design_code
+from repro.bch import encoder as encoder_module
+from repro.bch.decoder import BCHDecoder
+from repro.bch.encoder import FOLD_BYTES, BCHEncoder
+from repro.bch.params import BCHCodeSpec, design_code
 from repro.bch.reference import BitSerialLFSREncoder
+from repro.errors import CodeDesignError
 from repro.gf.poly2 import poly2_mod
+from tests.conftest import flip_bits, stored_parity_by_definition
 
 
 class TestEncoder:
@@ -73,82 +80,106 @@ class TestEncoder:
         assert encoder.is_codeword(codeword)
 
 
-class TestSliceWidths:
-    """Wide (16-byte) vs narrow (8-byte) batch slicing, both vs scalar."""
-
-    def test_wide_slice_selected_at_r_128(self):
-        from repro.bch.params import design_code
-
-        assert BCHEncoder(design_code(32768, 8)).slice_bytes == 16   # r = 128
-        assert BCHEncoder(design_code(32768, 14)).slice_bytes == 16  # r = 224
-        assert BCHEncoder(design_code(1024, 8)).slice_bytes == 8     # r = 88
+class TestFoldKernel:
+    """Every encode, single or batched, equals the definition."""
 
     @pytest.mark.parametrize(
         "k,t",
-        [
-            (32768, 8),    # r = 128: smallest wide-slice code
-            (32768, 14),   # r = 224: the paper's ISPP-DV end-of-life point
-            (1024, 8),     # r = 88: narrow 8-byte slicing retained
+        [(32768, t) for t in (1, 3, 6, 8, 14, 33, 65)]
+        + [
+            (1024, 8),      # r = 88: shorter than one block
+            (8 * 1500, 5),  # r = 70: not a whole number of blocks
+            (64, 3),        # r = 21 < 64, pad_bits = 3
+            (1024, 4),      # r = 44, pad_bits = 4
         ],
     )
-    def test_batch_matches_scalar(self, k, t, rng):
-        from repro.bch.params import design_code
-
-        encoder = BCHEncoder(design_code(k, t))
-        messages = [rng.bytes(k // 8) for _ in range(5)]
-        assert encoder.encode_batch(messages) == [
-            encoder.encode(message) for message in messages
+    def test_encode_matches_definition(self, k, t, rng):
+        spec = design_code(k, t)
+        encoder = BCHEncoder(spec)
+        messages = [rng.bytes(k // 8) for _ in range(14)] + [
+            b"\xff" * (k // 8)
         ]
+        batch = encoder.encode_batch(messages)
+        assert [encoder.encode_batch([m])[0] for m in messages] == batch
+        for index in (0, 1, 7, 13, 14):
+            message = messages[index]
+            assert batch[index] == stored_parity_by_definition(spec, message)
+            assert encoder.encode(message) == batch[index]
+            assert encoder.parity_int(message) == poly2_mod(
+                int.from_bytes(message, "big") << spec.r, spec.generator
+            )
+
+    def test_encode_batch_empty(self, page_spec):
+        assert BCHEncoder(page_spec).encode_batch([]) == []
+
+    def test_parity_bits_limited_to_one_block(self):
+        # Hand-made specs: only r matters to the check, and no real code
+        # this wide is cheap to design.
+        fits = BCHCodeSpec(m=16, k=8192, t=512, r=8 * FOLD_BYTES,
+                           generator=(1 << 8 * FOLD_BYTES) | 1)
+        BCHEncoder(fits)  # the table is built on first use, not here
+        too_wide = dataclasses.replace(
+            fits, r=8 * FOLD_BYTES + 1, generator=(1 << 8 * FOLD_BYTES + 1) | 1
+        )
+        with pytest.raises(CodeDesignError, match="8192"):
+            BCHEncoder(too_wide)
 
 
 class TestSharedTables:
-    """Reduction tables are built once per code and shared read-only."""
+    """One fold table per code: equal to its definition, shared read-only
+    by every encoder and decoder of the code, freed with the last."""
 
     @pytest.mark.parametrize(
-        "k,t",
-        [(32768, t) for t in (1, 3, 8, 14, 33, 65)]
-        + [(64, 3)],  # r = 21 < 64: encode_batch takes the scalar path
+        "k,t", [(32768, t) for t in (1, 3, 8, 14, 33, 65)] + [(64, 3)]
     )
-    def test_tables_match_poly2_mod_definition(self, k, t):
+    def test_table_matches_poly2_mod_definition(self, k, t):
         spec = design_code(k, t)
         r, g = spec.r, spec.generator
-        encoder = BCHEncoder(spec)
-        assert list(encoder._table) == [poly2_mod(v << r, g) for v in range(256)]
-        align = 64 * ((r + 63) // 64) - r
-        for slice_bytes in (8, 16):
-            tables = encoder._batch_tables(slice_bytes)
-            assert tables.shape == (slice_bytes, 256, (r + 63) // 64)
-            for p in range(slice_bytes):
-                shift = r + 8 * (slice_bytes - 1 - p)
-                rows = tables[p].astype(np.dtype(">u8")).tobytes()
-                width = len(rows) // 256
-                assert [
-                    int.from_bytes(rows[v * width:(v + 1) * width], "big")
-                    >> align
-                    for v in range(256)
-                ] == [poly2_mod(v << shift, g) for v in range(256)]
+        table = BCHEncoder._batch_tables(spec)
+        words = (r + 63) // 64
+        nibbles = 2 * FOLD_BYTES
+        assert table.shape == (words, 16 * nibbles)
+        assert table.dtype == np.uint64
+        align = 64 * words - r
+        for q in (0, 1, nibbles // 2, nibbles - 2, nibbles - 1):
+            entries = table[:, 16 * q:16 * q + 16].T.astype(">u8")
+            assert [
+                int.from_bytes(entry.tobytes(), "big") >> align
+                for entry in entries
+            ] == [
+                poly2_mod(v << (r + 4 * (nibbles - 1 - q)), g)
+                for v in range(16)
+            ]
 
-    def test_scalar_fallback_code_batch_matches_scalar(self, small_spec, rng):
-        encoder = BCHEncoder(small_spec)
-        assert not encoder.supports_batch_kernel
-        messages = [rng.bytes(small_spec.k // 8) for _ in range(3)]
-        assert encoder.encode_batch(messages) == [
-            encoder.encode(message) for message in messages
-        ]
+    def test_encoders_and_decoders_of_one_code_share_the_table(self, rng):
+        spec = design_code(1024, 6)
+        first, second = BCHEncoder(spec), BCHEncoder(spec)
+        decoder = BCHDecoder(spec)
+        message = rng.bytes(spec.k // 8)
+        codeword = first.encode_codeword(message)
+        second.encode_batch([message])
+        decoder.decode(flip_bits(codeword, [3]))
+        table = BCHEncoder._batch_tables(spec)
+        assert first._table is table
+        assert second._table is table
+        assert decoder.syndrome_calculator._fold_table is table
 
-    def test_encoders_of_one_code_share_tables(self, page_spec):
-        first, second = BCHEncoder(page_spec), BCHEncoder(page_spec)
-        assert first._table is second._table
-        for slice_bytes in (8, 16):
-            assert (first._batch_tables(slice_bytes)
-                    is second._batch_tables(slice_bytes))
-
-    def test_cached_tables_are_read_only(self, page_spec):
-        encoder = BCHEncoder(page_spec)
-        tables = encoder._batch_tables(encoder.slice_bytes)
+    def test_table_is_read_only(self, page_spec):
+        table = BCHEncoder._batch_tables(page_spec)
         with pytest.raises(ValueError):
-            tables[0, 1, 0] = 0
+            table[0, 1] = 0
         with pytest.raises(ValueError):
-            tables[0][1] ^= tables[0][2]
-        with pytest.raises(TypeError):
-            encoder._table[1] = 0
+            table[0] ^= table[1]
+
+    def test_table_is_freed_with_its_last_user(self, rng):
+        spec = design_code(2048, 3)
+        key = (spec.generator, spec.r)
+        encoder, decoder = BCHEncoder(spec), BCHDecoder(spec)
+        codeword = encoder.encode_codeword(rng.bytes(spec.k // 8))
+        decoder.decode(flip_bits(codeword, [5]))
+        del encoder
+        gc.collect()
+        assert key in encoder_module._FOLD_TABLES
+        del decoder
+        gc.collect()
+        assert key not in encoder_module._FOLD_TABLES

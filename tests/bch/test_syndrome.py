@@ -78,3 +78,56 @@ class TestSyndromes:
         syndromes = calc.syndromes_of_error_positions([pos])
         for i in range(1, 2 * small_spec.t + 1):
             assert syndromes[i - 1] == field.alpha_pow(i * exponent)
+
+
+class TestFoldTablePath:
+    @pytest.mark.parametrize(
+        "k,t",
+        [
+            (64, 3),      # r = 21, pad_bits = 3
+            (1024, 4),    # r = 44, pad_bits = 4
+            (32768, 6),   # r = 96, no pad bits
+        ],
+    )
+    def test_matches_byte_serial_for_message_parity_and_pad_errors(
+        self, k, t, rng
+    ):
+        spec = design_code(k, t)
+        encoder = BCHEncoder(spec)
+        calc = SyndromeCalculator(spec)
+        parity_end = spec.k + spec.r  # first pad bit, if any
+        patterns = [
+            [],
+            [0],
+            [spec.k - 1],                       # last message bit
+            [spec.k],                           # first parity bit
+            [parity_end - 1],                   # last parity bit
+            [spec.n_stored - 1],                # pad bit (or last parity)
+            [1, spec.k + 2, spec.n_stored - 1],
+            list(range(parity_end, spec.n_stored)),  # every pad bit
+        ]
+        words = [
+            flip_bits(encoder.encode_codeword(rng.bytes(k // 8)), positions)
+            for positions in patterns
+        ]
+        batch = calc.syndromes_batch(words)
+        assert batch.shape == (len(words), 2 * spec.t)
+        for row, word in zip(batch, words):
+            reference = calc.syndromes(word)
+            assert row.tolist() == reference
+            assert calc.syndromes_vectorized(word) == reference
+        assert not batch[0].any()
+        assert batch[1:-1].any(axis=1).all()
+
+    def test_mis_sized_words_rejected(self):
+        spec = design_code(1024, 4)
+        calc = SyndromeCalculator(spec)
+        assert spec.k // 8 + spec.parity_bytes == 134
+        with pytest.raises(ValueError, match="134 bytes"):
+            calc.syndromes_batch([bytes(133), bytes(135)])
+        with pytest.raises(ValueError, match="134 bytes"):
+            calc.syndromes_vectorized(bytes(137))
+
+    def test_empty_batch(self, small_spec):
+        calc = SyndromeCalculator(small_spec)
+        assert calc.syndromes_batch([]).shape == (0, 2 * small_spec.t)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bch.params import BCHCodeSpec, design_code
 from repro.gf.field import GF2m, get_field
+from repro.gf.poly2 import poly2_mod
 from repro.nand.program import PageProgrammer
 
 
@@ -50,6 +51,14 @@ def rng() -> np.random.Generator:
 def programmer(rng: np.random.Generator) -> PageProgrammer:
     """Page programmer with a deterministic RNG."""
     return PageProgrammer(rng=rng)
+
+
+def stored_parity_by_definition(spec: BCHCodeSpec, message: bytes) -> bytes:
+    """Stored parity bytes ``(m(x) * x^r mod g) << pad_bits`` by long
+    division."""
+    value = int.from_bytes(message, "big") << spec.r
+    parity = poly2_mod(value, spec.generator) << spec.pad_bits
+    return parity.to_bytes(spec.parity_bytes, "big")
 
 
 def flip_bits(codeword: bytes, positions: list[int]) -> bytes:
