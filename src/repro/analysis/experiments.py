@@ -1262,7 +1262,8 @@ class ExperimentSuite:
         A small 1ch x 4die full-pipeline drive is filled sequentially
         and then random-overwritten past its over-provisioning under
         each :data:`~repro.ssd.session.GC_MODES` entry: ``sync``
-        (stage-at-submit, migrations accounted serially off-timeline),
+        (collections inside the data path, accounted serially
+        off-timeline),
         ``foreground`` (GC-origin commands on the timeline, host
         admission frozen while they fly — the stall baseline) and
         ``background`` (watermark/idle-triggered collections overlap

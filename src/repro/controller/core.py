@@ -59,6 +59,15 @@ class FlowResult:
     decode: DecodeResult | None = None
 
 
+def check_page_data(data: bytes, page_data_bytes: int) -> None:
+    """Raise :class:`ControllerError` unless ``data`` is exactly one page."""
+    if len(data) != page_data_bytes:
+        raise ControllerError(
+            f"write data must be one page ({page_data_bytes} B), "
+            f"got {len(data)}"
+        )
+
+
 class CoreControllerFsm:
     """Datapath sequencing for page writes and reads."""
 
@@ -86,11 +95,7 @@ class CoreControllerFsm:
 
     def write_page(self, block: int, page: int, data: bytes) -> FlowResult:
         """OCP in -> buffer -> encode -> program."""
-        expected = self.device.geometry.page_data_bytes
-        if len(data) != expected:
-            raise ControllerError(
-                f"write data must be one page ({expected} B), got {len(data)}"
-            )
+        check_page_data(data, self.device.geometry.page_data_bytes)
         parity_bytes = self.codec.parity_bytes()
         if not self.spare.fits(parity_bytes):
             raise ControllerError(
@@ -132,11 +137,7 @@ class CoreControllerFsm:
         staged: list[bytes] = []
         transfers: list[float] = []
         for _, _, data in ops:
-            if len(data) != expected:
-                raise ControllerError(
-                    f"write data must be one page ({expected} B), "
-                    f"got {len(data)}"
-                )
+            check_page_data(data, expected)
             transfers.append(self.ocp.data_burst(len(data)))
             self.buffer.load(data)
             staged.append(self.buffer.drain())

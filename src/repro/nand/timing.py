@@ -58,7 +58,8 @@ class CommandPhase:
     hold_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s < 0:
+        # ``not x >= 0`` also rejects NaN, which ``x < 0`` lets through.
+        if not self.duration_s >= 0:
             raise SimulationError("phase duration must be non-negative")
         if self.hold_s is not None and not 0 <= self.hold_s <= self.duration_s:
             raise SimulationError(

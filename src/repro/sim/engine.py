@@ -377,7 +377,7 @@ class SimEngine:
 
     def spawn(self, process: Process, delay_s: float = 0.0) -> None:
         """Register a process to start after ``delay_s``."""
-        if delay_s < 0:
+        if not delay_s >= 0:  # NaN included
             raise SimulationError("delay must be non-negative")
         self._queue.push((self.now_s + delay_s, self._next_seq(), process))
 
@@ -388,7 +388,7 @@ class SimEngine:
         arithmetic, no validation beyond monotonicity — the event list
         itself orders arbitrarily many frames pushed back to back.
         """
-        if time_s < self.now_s:
+        if not time_s >= self.now_s:  # NaN included
             raise SimulationError("cannot schedule into the past")
         self._queue.push((time_s, self._next_seq(), process))
 
@@ -502,7 +502,9 @@ class SimEngine:
                 except StopIteration:
                     continue
                 if type(delay) is float:
-                    if delay < 0.0:
+                    # Same single compare as ``delay < 0.0``, but NaN
+                    # fails it too.
+                    if not delay >= 0.0:
                         raise SimulationError(
                             f"process yielded invalid delay {delay!r}"
                         )
@@ -518,7 +520,7 @@ class SimEngine:
                     delay_f = float(delay)
                 except (TypeError, ValueError):
                     delay_f = -1.0
-                if delay is None or delay_f < 0.0:
+                if delay is None or not delay_f >= 0.0:
                     raise SimulationError(
                         f"process yielded invalid delay {delay!r}"
                     )

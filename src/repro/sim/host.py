@@ -1,9 +1,12 @@
-"""Host traffic driving the memory controller through the DES engine.
+"""Host traffic driving the memory controller, FTL and SSD.
 
-A closed-loop host process issues page operations from a workload trace;
-operation service times come from the controller's latency accounting, so
-the simulated throughput is the end-to-end figure including OCP transfer,
-ECC and flash-array time.
+A closed-loop host issues page operations from a workload trace one
+batched group at a time; operation service times come from the
+controller's latency accounting, so the simulated throughput is the
+end-to-end figure including OCP transfer, ECC and flash-array time.  A
+closed loop has one process and nothing to interleave, so its runners
+are plain loops: the host clock is the running sum of every group's
+latency (or makespan) plus think time, and no DES runs.
 
 Four hosts are modelled: :func:`run_host_workload` drives physical page
 addresses straight into the controller (batched runs of the trace go
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.controller.controller import NandController
 from repro.ftl.ftl import FlashTranslationLayer
-from repro.sim.engine import Process, SimEngine
+from repro.sim.engine import Process
 from repro.sim.stats import LatencyStats, ThroughputStats
 from repro.workloads.traces import QueuedTrace, TraceOp, TraceOpKind
 
@@ -218,11 +221,14 @@ def _batched_ops(operations: list[TraceOp], batch_pages: int):
         yield group
 
 
-def _host_process(
+def run_host_workload(
     controller: NandController,
     workload: HostWorkload,
-    result: WorkloadResult,
-) -> Process:
+) -> WorkloadResult:
+    """Simulate one closed-loop host stream to completion."""
+    result = WorkloadResult(
+        name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
+    )
     page_bytes = controller.geometry.page_data_bytes
     batch_pages = max(1, workload.batch_pages)
     for group in _batched_ops(workload.operations, batch_pages):
@@ -257,53 +263,10 @@ def _host_process(
         else:  # ERASE (never grouped with data ops; issue one at a time)
             for op in group:
                 latency += controller.erase(op.block)
-        yield latency + len(group) * workload.think_time_s
-
-
-def run_host_workload(
-    controller: NandController,
-    workload: HostWorkload,
-) -> WorkloadResult:
-    """Simulate one closed-loop host stream to completion."""
-    result = WorkloadResult(
-        name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
-    )
-    engine = SimEngine()
-    engine.spawn(_host_process(controller, workload, result))
-    result.elapsed_s = engine.run()
+        result.elapsed_s += float(
+            latency + len(group) * workload.think_time_s
+        )
     return result
-
-
-def _ftl_process(
-    ftl: FlashTranslationLayer,
-    workload: HostWorkload,
-    result: WorkloadResult,
-) -> Process:
-    """Logical host stream: trace pages become LPNs (first-seen order)."""
-    page_bytes = ftl.controller.geometry.page_data_bytes
-    batch_pages = max(1, workload.batch_pages)
-    names = _LpnNamespace()
-
-    for group in _batched_ops(workload.operations, batch_pages):
-        kind = group[0].kind
-        latency = 0.0
-        if kind is TraceOpKind.WRITE:
-            for op_latency in ftl.write_many(
-                [(names.lpn_of(op), op.data) for op in group]
-            ):
-                result.stats.observe_write(page_bytes, op_latency)
-                latency += op_latency
-        elif kind is TraceOpKind.READ:
-            for _, op_latency in ftl.read_many(
-                [names.lpn_of(op) for op in group]
-            ):
-                result.stats.observe_read(page_bytes, op_latency)
-                latency += op_latency
-        else:  # ERASE: logical hosts discard instead (GC reclaims later)
-            for op in group:
-                names.discard_block(ftl, op.block)
-        result.corrected_bits = ftl.stats.corrected_bits
-        yield latency + len(group) * workload.think_time_s
 
 
 def run_ftl_workload(
@@ -327,18 +290,68 @@ def run_ftl_workload(
     result = WorkloadResult(
         name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
     )
-    engine = SimEngine()
-    engine.spawn(_ftl_process(ftl, workload, result))
-    result.elapsed_s = engine.run()
+    page_bytes = ftl.controller.geometry.page_data_bytes
+    batch_pages = max(1, workload.batch_pages)
+    names = _LpnNamespace()
+    for group in _batched_ops(workload.operations, batch_pages):
+        kind = group[0].kind
+        latency = 0.0
+        if kind is TraceOpKind.WRITE:
+            for op_latency in ftl.write_many(
+                [(names.lpn_of(op), op.data) for op in group]
+            ):
+                result.stats.observe_write(page_bytes, op_latency)
+                latency += op_latency
+        elif kind is TraceOpKind.READ:
+            for _, op_latency in ftl.read_many(
+                [names.lpn_of(op) for op in group]
+            ):
+                result.stats.observe_read(page_bytes, op_latency)
+                latency += op_latency
+        else:  # ERASE: logical hosts discard instead (GC reclaims later)
+            for op in group:
+                names.discard_block(ftl, op.block)
+        result.corrected_bits = ftl.stats.corrected_bits
+        result.elapsed_s += float(
+            latency + len(group) * workload.think_time_s
+        )
     return result
 
 
-def _ssd_process(
+def run_ssd_workload(
     ftl: "DieStripedFtl",
     workload: HostWorkload,
-    result: WorkloadResult,
-) -> Process:
-    """Striped host stream: batches complete at their scheduled makespan."""
+) -> WorkloadResult:
+    """Simulate a closed-loop host stream against a die-striped SSD.
+
+    Trace pages become LPNs exactly as in :func:`run_ftl_workload`, but
+    every batched group is dispatched through the device's
+    :class:`~repro.ssd.session.SsdSession` at the workload's
+    ``queue_depth``: per-operation latencies include queueing behind
+    dies and channel buses, and the group advances the clock by its
+    scheduled makespan, so the sustained MB/s reflects channel/die
+    parallelism.  The scheduler honours the SSD's
+    :class:`~repro.ssd.scheduler.PipelineConfig` (cache reads,
+    multi-plane, pipelined ECC), and the result's
+    :meth:`WorkloadResult.latency_percentiles` expose the p50/p95/p99
+    tail plus the queue/service split of the scheduled per-command
+    latencies.
+
+    .. note:: This is the **batch-drain** (closed-loop) wrapper over the
+       session: every group runs to its makespan before the next is
+       admitted, so inter-batch pipelining is deliberately excluded and
+       mixed reads/writes are never in flight together.  For sustained
+       steady-state behaviour, drive the session open loop with
+       :func:`run_open_loop_workload` (arrival-stamped traces from
+       :func:`~repro.workloads.traces.poisson_arrivals` /
+       :func:`~repro.workloads.traces.fixed_rate_arrivals`).
+    """
+    result = WorkloadResult(
+        name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
+    )
+    core = ftl.session.core
+    fast_before = core.fast_commands
+    fallback_before = core.fallback_commands
     page_bytes = ftl.geometry.page_data_bytes
     batch_pages = max(1, workload.batch_pages)
     queue_depth = workload.queue_depth if workload.queue_depth > 0 else None
@@ -385,46 +398,9 @@ def _ssd_process(
             for index, busy in enumerate(schedule.ecc_busy_s):
                 result.ecc_busy_s[index] += busy
         result.corrected_bits = ftl.stats.corrected_bits
-        yield elapsed + len(group) * workload.think_time_s
-
-
-def run_ssd_workload(
-    ftl: "DieStripedFtl",
-    workload: HostWorkload,
-) -> WorkloadResult:
-    """Simulate a closed-loop host stream against a die-striped SSD.
-
-    Trace pages become LPNs exactly as in :func:`run_ftl_workload`, but
-    every batched group is dispatched through the device's
-    :class:`~repro.ssd.session.SsdSession` at the workload's
-    ``queue_depth``: per-operation latencies include queueing behind
-    dies and channel buses, and the group advances the clock by its
-    scheduled makespan, so the sustained MB/s reflects channel/die
-    parallelism.  The scheduler honours the SSD's
-    :class:`~repro.ssd.scheduler.PipelineConfig` (cache reads,
-    multi-plane, pipelined ECC), and the result's
-    :meth:`WorkloadResult.latency_percentiles` expose the p50/p95/p99
-    tail plus the queue/service split of the scheduled per-command
-    latencies.
-
-    .. note:: This is the **batch-drain** (closed-loop) wrapper over the
-       session: every group runs to its makespan before the next is
-       admitted, so inter-batch pipelining is deliberately excluded and
-       mixed reads/writes are never in flight together.  For sustained
-       steady-state behaviour, drive the session open loop with
-       :func:`run_open_loop_workload` (arrival-stamped traces from
-       :func:`~repro.workloads.traces.poisson_arrivals` /
-       :func:`~repro.workloads.traces.fixed_rate_arrivals`).
-    """
-    result = WorkloadResult(
-        name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
-    )
-    core = ftl.session.core
-    fast_before = core.fast_commands
-    fallback_before = core.fallback_commands
-    engine = SimEngine()
-    engine.spawn(_ssd_process(ftl, workload, result))
-    result.elapsed_s = engine.run()
+        result.elapsed_s += float(
+            elapsed + len(group) * workload.think_time_s
+        )
     result.fast_commands = core.fast_commands - fast_before
     result.fallback_commands = core.fallback_commands - fallback_before
     return result
@@ -480,11 +456,16 @@ def run_open_loop_workload(
     own private session (pass a recorder-carrying session explicitly to
     trace a shared queue pair).
 
-    ERASE ops are host-side discards (trims) applied at their arrival
-    instant.  The result's ``elapsed_s`` is the time of the last
-    completion, so throughput is the *completed* rate — past device
-    saturation it stops tracking the offered rate, which is the
-    throughput-saturation knee the open-loop model exists to expose.
+    An ERASE op is a host-side discard: every page the trace has named
+    in that block is trimmed through :meth:`SsdSession.trim
+    <repro.ssd.session.SsdSession.trim>`, which keeps submission order —
+    a trim applies once every earlier submission has been staged, so it
+    never overtakes a write still in the backlog, and a page that is not
+    mapped by then is left alone.  The result's ``elapsed_s`` is the
+    time of the last completion, so throughput is the *completed* rate
+    — past device saturation it stops tracking the offered rate, which
+    is the throughput-saturation knee the open-loop model exists to
+    expose.
 
     A shared ``session`` (e.g. the device-wide queue pair) must be idle
     — ``issue_s`` timestamps are absolute, so its clock is re-based to
@@ -574,7 +555,8 @@ def run_open_loop_workload(
             for completion in session.take_completions():
                 observe(completion)
             if op.kind is TraceOpKind.ERASE:
-                names.discard_block(ftl, op.block)
+                for lpn in names.block_lpns(op.block):
+                    session.trim(lpn, ftl)
                 continue
             session.submit(
                 IoCommand(op.kind, names.lpn_of(op), op.data), ftl=ftl

@@ -161,11 +161,12 @@ class DieCommand:
     origin: CommandOrigin = CommandOrigin.HOST
 
     def __post_init__(self) -> None:
-        if self.die_s < 0 or self.channel_s < 0:
+        # ``not x >= 0`` also rejects NaN, which ``x < 0`` lets through.
+        if not (self.die_s >= 0 and self.channel_s >= 0):
             raise SimulationError("command phase durations must be non-negative")
         if self.plane < 0:
             raise SimulationError("plane must be non-negative")
-        if self.cache_busy_s < 0:
+        if not self.cache_busy_s >= 0:
             raise SimulationError("cache busy time must be non-negative")
 
     @classmethod
@@ -859,7 +860,16 @@ class SchedulerCore:
         schedule bit-for-bit.  A flat core runs one stream at a time
         (streams may be installed back to back once the previous one
         has fully admitted); the generator form may be spawned freely.
+        A ``window`` below 1 or an ``arrival_s`` that is not ``>= 0``
+        (NaN included) raises :class:`SimulationError` before anything
+        is installed.
         """
+        if window is not None and window < 1:
+            raise SimulationError(f"stream window must be >= 1, not {window}")
+        if not arrival_s >= 0.0:
+            raise SimulationError(
+                f"arrival spacing must be >= 0, not {arrival_s!r}"
+            )
         if not self.flat:
             self.engine.spawn(
                 open_admission(self, commands, window, arrival_s)

@@ -8,11 +8,13 @@ latency percentiles exclude host-side queueing.  :class:`SsdSession` is
 the open-loop replacement — the software analogue of an NVMe submission
 / completion queue pair:
 
-* :meth:`SsdSession.submit` posts one :class:`IoCommand` (a logical
-  read or write) at the current simulation time and returns its
-  submission **tag**; the data path runs immediately through the
-  striped FTL (same shard controllers, same RNG streams as the batch
-  API) while the command's timing joins the resident
+* :meth:`SsdSession.submit` checks one :class:`IoCommand` (a logical
+  read or write: kind, LPN range, write length), posts it at the
+  current simulation time and returns its submission **tag**.  The I/O
+  is *staged* when the in-flight window admits it (at once if the
+  window is open): its data path runs through the striped FTL (same
+  shard controllers, same RNG streams as the batch API) and its
+  command's timing joins the resident
   :class:`~repro.ssd.scheduler.SchedulerCore` — planes, channel buses,
   ECC engines and cache registers stay serially-reusable resources, and
   new submissions overlap commands already in flight;
@@ -22,9 +24,12 @@ the open-loop replacement — the software analogue of an NVMe submission
   and fires :attr:`SsdSession.completion` — the completion-queue
   doorbell a host process parks on;
 * an optional ``queue_depth`` models the device-side in-flight window:
-  submissions beyond it wait in the session's submission backlog and
-  are dispatched as earlier commands complete (the wait is visible as
-  ``IoCompletion.queue_s``).
+  submissions beyond it wait unstaged in the session's submission
+  backlog and are staged, in submission order, as earlier commands
+  complete (the wait is visible as ``IoCompletion.queue_s``);
+* :meth:`SsdSession.trim` discards a logical page in submission order:
+  it applies once every earlier submission has been staged, so a trim
+  never overtakes a write still in the backlog.
 
 :meth:`SsdSession.execute` is the closed-loop compatibility surface:
 it drains one pre-built command batch exactly like
@@ -36,11 +41,12 @@ route through it, which is what lets every namespace of a
 :class:`~repro.ftl.service.DifferentiatedStorage` share one device-wide
 queue.
 
-Garbage collection and the timeline — three session modes:
+Garbage collection and the timeline — three session modes.  Every mode
+stages I/O the same way, at admission; ``gc_mode`` decides only where
+collections run and how they meet the host window:
 
 * ``gc_mode="sync"`` (default): collections run synchronously inside
-  the FTL data path, off the timeline, exactly as before — the locked
-  bit-exact baseline.
+  the FTL data path, off the timeline — the locked bit-exact baseline.
 * ``"foreground"``: every collection a submission triggers is replayed
   as GC-origin die commands on the timeline, and the host window is
   frozen while GC commands are in flight — the classic
@@ -60,6 +66,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.controller.core import check_page_data
 from repro.errors import SimulationError
 from repro.ftl.gc import GcConfig, GcMigration
 from repro.sim.engine import SimEngine
@@ -89,7 +96,7 @@ class IoCommand:
     informational here (arrival processes use it to pace submissions);
     the session stamps the actual submit time when :meth:`SsdSession.submit`
     is called.  Only reads and writes travel through the queue pair;
-    trims/erases are host-side metadata operations.
+    trims go through :meth:`SsdSession.trim`.
     """
 
     kind: TraceOpKind
@@ -176,14 +183,14 @@ class SsdSession:
     default router for logical I/O — :meth:`submit` accepts an explicit
     ``ftl=`` for multi-namespace use.
 
-    ``gc_mode`` selects how collections meet the timeline (see the
-    module docstring); ``gc_config`` tunes the victim policy and the
-    background watermarks.  In the scheduled modes (``"foreground"`` /
-    ``"background"``) submissions beyond the admission window stay
-    *unstaged* in the backlog — their data path runs at dispatch time,
-    so GC triggers spread over the run instead of front-loading at
-    submit; ``"sync"`` keeps the historical stage-at-submit flow
-    bit-exactly.
+    ``gc_mode`` selects where collections run (see the module
+    docstring); ``gc_config`` tunes the victim policy and the background
+    watermarks.  In every mode a submission beyond the admission window
+    waits *unstaged* in the backlog: its data path runs when the window
+    admits it, under the FTL state and controller configuration current
+    then, so GC triggers spread over the run instead of front-loading at
+    submit.  Discard pages through :meth:`trim`, not the FTL's own
+    ``trim``, so a discard keeps its place behind backlogged writes.
     """
 
     def __init__(
@@ -236,8 +243,8 @@ class SsdSession:
         #: Completion queue (append-only, completion order).
         self.completions: list[IoCompletion] = []
         self._io: dict[int, _IoRecord] = {}
-        # sync mode: (command, submit_s); scheduled modes: the unstaged
-        # (ftl, io, tag, submit_s) — see the class docstring.
+        # Unstaged submissions in order, as (ftl, io, tag, submit_s); a
+        # trim waits among them as (ftl, lpn, None, None).
         self._backlog: deque[tuple] = deque()
         self._next_tag = 0
         # Scheduled-GC state: tag -> (shard GcStats, die) for in-flight
@@ -251,7 +258,7 @@ class SsdSession:
         self._gc_active = [False] * ssd.topology.dies
         self._gc_capture = False
         self._gc_ftls: list = []
-        if gc_mode != "sync" and ftl is not None:
+        if ftl is not None:
             self._install_gc(ftl)
 
     # -- open-loop submission stream ---------------------------------------------
@@ -263,7 +270,7 @@ class SsdSession:
 
     @property
     def backlog(self) -> int:
-        """Submitted commands still waiting for the in-flight window."""
+        """Submissions (and trims behind them) waiting for the window."""
         return len(self._backlog)
 
     @property
@@ -281,38 +288,41 @@ class SsdSession:
 
         Callable from host code between engine runs or from a DES
         process on the session engine (an open-loop arrival generator).
-        The FTL data path (mapping, allocation, ECC, error injection)
-        runs immediately; the command's timing is played out on the
+        The kind, the LPN range and the write length are checked before
+        a tag is allocated, so a rejected I/O leaves no trace.  The FTL
+        data path (mapping, allocation, ECC, error injection) runs when
+        the in-flight window admits the I/O — at once if it is open and
+        nothing is backlogged; the command's timing is played out on the
         shared timeline and completes asynchronously via
         :attr:`completion`.
         """
-        ftl = self.ftl if ftl is None else ftl
-        if ftl is None:
-            raise SimulationError(
-                "session has no FTL: pass one at construction or per submit"
-            )
-        if self.gc_mode != "sync":
-            return self._submit_scheduled(io, ftl)
-        tag = self._next_tag
-        self._next_tag += 1
-        submit_s = self.engine.now_s
-        if io.kind is TraceOpKind.READ:
-            datas, commands = ftl.stage_reads([io.lpn], tags=(tag,))
-            data = datas[0]
-        elif io.kind is TraceOpKind.WRITE:
-            commands = ftl.stage_writes([(io.lpn, io.data)], tags=(tag,))
-            data = None
-        else:
+        ftl = self._ftl_for(ftl)
+        if io.kind is not TraceOpKind.READ and io.kind is not TraceOpKind.WRITE:
             raise SimulationError(
                 f"sessions carry reads and writes only, not {io.kind}"
             )
-        self._io[tag] = _IoRecord(io.kind, io.lpn, data, submit_s)
-        command = commands[0]
-        if self.queue_depth is None or self.core.in_flight < self.queue_depth:
-            self.core.enqueue(command, submit_s=submit_s)
-        else:
-            self._backlog.append((command, submit_s))
+        ftl.route(io.lpn)
+        if io.kind is TraceOpKind.WRITE:
+            check_page_data(io.data, ftl.geometry.page_data_bytes)
+        self._install_gc(ftl)
+        tag = self._next_tag
+        self._next_tag += 1
+        self._backlog.append((ftl, io, tag, self.engine.now_s))
+        self._pump()
         return tag
+
+    def trim(self, lpn: int, ftl: "DieStripedFtl | None" = None) -> None:
+        """Discard a logical page once every earlier submission is staged.
+
+        Applies at once when the backlog is empty; otherwise it waits
+        behind the backlogged I/O, so a trim never overtakes an earlier
+        write.  An unmapped page is left alone.  A trim takes no tag and
+        produces no completion.
+        """
+        ftl = self._ftl_for(ftl)
+        ftl.route(lpn)
+        self._backlog.append((ftl, lpn, None, None))
+        self._pump()
 
     def take_completions(self) -> list[IoCompletion]:
         """Drain and return the completion queue (completion order)."""
@@ -466,84 +476,59 @@ class SsdSession:
                     done_s=completion.done_s,
                 ))
                 self.completion.fire()
-        if self.gc_mode == "sync":
-            # Top the in-flight window back up from the submission
-            # backlog (staged commands, historical flow — bit-exact).
-            while self._backlog and (
-                self.queue_depth is None
-                or self.core.in_flight < self.queue_depth
-            ):
-                command, submit_s = self._backlog.popleft()
-                self.core.enqueue(command, submit_s=submit_s)
-            return
-        # Scheduled modes: stage-and-dispatch backlogged submissions as
-        # the window opens.  Foreground mode freezes the host stream
-        # while GC commands are in flight (the write-cliff stall);
-        # background GC never counts against the host window.
-        while self._backlog:
-            if self.gc_mode == "foreground" and self._gc_inflight:
-                break
-            if (
-                self.queue_depth is not None
-                and self.core.in_flight - self._gc_inflight
-                >= self.queue_depth
-            ):
-                break
-            ftl, io, tag, submit_s = self._backlog.popleft()
-            self._dispatch_io(ftl, io, tag, submit_s)
+        self._pump()
         if self.gc_mode == "background":
             self._maybe_background_collect()
 
-    # -- scheduled-GC machinery ------------------------------------------------------
-
-    def _submit_scheduled(self, io: IoCommand, ftl: "DieStripedFtl") -> int:
-        """Post one I/O in a scheduled-GC mode (deferred staging).
-
-        The data path does *not* run here when the admission window is
-        closed — the submission waits unstaged so any collection it
-        triggers lands on the timeline at dispatch time, interleaved
-        with the stream, rather than front-loaded at submit.
-        """
-        if io.kind is not TraceOpKind.READ and io.kind is not TraceOpKind.WRITE:
+    def _ftl_for(self, ftl: "DieStripedFtl | None") -> "DieStripedFtl":
+        """The explicit FTL, else the session's default router."""
+        ftl = self.ftl if ftl is None else ftl
+        if ftl is None:
             raise SimulationError(
-                f"sessions carry reads and writes only, not {io.kind}"
+                "session has no FTL: pass one at construction or per submit"
             )
-        self._install_gc(ftl)
-        tag = self._next_tag
-        self._next_tag += 1
-        submit_s = self.engine.now_s
-        # Placeholder record so the tag is visible to host bookkeeping
-        # before staging; _dispatch_io replaces it with the data.
-        self._io[tag] = _IoRecord(io.kind, io.lpn, None, submit_s)
-        if self._admit_room():
-            self._dispatch_io(ftl, io, tag, submit_s)
-        else:
-            self._backlog.append((ftl, io, tag, submit_s))
-        return tag
+        return ftl
 
-    def _admit_room(self) -> bool:
-        """Whether a fresh submission may dispatch right now.
+    def _window_open(self) -> bool:
+        """Whether the in-flight window admits one more host I/O.
 
-        A non-empty backlog always wins (FIFO); foreground mode closes
-        the window while GC is in flight; otherwise GC commands are
-        subtracted so background collection never eats host depth.
+        Foreground mode closes it while GC commands are in flight;
+        otherwise GC commands are subtracted, so background collection
+        never eats host depth (sync mode never has any in flight).
         """
-        if self._backlog:
-            return False
-        if self.gc_mode == "foreground" and self._gc_inflight:
+        if self._gc_inflight and self.gc_mode == "foreground":
             return False
         if self.queue_depth is None:
             return True
         return self.core.in_flight - self._gc_inflight < self.queue_depth
 
-    def _dispatch_io(
+    def _pump(self) -> None:
+        """Stage the backlog in submission order while the window admits.
+
+        A trim applies as soon as it reaches the head: everything
+        submitted before it has been staged.
+        """
+        backlog = self._backlog
+        while backlog:
+            ftl, item, tag, submit_s = backlog[0]
+            if tag is None:  # a trim: item is its LPN
+                backlog.popleft()
+                if ftl.is_mapped(item):
+                    ftl.trim(item)
+            elif self._window_open():
+                backlog.popleft()
+                self._stage(ftl, item, tag, submit_s)
+            else:
+                break
+
+    def _stage(
         self, ftl: "DieStripedFtl", io: IoCommand, tag: int, submit_s: float
     ) -> None:
-        """Stage one submission's data path and enqueue its command.
+        """Run one I/O's data path and enqueue its command.
 
-        Runs with GC capture on, so any collection ``_provision``
-        triggers is replayed as GC-origin commands enqueued *before*
-        the host command that needed the space.
+        Runs with GC capture on, so in a scheduled mode any collection
+        ``_provision`` triggers is replayed as GC-origin commands
+        enqueued *before* the host command that needed the space.
         """
         self._gc_capture = True
         try:
@@ -560,8 +545,15 @@ class SsdSession:
         self._io[tag] = _IoRecord(io.kind, io.lpn, data, submit_s)
         self.core.enqueue(commands[0], submit_s=submit_s)
 
+    # -- scheduled-GC machinery ------------------------------------------------------
+
     def _install_gc(self, ftl: "DieStripedFtl") -> None:
-        """Point every shard's collector at this session's timeline."""
+        """Point every shard's collector at this session's timeline.
+
+        A no-op in sync mode, whose collections stay off the timeline.
+        """
+        if self.gc_mode == "sync":
+            return
         for installed in self._gc_ftls:
             if installed is ftl:
                 return

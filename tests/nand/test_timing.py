@@ -116,3 +116,12 @@ class TestCommandPhases:
             CommandPhase(PhaseResource.PLANE, -1.0)
         with pytest.raises(SimulationError):
             CommandPhase(PhaseResource.ECC, 1e-6, hold_s=2e-6)
+
+    def test_nan_phase_rejected(self):
+        from repro.errors import SimulationError
+        from repro.nand.timing import CommandPhase, PhaseResource
+
+        with pytest.raises(SimulationError):
+            CommandPhase(PhaseResource.PLANE, float("nan"))
+        with pytest.raises(SimulationError):
+            CommandPhase(PhaseResource.ECC, 1e-6, hold_s=float("nan"))

@@ -1,5 +1,6 @@
 """Discrete-event engine tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -90,6 +91,29 @@ class TestEngine:
         engine = SimEngine()
         with pytest.raises(SimulationError):
             engine.spawn(iter(()), delay_s=-1.0)
+
+    @pytest.mark.parametrize("event_list", ("calendar", "heap"))
+    @pytest.mark.parametrize("nan", (float("nan"), np.float64("nan")))
+    def test_nan_yield_rejected(self, event_list, nan):
+        def process():
+            yield nan
+
+        engine = SimEngine(event_list=event_list)
+        engine.spawn(process())
+        with pytest.raises(SimulationError, match="invalid delay"):
+            engine.run()
+
+    def test_nan_spawn_delay_rejected(self):
+        engine = SimEngine()
+        with pytest.raises(SimulationError):
+            engine.spawn(iter(()), delay_s=float("nan"))
+        assert engine.idle
+
+    def test_nan_schedule_time_rejected(self):
+        engine = SimEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(float("nan"), [0])
+        assert engine.idle
 
 
 class TestSignal:

@@ -15,6 +15,14 @@ from repro.workloads.traces import (
 )
 
 
+#: ``repr`` of each closed-loop runner's ``elapsed_s`` on one trace.
+PINNED_ELAPSED = {
+    "host": 0.007951163333333334,
+    "ftl": 0.005426401428571428,
+    "ssd": 0.004484324444444444,
+}
+
+
 def small_controller(seed=31):
     return NandController(
         NandGeometry(blocks=4, pages_per_block=8),
@@ -164,3 +172,57 @@ class TestFtlWorkload:
             assert key in tails
         # Single-die runners never queue host-side.
         assert tails["queue_p99_s"] == 0.0
+
+
+class TestClosedLoopClock:
+    """The closed-loop runners' clock is the float sum of their groups.
+
+    The values were recorded while each runner still played its stream
+    as a process on a DES engine; the plain loops must reproduce them
+    bit for bit.
+    """
+
+    @staticmethod
+    def _trace():
+        trace = mixed_trace(blocks=2, pages_per_block=3, seed=5)
+        trace.insert(5, TraceOp(TraceOpKind.ERASE, 1))
+        return trace
+
+    def test_host_runner_elapsed_is_pinned(self):
+        result = run_host_workload(small_controller(), HostWorkload(
+            "h", self._trace(), think_time_s=1e-5 / 3, batch_pages=2
+        ))
+        assert type(result.elapsed_s) is float
+        assert result.elapsed_s == PINNED_ELAPSED["host"]
+
+    def test_ftl_runner_elapsed_is_pinned(self):
+        from repro.ftl.ftl import FlashTranslationLayer
+        from repro.sim.host import run_ftl_workload
+
+        ftl = FlashTranslationLayer(small_controller(), blocks=[0, 1, 2])
+        result = run_ftl_workload(ftl, HostWorkload(
+            "f", self._trace(), think_time_s=1e-5 / 7, batch_pages=3
+        ))
+        assert type(result.elapsed_s) is float
+        assert result.elapsed_s == PINNED_ELAPSED["ftl"]
+
+    def test_ssd_runner_elapsed_is_pinned(self):
+        from repro.core.policy import CrossLayerPolicy
+        from repro.sim.host import run_ssd_workload
+        from repro.ssd import DieStripedFtl, SsdDevice, SsdTopology
+
+        ssd = SsdDevice(
+            SsdTopology(
+                channels=1, dies_per_channel=2,
+                geometry=NandGeometry(blocks=4, pages_per_block=8),
+            ),
+            policy=CrossLayerPolicy(), seed=2012,
+        )
+        ssd.set_mode(OperatingMode.BASELINE)
+        result = run_ssd_workload(DieStripedFtl(ssd), HostWorkload(
+            "s", self._trace(), think_time_s=1e-5 / 9, batch_pages=4,
+            queue_depth=2,
+        ))
+        assert type(result.elapsed_s) is float
+        assert result.elapsed_s == PINNED_ELAPSED["ssd"]
+

@@ -309,6 +309,26 @@ class TestOpenLoopEquivalence:
         assert len(core.completions) == 48
 
 
+class TestSubmitStreamValidation:
+    @pytest.mark.parametrize("flat", (True, False), ids=("flat", "generator"))
+    @pytest.mark.parametrize(
+        "window,arrival_s",
+        [(0, 1e-6), (-2, 1e-6), (4, -1e-6), (4, float("nan"))],
+    )
+    def test_bad_stream_rejected_before_install(
+        self, flat, window, arrival_s
+    ):
+        core = _stream_core(flat, "calendar", PipelineConfig.full())
+        commands = _mixed_stream(10, core.topology.dies, seed=4)
+        with pytest.raises(SimulationError):
+            core.submit_stream(commands, window=window, arrival_s=arrival_s)
+        assert core.engine.idle
+        # Nothing half-installed: a valid stream still runs to the end.
+        core.submit_stream(commands, window=4, arrival_s=1e-6)
+        core.engine.run()
+        assert len(core.completions) == len(commands)
+
+
 class TestTieHeavyDeterminism:
     """Completion-order determinism when everything collides.
 

@@ -12,6 +12,10 @@ The contract under test, per mode:
   than foreground on the same churn, observable via GC-origin trace
   spans and SMART counters.
 
+Every mode shares one submission path, so two invariants hold in all
+three: a trim never overtakes an earlier submission still in the
+backlog, and ``submit`` rejects a bad I/O before it takes a tag.
+
 Plus the watermark hysteresis state machine (unit-tested against a stub
 FTL) and the opt-in ``read_ahead`` pipeline tier.
 """
@@ -23,6 +27,7 @@ import pytest
 
 from repro.core.modes import OperatingMode
 from repro.core.policy import CrossLayerPolicy
+from repro.errors import ControllerError, SimulationError
 from repro.ftl.gc import GcConfig, GcStats
 from repro.nand.geometry import NandGeometry
 from repro.obs.trace import KIND_NAMES, TRACK_PLANE, TraceRecorder
@@ -30,6 +35,7 @@ from repro.sim.engine import SimEngine
 from repro.sim.host import OpenLoopWorkload, run_open_loop_workload
 from repro.ssd import (
     DieStripedFtl,
+    IoCommand,
     PipelineConfig,
     SsdDevice,
     SsdSession,
@@ -187,8 +193,6 @@ class TestSyncEquivalence:
         assert gc_ftl.gc_stats.background_collections == 0
 
     def test_invalid_gc_mode_rejected(self):
-        from repro.errors import SimulationError
-
         ftl, _ = _build(plain=True)
         with pytest.raises(SimulationError):
             SsdSession(ftl, gc_mode="idle")
@@ -245,6 +249,105 @@ class TestCrossModeEquivalence:
         for ftl in (fg_ftl, bg_ftl):
             assert ftl.gc_stats.scheduled_busy_s > 0.0
             assert ftl.gc_stats.migration_time_s == 0.0
+
+
+# ---------------------------------------------------------------------------
+# One submission path: trims in order, checks before the tag
+# ---------------------------------------------------------------------------
+
+GC_MODES = ("sync", "foreground", "background")
+
+
+def _mapped(ftl, lpns):
+    return [lpn for lpn in lpns if ftl.is_mapped(lpn)]
+
+
+class TestTrimOrder:
+    @pytest.mark.parametrize("gc_mode", GC_MODES)
+    def test_erase_trims_writes_still_in_the_backlog(self, gc_mode):
+        """At QD 1 the ERASE arrives while writes 1-3 are backlogged."""
+        ftl, session = _build(gc_mode)
+        ops = [
+            TraceOp(TraceOpKind.WRITE, 0, page, _page(page))
+            for page in range(4)
+        ]
+        ops.append(TraceOp(TraceOpKind.ERASE, 0))
+        result = run_open_loop_workload(
+            ftl, OpenLoopWorkload("trim", ops, queue_depth=1),
+            session=session,
+        )
+        assert result.stats.writes == 4
+        assert _mapped(ftl, range(4)) == []
+        assert ftl.stats.trims == 4
+
+    @pytest.mark.parametrize("gc_mode", GC_MODES)
+    def test_trim_waits_for_earlier_submissions(self, gc_mode):
+        ftl, session = _build(gc_mode)
+        session.queue_depth = 1
+        session.submit(IoCommand(TraceOpKind.WRITE, 0, _page(0)))
+        session.submit(IoCommand(TraceOpKind.WRITE, 1, _page(1)))
+        session.trim(0)
+        session.trim(1)
+        # Both trims wait behind the backlogged write to LPN 1.
+        assert session.backlog == 3
+        assert _mapped(ftl, range(2)) == [0]
+        session.drain()
+        assert _mapped(ftl, range(2)) == []
+        assert [c.tag for c in session.take_completions()] == [0, 1]
+        assert ftl.stats.trims == 2
+
+    @pytest.mark.parametrize("gc_mode", GC_MODES)
+    def test_trim_without_backlog_applies_at_once(self, gc_mode):
+        ftl, session = _build(gc_mode)
+        ftl.write_many([(lpn, _page(lpn)) for lpn in range(2)])
+        session.trim(0)
+        session.trim(3)  # never written: left alone
+        assert _mapped(ftl, range(4)) == [1]
+        assert session.backlog == 0 and ftl.stats.trims == 1
+        # A trim takes no tag and produces no completion.
+        assert session.submit(IoCommand(TraceOpKind.READ, 1)) == 0
+        session.drain()
+        assert [c.tag for c in session.take_completions()] == [0]
+
+    def test_trim_outside_capacity_rejected(self):
+        ftl, session = _build("sync")
+        with pytest.raises(ControllerError):
+            session.trim(ftl.logical_capacity)
+        assert session.backlog == 0
+
+
+class TestSubmitChecks:
+    @pytest.mark.parametrize("window", ("open", "closed"))
+    @pytest.mark.parametrize("gc_mode", GC_MODES)
+    def test_rejected_submit_leaves_no_trace(self, gc_mode, window):
+        ftl, session = _build(gc_mode)
+        session.queue_depth = 1
+        ftl.write_many([(lpn, _page(lpn)) for lpn in range(3)])
+        reads = [0, 1] if window == "closed" else []
+        for lpn in reads:
+            session.submit(IoCommand(TraceOpKind.READ, lpn))
+        assert session.backlog == len(reads[1:])
+        backlog = session.backlog
+        rejected = [
+            (IoCommand(TraceOpKind.WRITE, ftl.logical_capacity, _page(0)),
+             ControllerError),
+            (IoCommand(TraceOpKind.WRITE, 2, bytes(5000)), ControllerError),
+            (IoCommand(TraceOpKind.READ, -1), ControllerError),
+            (IoCommand(TraceOpKind.ERASE, 2), SimulationError),
+        ]
+        for io, error in rejected:
+            with pytest.raises(error):
+                session.submit(io)
+            assert session.backlog == backlog
+        # The next valid I/O takes the tag the rejected ones would have.
+        assert session.submit(IoCommand(TraceOpKind.READ, 2)) == len(reads)
+        reads.append(2)
+        session.drain()
+        done = session.take_completions()
+        assert [c.tag for c in done] == list(range(len(reads)))
+        assert [c.data for c in done] == [_page(lpn) for lpn in reads]
+        assert session.metrics().get("session_submissions") == len(reads)
+        assert session._io == {}
 
 
 # ---------------------------------------------------------------------------

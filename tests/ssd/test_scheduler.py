@@ -156,6 +156,12 @@ class TestValidation:
         with pytest.raises(SimulationError):
             DieCommand(kind=CommandKind.READ, die=0, tag=0, die_s=-1.0)
 
+    @pytest.mark.parametrize("field", ("die_s", "channel_s", "cache_busy_s"))
+    def test_nan_duration_rejected(self, field):
+        durations = {"die_s": 1e-6, field: float("nan")}
+        with pytest.raises(SimulationError):
+            DieCommand(kind=CommandKind.READ, die=0, tag=0, **durations)
+
     def test_empty_batch(self):
         result = CommandScheduler(_topology(2, 2)).run([])
         assert result.makespan_s == 0.0
