@@ -897,9 +897,8 @@ class ExperimentSuite:
             if baseline_read is None:
                 baseline_read = result.read_mb_s
             tails = result.latency_percentiles()
-            # Scheduler-level accounting surfaced per run: which
-            # dispatch machinery ran the commands, and the mean busy
-            # fraction of the dies and channel buses over the run.
+            # Scheduler-level accounting surfaced per run: the mean
+            # busy fraction of the dies and channel buses over the run.
             die_util = (
                 sum(result.die_busy_s)
                 / (topology.dies * result.elapsed_s)
@@ -919,7 +918,6 @@ class ExperimentSuite:
                 tails["read_p99_s"] * 1e6,
                 tails["queue_p95_s"] * 1e6,
                 tails["service_p95_s"] * 1e6,
-                result.fast_commands,
                 die_util,
                 bus_util,
             ])
@@ -927,7 +925,7 @@ class ExperimentSuite:
             ["topology", "dies", "QD", "read MB/s", "write MB/s",
              "read speedup", "read p50 [us]", "read p95 [us]",
              "read p99 [us]", "queue p95 [us]", "service p95 [us]",
-             "fast cmds", "die util", "bus util"],
+             "die util", "bus util"],
             rows,
         )
         return ExperimentResult(
@@ -1114,13 +1112,12 @@ class ExperimentSuite:
                 tails["read_p99_s"] * 1e6,
                 tails["queue_p95_s"] * 1e6,
                 tails["service_p95_s"] * 1e6,
-                result.fast_commands,
                 die_util,
             ])
         table = format_table(
             ["offered/sat", "offered ops/s", "read MB/s", "read p50 [us]",
              "read p95 [us]", "read p99 [us]", "queue p95 [us]",
-             "service p95 [us]", "fast cmds", "die util"],
+             "service p95 [us]", "die util"],
             rows,
         )
         return ExperimentResult(
@@ -1244,7 +1241,6 @@ class ExperimentSuite:
                 "busy_totals": totals,
                 "spans": len(recorder),
                 "counters": metrics.as_dict(),
-                "fast_commands": result.fast_commands,
             },
             notes=(
                 "per-resource span totals reconcile with the scheduler's "

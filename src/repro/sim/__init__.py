@@ -1,7 +1,6 @@
 """Discrete-event simulation substrate for system-level experiments."""
 
 from repro.sim.engine import (
-    CalendarEventList,
     HeapEventList,
     Signal,
     SimEngine,
@@ -21,7 +20,6 @@ from repro.sim.host import (
 
 __all__ = [
     "SimEngine",
-    "CalendarEventList",
     "HeapEventList",
     "Signal",
     "Process",

@@ -99,10 +99,8 @@ class WorkloadResult:
     the open-loop runner — same reporting surface either way.
 
     The SSD runners also surface the scheduler's own accounting:
-    ``fast_commands`` / ``fallback_commands`` say which dispatch
-    machinery the run's commands went through (flat core vs generator
-    workers), and ``die_busy_s`` / ``channel_busy_s`` / ``ecc_busy_s``
-    are the per-resource busy-time totals attributable to this run.
+    ``die_busy_s`` / ``channel_busy_s`` / ``ecc_busy_s`` are the
+    per-resource busy-time totals attributable to this run.
     """
 
     name: str
@@ -112,8 +110,6 @@ class WorkloadResult:
     corrected_bits: int = 0
     queue_latency: LatencyStats = field(default_factory=LatencyStats)
     service_latency: LatencyStats = field(default_factory=LatencyStats)
-    fast_commands: int = 0
-    fallback_commands: int = 0
     die_busy_s: list[float] = field(default_factory=list)
     channel_busy_s: list[float] = field(default_factory=list)
     ecc_busy_s: list[float] = field(default_factory=list)
@@ -349,9 +345,6 @@ def run_ssd_workload(
     result = WorkloadResult(
         name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
     )
-    core = ftl.session.core
-    fast_before = core.fast_commands
-    fallback_before = core.fallback_commands
     page_bytes = ftl.geometry.page_data_bytes
     batch_pages = max(1, workload.batch_pages)
     queue_depth = workload.queue_depth if workload.queue_depth > 0 else None
@@ -401,8 +394,6 @@ def run_ssd_workload(
         result.elapsed_s += float(
             elapsed + len(group) * workload.think_time_s
         )
-    result.fast_commands = core.fast_commands - fast_before
-    result.fallback_commands = core.fallback_commands - fallback_before
     return result
 
 
@@ -507,8 +498,6 @@ def run_open_loop_workload(
     names = _LpnNamespace()
     page_bytes = ftl.geometry.page_data_bytes
     core = session.core
-    fast_before = core.fast_commands
-    fallback_before = core.fallback_commands
     die_before = list(core.die_busy_s)
     channel_before = list(core.channel_busy_s)
     ecc_before = list(core.ecc_busy_s)
@@ -574,8 +563,6 @@ def run_open_loop_workload(
     for completion in session.take_completions():
         observe(completion)
     result.corrected_bits = ftl.stats.corrected_bits
-    result.fast_commands = core.fast_commands - fast_before
-    result.fallback_commands = core.fallback_commands - fallback_before
     result.die_busy_s = [
         busy - before for busy, before in zip(core.die_busy_s, die_before)
     ]

@@ -1,14 +1,14 @@
 """Runtime DES sanitizer: the simulator's bit-exactness contract, armed.
 
-Every equivalence oracle in this repo (generator vs flat dispatch, heap
-vs calendar event lists, traced vs untraced runs, sync vs scheduled GC)
-rests on a handful of low-level invariants: simulation time never moves
-backwards, serially-reusable locks are acquired and released exactly
-once per hold, nothing is left held or in flight when a run drains, no
-command carries a negative phase, and no resource accumulates more busy
-time than wall-clock elapsed.  The equivalence *tests* sample specific
-configurations; the sanitizer checks the invariants on **every** run it
-is armed for — ``SimEngine(sanitize=True)``, or the whole test suite via
+Every pinned timeline in this repo (the scheduler's golden digests,
+traced vs untraced runs, sync vs scheduled GC) rests on a handful of
+low-level invariants: simulation time never moves backwards,
+serially-reusable locks are released exactly once per hold, nothing is
+left held or in flight when a run drains, no command carries a negative
+phase, and no resource accumulates more busy time than wall-clock
+elapsed.  The digest *tests* sample specific configurations; the
+sanitizer checks the invariants on **every** run it is armed for —
+``SimEngine(sanitize=True)``, or the whole test suite via
 ``pytest --sanitize``.
 
 Cost model
@@ -18,19 +18,19 @@ scheduler core hoist ``sanitizer``/``_san`` into a local and guard every
 hook with an ``is None`` check, so a disarmed run pays one pointer test
 per hook site and allocates nothing.  Armed runs trade speed for
 checking but change **no observable behaviour**: checks read state that
-already exists, never allocate sequence numbers, never touch the event
-list, and the checked locks (:class:`~repro.ssd.scheduler._CheckedLock`)
-are value-for-value identical to the plain ones — armed and disarmed
-runs are bit-identical (equivalence-tested in
-``tests/sim/test_sanitizer.py``).
+already exists, never allocate sequence numbers and never touch the
+event list — armed and disarmed runs are bit-identical (tested in
+``tests/sim/test_sanitizer.py`` and against the golden digests).
 
 Checks
 ------
 * **time monotonicity** — a popped event earlier than the clock means a
-  corrupted event list (e.g. a broken calendar bucket order);
-* **lock discipline** — acquiring a held lock, releasing a free one, or
-  exceeding a counting lock's capacity (cache registers hold 1, or 2
-  under ``read_ahead``);
+  corrupted event list;
+* **lock discipline** — every release arm of the flat dispatch core
+  checks that its bus, ECC engine or cache register is held.  Acquires
+  need no runtime hook: each acquire site is dominated by an explicit
+  ``if busy`` park check, a structure the static lint's DET107 walk
+  verifies;
 * **drain state** — at a quiescent point no lock may still be held and
   no command tag may still be in flight;
 * **phase sanity** — every enqueued command's phases must have
@@ -66,9 +66,8 @@ class DesSanitizer:
     """Invariant checker shared by one engine and its scheduler cores.
 
     Engine hooks call :meth:`backwards_time` when the run loop (or the
-    flat burst handler) accepts an event behind the clock; lock hooks
-    validate ``busy`` transitions (:meth:`transition` for checked locks,
-    :meth:`release_check` for the flat dispatch core's release arms);
+    flat burst handler) accepts an event behind the clock;
+    :meth:`release_check` validates the dispatch core's release arms;
     :meth:`check_command` validates phase plans at admission; and
     :meth:`check_drain` audits a quiescent core for leaked locks,
     leaked in-flight tags and busy-time conservation.
@@ -77,12 +76,9 @@ class DesSanitizer:
     non-zero to prove an armed run actually exercised the hooks.
     """
 
-    __slots__ = ("lock_counts", "lock_caps", "checks")
+    __slots__ = ("checks",)
 
     def __init__(self) -> None:
-        #: Held count per registered (generator-path) lock key.
-        self.lock_counts: dict = {}
-        self.lock_caps: dict = {}
         #: Total validations performed (telemetry; never read on hot paths).
         self.checks = 0
 
@@ -98,62 +94,14 @@ class DesSanitizer:
 
     # -- lock hooks --------------------------------------------------------------
 
-    def register_lock(self, key, capacity: int = 1) -> None:
-        """Register a serially-reusable lock (capacity 1) or counting lock."""
-        self.lock_counts[key] = 0
-        self.lock_caps[key] = capacity
-
-    def transition(self, key, old, new, capacity: int = 1) -> None:
-        """Validate one ``busy`` transition of a checked lock.
-
-        ``old``/``new`` follow the `_Lock` value domain: booleans for
-        buses and ECC engines, small ints for counting cache registers
-        (``False == 0``).  Anything other than a single acquire or a
-        single release is a violation.
-        """
-        self.checks += 1
-        old_n = int(old)
-        if new is True:
-            if old_n:
-                raise SanitizerError(
-                    f"double acquire of {_fmt(key)}: acquired while already "
-                    f"held (count {old_n})"
-                )
-            new_n = 1
-        elif new is False:
-            if not old_n:
-                raise SanitizerError(
-                    f"double release of {_fmt(key)}: released while free"
-                )
-            new_n = 0
-        else:
-            new_n = int(new)
-            if new_n == old_n + 1:
-                if new_n > capacity:
-                    raise SanitizerError(
-                        f"double acquire of {_fmt(key)}: occupancy {new_n} "
-                        f"exceeds capacity {capacity}"
-                    )
-            elif new_n == old_n - 1:
-                if new_n < 0:
-                    raise SanitizerError(
-                        f"double release of {_fmt(key)}: released while free"
-                    )
-            elif new_n != old_n:
-                raise SanitizerError(
-                    f"invalid transition of {_fmt(key)}: busy jumped "
-                    f"{old_n} -> {new_n} (locks move one hold at a time)"
-                )
-        self.lock_counts[key] = new_n
-
     def release_check(self, key, busy) -> None:
         """Validate a release site: the lock must currently be held.
 
-        The flat dispatch core's release arms call this with the lock's
-        live ``busy`` value *before* clearing it; acquire sites need no
-        twin hook because every flat acquire is dominated by an explicit
-        ``if busy`` guard in the burst handler (the static lint's
-        DET107 walk covers the structure).
+        The dispatch core's release arms call this with the lock's live
+        ``busy`` value *before* clearing it; acquire sites need no twin
+        hook because every acquire is dominated by an explicit ``if
+        busy`` guard in the burst handler (the static lint's DET107 walk
+        covers the structure).
         """
         self.checks += 1
         if not busy:
@@ -193,34 +141,19 @@ class DesSanitizer:
         it (float tolerance).
         """
         self.checks += 1
-        if core.flat:
-            leaked = [
-                ("bus", index)
-                for index, lock in enumerate(core._flat_buses) if lock[0]
-            ]
-            leaked += [
-                ("ecc", index)
-                for index, lock in enumerate(core._flat_eccs) if lock[0]
-            ]
-            leaked += [
-                ("cache", die, slot)
-                for die, row in enumerate(core._flat_caches)
-                for slot, lock in enumerate(row) if lock[0]
-            ]
-        else:
-            leaked = [
-                ("bus", index)
-                for index, lock in enumerate(core._buses) if lock.busy
-            ]
-            leaked += [
-                ("ecc", index)
-                for index, lock in enumerate(core._engines) if lock.busy
-            ]
-            leaked += [
-                ("cache", die, slot)
-                for die, row in enumerate(core._caches)
-                for slot, lock in enumerate(row) if lock.busy
-            ]
+        leaked = [
+            ("bus", index)
+            for index, lock in enumerate(core._buses) if lock[0]
+        ]
+        leaked += [
+            ("ecc", index)
+            for index, lock in enumerate(core._eccs) if lock[0]
+        ]
+        leaked += [
+            ("cache", die, slot)
+            for die, row in enumerate(core._caches)
+            for slot, lock in enumerate(row) if lock[0]
+        ]
         if leaked:
             names = ", ".join(_fmt(key) for key in leaked)
             raise SanitizerError(f"leaked lock(s) at drain: {names}")
@@ -239,7 +172,7 @@ class DesSanitizer:
             # A die's accumulator sums its planes (multi-plane overlaps
             # ISPP on one die), so its capacity is planes x elapsed;
             # buses and ECC engines are strictly serially reusable.
-            planes = getattr(core, "planes", 1)
+            planes = core.planes
             for track, busies, capacity in (
                 ("die", core.die_busy_s, planes),
                 ("channel", core.channel_busy_s, 1),

@@ -52,7 +52,6 @@ from repro.ssd.scheduler import (
 )
 from repro.ssd.session import (
     GC_MODES,
-    FastPathStats,
     IoCommand,
     IoCompletion,
     SsdSession,
@@ -76,7 +75,6 @@ __all__ = [
     "DieCommand",
     "DiePageAddress",
     "DieStripedFtl",
-    "FastPathStats",
     "IoCommand",
     "IoCompletion",
     "PipelineConfig",

@@ -5,11 +5,11 @@ carries (or derives) an explicit sequence of
 :class:`~repro.nand.timing.CommandPhase` stages, and the scheduler
 executes those phases against four kinds of serially-reusable resource:
 
-* **array planes** — sense / ISPP program / erase busy time.  One worker
-  process per plane drains that plane's queue, so multi-plane commands
-  overlap ISPP (and sensing) inside one die;
-* **channel buses** — page transfers.  Each bus arbitrates among the
-  dies it serves through a :class:`~repro.sim.engine.Signal` wake-up;
+* **array planes** — sense / ISPP program / erase busy time.  One
+  dispatch frame per plane drains that plane's queue, so multi-plane
+  commands overlap ISPP (and sensing) inside one die;
+* **channel buses** — page transfers.  Each bus serves the dies behind
+  it in the order they queued for it;
 * **per-channel ECC engines** — BCH encode / decode.  A pipelined engine
   is held only for its initiation interval (``CommandPhase.hold_s``)
   while the page still takes the full duration end to end;
@@ -30,18 +30,17 @@ Which overlaps are allowed is governed by :class:`PipelineConfig`:
   for the transfer while the ECC engine decodes page i as the bus
   streams page i+1, lifting the per-channel read ceiling.
 
-The execution machinery is an **incremental** resource-reservation
+The execution machinery is one **incremental** resource-reservation
 core (:class:`SchedulerCore`): resident per-(die, plane) dispatchers
 accept :meth:`SchedulerCore.enqueue` calls at any simulation time,
 while earlier commands are still in flight — the substrate behind the
-open-loop :class:`~repro.ssd.session.SsdSession`.  The dispatchers come
-in two bit-exact implementations: generator workers parked on daemon
-wake-up signals (``flat=False``, the readable oracle) and the **flat
-dispatch core** (``flat=True``, the default everywhere performance
-matters) — coroutine-free state-machine frames scheduled directly on
-the engine's event list and advanced by a burst handler (see the
-"flat dispatch core" section below).  :class:`CommandScheduler` is the
-classic closed-batch view: `run()` spawns a fresh core plus a
+open-loop :class:`~repro.ssd.session.SsdSession`.  The dispatchers are
+the **flat dispatch core**: coroutine-free state-machine frames
+scheduled directly on the engine's event list and advanced by one
+burst handler (see the "flat dispatch core" section below).  It is the
+only implementation; its timelines are pinned by golden digests in
+``tests/ssd/test_dispatch_golden.py``.  :class:`CommandScheduler` is
+the classic closed-batch view: `run()` spawns a fresh core plus a
 queue-depth-bounded admission process (the NVMe-style host queue) and
 drains it to the batch makespan.  Everything is deterministic: the same
 command list, topology, pipeline config and queue depth produce the
@@ -54,13 +53,11 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from heapq import heappop, heappush
 from math import inf
 from typing import NamedTuple
 
 from repro.errors import SimulationError
 from repro.nand.timing import CommandPhase, PhaseResource
-from repro.obs.trace import TRACK_BUS, TRACK_ECC, TRACK_PLANE, TRACK_QUEUE
 from repro.sim.engine import Process, SimEngine
 from repro.ssd.topology import SsdTopology
 
@@ -225,9 +222,9 @@ class CommandCompletion(NamedTuple):
     at the batch start, so for them ``admit_s - submit_s`` is exactly
     the queue-depth admission wait.
 
-    A named tuple rather than a dataclass: the flat dispatch core
-    constructs one per command on its hottest path, and tuple
-    construction skips ``__init__``/``__setattr__`` entirely.
+    A named tuple rather than a dataclass: the dispatch core constructs
+    one per command on its hottest path, and tuple construction skips
+    ``__init__``/``__setattr__`` entirely.
     """
 
     tag: int
@@ -292,77 +289,18 @@ class ScheduleResult:
         return [c.latency_s for c in self.completions]
 
 
-class _Lock:
-    """Serially-reusable resource guarded by a wake-up signal.
-
-    ``freed`` is a *handoff* signal: every waiter sits in a
-    ``while busy: yield freed`` re-check loop, the one discipline for
-    which waking only the head waiter is observably identical to waking
-    all of them (see the engine module's determinism contract) — so
-    releasing a contended bus no longer schedules a no-op wake-up for
-    every other queued worker.
-
-    ``busy`` is a boolean for buses and ECC engines; cache-register
-    locks treat it as a small occupancy count (``False == 0``), so a
-    double-buffered register under ``PipelineConfig.read_ahead`` holds
-    two pages.  At capacity 1 the counting discipline (``+= 1`` /
-    ``-= 1``, wait while ``busy >= cap``) is value-for-value identical
-    to the boolean one — the equivalence lock for read-ahead off.
-    """
-
-    __slots__ = ("busy", "freed")
-
-    def __init__(self, engine: SimEngine):
-        self.busy = False
-        self.freed = engine.signal(handoff=True)
-
-
-class _CheckedLock:
-    """`_Lock` with sanitizer-validated ``busy`` transitions.
-
-    Constructed instead of `_Lock` when the core's engine carries an
-    armed :class:`~repro.sim.sanitizer.DesSanitizer`.  Scheduling
-    behaviour is identical — same ``busy`` values, same handoff
-    ``freed`` signal, no extra events — so armed generator runs stay
-    bit-exact; the only difference is that an invalid transition
-    (double acquire, double release, counting past ``capacity``) raises
-    :class:`~repro.sim.sanitizer.SanitizerError` at the offending site
-    instead of silently corrupting the schedule.
-    """
-
-    __slots__ = ("_busy", "freed", "_san", "_key", "_capacity")
-
-    def __init__(self, engine: SimEngine, san, key, capacity: int = 1):
-        self._busy = False
-        self.freed = engine.signal(handoff=True)
-        self._san = san
-        self._key = key
-        self._capacity = capacity
-        san.register_lock(key, capacity)
-
-    @property
-    def busy(self):
-        return self._busy
-
-    @busy.setter
-    def busy(self, value):
-        self._san.transition(self._key, self._busy, value, self._capacity)
-        self._busy = value
-
-
 @lru_cache(maxsize=4096)
 def _split_plan(
     plan: tuple[CommandPhase, ...],
 ) -> tuple[tuple[float, ...], tuple[tuple[bool, float, float], ...], float]:
-    """Pre-decompose a phase plan for the worker hot loop.
+    """Pre-decompose a phase plan for the dispatch hot loop.
 
     Returns ``(array_durations, section_ops, fused_s)``: the plane
     (array) phase durations, the channel-section phases flattened to
-    ``(is_channel, duration_s, occupancy_s)`` triples (so the worker
-    loop touches plain floats, not dataclass attributes), and the fused
-    section total used by the non-pipelined configuration — summed in
-    phase order, so it is the bit-identical float the per-command
-    ``sum()`` used to produce.
+    ``(is_channel, duration_s, occupancy_s)`` triples (so the burst
+    handler touches plain floats, not dataclass attributes), and the
+    fused section total used by the non-pipelined configuration, summed
+    in phase order.
 
     Cached: the pages of a die-striped batch overwhelmingly share
     identical phase tuples, so the split (and its tuple allocations)
@@ -442,12 +380,12 @@ def closed_admission(
     ``queue_depth`` bounds how many commands are in flight at once
     (``None`` admits everything immediately — an infinitely deep
     queue).  Commands are admitted in list order.  ``wake_workers``
-    is required when the core's workers are already resident (parked):
-    the initial in-flight window is queued with wake-ups suppressed,
-    then :meth:`SchedulerCore.wake_workers` resumes the workers that
-    actually received work in (die, plane) order — the same
-    deterministic order as a fresh core's worker start-up, without
-    scheduling a no-op wake for every idle plane.
+    is required when the core's dispatch frames are already resident
+    (parked): the initial in-flight window is queued with wake-ups
+    suppressed, then :meth:`SchedulerCore.wake_workers` resumes the
+    frames that actually received work in (die, plane) order — the same
+    deterministic order as a fresh core's start-up, without scheduling
+    a no-op wake for every idle plane.
     """
     limit = len(commands) if queue_depth is None else queue_depth
     submit_s = core.engine.now_s  # the whole batch is submitted up front
@@ -468,24 +406,16 @@ def closed_admission(
 # -- flat dispatch core ------------------------------------------------------
 #
 # The steady-state control flow per command is fixed: pop, array
-# phases, channel section, finish.  Running it as 32 resident
-# coroutines (4ch x 4die x 2plane) round-tripping through the engine
-# and Signal park/fire per phase is pure interpretation overhead.  The
-# flat dispatch core replays the *exact same schedule* coroutine-free:
-# each (die, plane) dispatcher is a plain-list frame scheduled directly
-# on the engine's shared event list, advanced by a burst handler
+# phases, channel section, finish.  Each (die, plane) dispatcher is a
+# plain-list frame with an integer program counter, scheduled directly
+# on the engine's shared event list and advanced by one burst handler
 # (:meth:`SchedulerCore._flat_burst`) that the engine invokes for
 # list-type events and that keeps draining consecutive flat events with
-# its locals bound.  It is a *transliteration*, not an approximation:
-# every generator ``yield`` becomes one scheduled tuple event, every
-# handoff-signal fire/park keeps its order and its sequence-allocation
-# position on the engine's shared counter, and the busy accounters are
-# accumulated in the same float addition order — so completions, busy
-# times and makespans are bit-exact against the generator path for
-# mixed command kinds, closed batches and open-loop mid-flight
-# admission alike (equivalence-tested on randomized streams in
-# tests/ssd).  Generator workers remain as the bit-exactness oracle
-# (``flat=False``).
+# its locals bound.  A cached read streams out through a one-shot drain
+# frame, so its plane senses the next page meanwhile.  Every scheduled
+# turn takes one sequence number from the engine's shared counter, so
+# flat frames and generator processes (the closed-batch admission)
+# interleave in the engine's global ``(time, seq)`` order.
 
 # Dispatcher/drain program counters (resume points after a scheduled
 # event or a lock park).
@@ -501,8 +431,7 @@ _P_ECCREL = 8     # the ECC occupancy just elapsed: release and account
 _P_ECCDRAIN = 9   # the ECC post-occupancy drain just elapsed
 _P_ADMIT = 10     # admission frame: admit the next command of a stream
 
-# Dispatcher/drain frame layout (plain lists — the flat analogue of a
-# worker coroutine):
+# Dispatcher/drain frame layout (plain lists):
 # [0] pc  [1] die  [2] slot  [3] channel  [4] queue (deque of
 # DieCommand; None for one-shot drain frames)  [5] parked-idle flag
 # [6] current command  [7] array phase cursor  [8] channel phase cursor
@@ -518,23 +447,25 @@ _P_ADMIT = 10     # admission frame: admit the next command of a stream
 # length  [4] in-flight window limit  [5] parked-on-completed flag
 # [6] inter-arrival pacing (seconds)
 #
-# Lock layout (the handoff Signal transliterated):
-# [0] busy  [1] waiters (frames, park order)  [2] pending woken head
-# [3] waiters left behind the pending head at fire time
+# Lock layout (a bus, an ECC engine or a cache register):
+# [0] busy (an occupancy count for cache registers, which hold two
+# pages under ``read_ahead``)  [1] waiters (frames, park order)
+# [2] the woken head, until it runs  [3] waiters left behind that head
 #
-# Lock fires are inlined in the burst handler (they mirror the handoff
-# ``Signal.fire``: wake the head waiter only, allocate no sequence
-# number on an uncontended release); parking goes through
-# :func:`_flat_lock_park` below, with the caller accounting the park
-# toward the engine's deadlock counter.
+# A release wakes the head waiter only, and an uncontended release
+# allocates no sequence number; releases are inlined in the burst
+# handler.  A woken head that finds the lock taken again at the same
+# instant re-parks through :func:`_flat_lock_park`, which puts it back
+# where re-checking every waiter would have left it: behind frames that
+# parked since the release, ahead of the waiters that were behind it.
+# The caller accounts each park toward the engine's deadlock counter.
 
 
 def _flat_lock_park(lock: list, frame: list) -> None:
-    """``Signal._park``, including the woken head's re-park splice.
+    """Park ``frame`` on ``lock``, splicing a re-parking woken head.
 
-    The caller adds the park to the engine's deadlock counter, so
-    parked frames count exactly like generator workers parked on a
-    non-daemon freed signal.
+    The caller adds the park to the engine's deadlock counter, so a
+    frame left parked when the event list drains is a deadlock.
     """
     if lock[2] is frame:
         lock[2] = None
@@ -551,35 +482,12 @@ def _flat_lock_park(lock: list, frame: list) -> None:
         lock[1].append(frame)
 
 
-def open_admission(
-    core: "SchedulerCore",
-    commands: list[DieCommand],
-    window: int | None,
-    arrival_s: float,
-) -> Process:
-    """Open-loop arrival process: paced submissions through a window.
-
-    Admits ``commands`` in order, one every ``arrival_s`` simulated
-    seconds, stalling while ``window`` commands are in flight (``None``
-    leaves the stream unwindowed).  The generator form — the oracle
-    behind the flat admission frame installed by
-    :meth:`SchedulerCore.submit_stream`, which replays the exact same
-    schedule without a generator resume per arrival.
-    """
-    limit = len(commands) if window is None else window
-    for command in commands:
-        while core.in_flight >= limit:
-            yield core.completed
-        core.enqueue(command, submit_s=core.engine.now_s)
-        yield arrival_s
-
-
 class SchedulerCore:
     """Incremental resource-reservation core over one topology.
 
     Owns the serially-reusable resources (planes, channel buses, ECC
-    engines, per-plane cache registers) and one resident dispatch worker
-    per (die, plane), parked on a daemon wake-up signal while idle.
+    engines, per-plane cache registers) and one resident dispatch frame
+    per (die, plane), parked idle while its queue is empty.
     :meth:`enqueue` accepts a command at any simulation time — including
     while earlier commands are still in flight — making the core the
     substrate for both the classic closed-batch
@@ -589,16 +497,9 @@ class SchedulerCore:
     Completions are appended to :attr:`completions`; :attr:`completed`
     fires once per completion, and synchronous ``on_finish`` callbacks
     (called after the fire) let a session route completions without a
-    reaper process of its own.
-
-    ``flat=True`` swaps the resident generator workers for the flat
-    dispatch core: one plain-list frame per (die, plane) living directly
-    on the engine's event list, advanced by the burst handler the core
-    attaches via :meth:`SimEngine.attach_flat`.  The external surface
-    (``enqueue`` / ``completed`` / ``on_finish`` / busy accounting) and
-    every observable timestamp are identical; only the interpretation
-    machinery differs.  :attr:`fast_commands` / :attr:`fallback_commands`
-    count which path each admitted command took.
+    reaper process of its own.  The frames live on the engine's event
+    list, advanced by the burst handler the core attaches via
+    :meth:`SimEngine.attach_flat`.
     """
 
     def __init__(
@@ -606,7 +507,6 @@ class SchedulerCore:
         engine: SimEngine,
         topology: SsdTopology,
         pipeline: PipelineConfig | None = None,
-        flat: bool = False,
         recorder=None,
         host_priority: bool = False,
     ):
@@ -631,7 +531,6 @@ class SchedulerCore:
         #: command over queued GC work (see :class:`CommandOrigin`).
         #: Off by default — pure FIFO pop, the historical order.
         self.host_priority = host_priority
-        self.flat = flat
         #: Optional :class:`~repro.obs.trace.TraceRecorder`.  Every
         #: trace hook sits behind a ``recorder is None`` check on a
         #: local, and recording changes no event ordering, sequence
@@ -645,80 +544,31 @@ class SchedulerCore:
         #: from the engine, or None.  Same zero-cost-off discipline as
         #: the recorder: every hook sits behind an ``is None`` check on
         #: a local, and armed runs stay bit-identical.
-        self._san = getattr(engine, "sanitizer", None)
-        #: Commands dispatched by the flat core vs the generator workers
-        #: (a per-core lifetime tally; a core is all-flat or all-generator,
-        #: so one of the two stays zero).
-        self.fast_commands = 0
-        self.fallback_commands = 0
-        if flat:
-            channels = topology.channels
-            self._flat_buses = [[False, [], None, 0] for _ in range(channels)]
-            self._flat_eccs = [[False, [], None, 0] for _ in range(channels)]
-            self._flat_caches = [
-                [[False, [], None, 0] for _ in range(self.planes)]
-                for _ in range(topology.dies)
-            ]
-            self._frames = [
+        self._san = engine.sanitizer
+        channels = topology.channels
+        self._buses = [[False, [], None, 0] for _ in range(channels)]
+        self._eccs = [[False, [], None, 0] for _ in range(channels)]
+        self._caches = [
+            [[False, [], None, 0] for _ in range(self.planes)]
+            for _ in range(topology.dies)
+        ]
+        self._frames = [
+            [
                 [
-                    [
-                        _P_POP, die, slot, topology.channel_of(die),
-                        deque(), False, None, 0, 0, None,
-                        (), (), 0.0, False, False,
-                        self._flat_buses[topology.channel_of(die)],
-                        self._flat_eccs[topology.channel_of(die)],
-                        self._flat_caches[die][slot],
-                        0, 0, 0,
-                    ]
-                    for slot in range(self.planes)
+                    _P_POP, die, slot, topology.channel_of(die),
+                    deque(), False, None, 0, 0, None,
+                    (), (), 0.0, False, False,
+                    self._buses[topology.channel_of(die)],
+                    self._eccs[topology.channel_of(die)],
+                    self._caches[die][slot],
+                    0, 0, 0,
                 ]
-                for die in range(topology.dies)
+                for slot in range(self.planes)
             ]
-            self._admit: list | None = None
-            engine.attach_flat(self._flat_burst)
-        elif self._san is None:
-            self._buses = [_Lock(engine) for _ in range(topology.channels)]
-            self._engines = [_Lock(engine) for _ in range(topology.channels)]
-            self._caches = [
-                [_Lock(engine) for _ in range(self.planes)]
-                for _ in range(topology.dies)
-            ]
-            self._queues = [
-                [deque() for _ in range(self.planes)]
-                for _ in range(topology.dies)
-            ]
-            self._work = [
-                [engine.signal(daemon=True) for _ in range(self.planes)]
-                for _ in range(topology.dies)
-            ]
-        else:
-            san = self._san
-            cache_cap = 2 if (
-                self.pipeline.cache_read and self.pipeline.read_ahead
-            ) else 1
-            self._buses = [
-                _CheckedLock(engine, san, ("bus", ch))
-                for ch in range(topology.channels)
-            ]
-            self._engines = [
-                _CheckedLock(engine, san, ("ecc", ch))
-                for ch in range(topology.channels)
-            ]
-            self._caches = [
-                [
-                    _CheckedLock(engine, san, ("cache", die, slot), cache_cap)
-                    for slot in range(self.planes)
-                ]
-                for die in range(topology.dies)
-            ]
-            self._queues: list[list[deque[DieCommand]]] = [
-                [deque() for _ in range(self.planes)]
-                for _ in range(topology.dies)
-            ]
-            self._work = [
-                [engine.signal(daemon=True) for _ in range(self.planes)]
-                for _ in range(topology.dies)
-            ]
+            for die in range(topology.dies)
+        ]
+        self._admit: list | None = None
+        engine.attach_flat(self._flat_burst)
         #: In-flight bookkeeping: tag -> (admit_s, submit_s).  One dict
         #: (one hash per enqueue / one per finish) also doubles as the
         #: live-tag set for duplicate detection.
@@ -730,24 +580,16 @@ class SchedulerCore:
     def start(self) -> None:
         """Start the resident dispatchers ((die, plane) order).
 
-        Generator mode spawns one worker coroutine per (die, plane);
-        flat mode schedules each frame's start event at the current
-        instant in the same order, so the two paths allocate identical
-        start-up sequence numbers — each frame's first run pops queued
-        work or parks idle, exactly like a worker's first resume.
+        Schedules each frame's start event at the current instant; a
+        frame's first turn pops queued work or parks idle.
         """
         if self._started:
             raise SimulationError("scheduler core already started")
         self._started = True
-        if self.flat:
-            now = self.engine.now_s
-            for die_frames in self._frames:
-                for frame in die_frames:
-                    self.engine.schedule_at(now, frame)
-            return
-        for die in range(self.topology.dies):
-            for plane in range(self.planes):
-                self.engine.spawn(self._worker(die, plane))
+        now = self.engine.now_s
+        for die_frames in self._frames:
+            for frame in die_frames:
+                self.engine.schedule_at(now, frame)
 
     @property
     def idle(self) -> bool:
@@ -755,31 +597,25 @@ class SchedulerCore:
         return self.in_flight == 0
 
     def wake_workers(self) -> None:
-        """Fire the wake-up of every worker with queued work, (die, plane) order.
+        """Wake every parked frame with queued work, (die, plane) order.
 
         Before admitting a closed batch into a resident core, this puts
-        the workers' resume events in the same deterministic order as a
+        the frames' resume events in the same deterministic order as a
         fresh core's start-up, so batch timelines are reproducible
-        regardless of which worker went idle last.  Workers with empty
-        queues stay parked — their wake would be a no-op event (resume,
-        find nothing, re-park) and cannot be observed by the batch.
+        regardless of which frame went idle last.  Frames with empty
+        queues stay parked — their wake would be a no-op turn (find
+        nothing, re-park) and cannot be observed by the batch.
         """
-        if self.flat:
-            engine = self.engine
-            push = engine._queue.push
-            now = engine.now_s
-            for die_frames in self._frames:
-                for frame in die_frames:
-                    if frame[4] and frame[5]:
-                        frame[5] = False
-                        seq = engine._seq
-                        engine._seq = seq + 1
-                        push((now, seq, frame))
-            return
-        for die_queues, die_signals in zip(self._queues, self._work):
-            for queue, signal in zip(die_queues, die_signals):
-                if queue:
-                    signal.fire()
+        engine = self.engine
+        push = engine._queue.push
+        now = engine.now_s
+        for die_frames in self._frames:
+            for frame in die_frames:
+                if frame[4] and frame[5]:
+                    frame[5] = False
+                    seq = engine._seq
+                    engine._seq = seq + 1
+                    push((now, seq, frame))
 
     def reset_accounting(self) -> None:
         """Zero the busy accumulators (only legal while idle)."""
@@ -805,9 +641,9 @@ class SchedulerCore:
         submitted the command (for queueing-time accounting); the admit
         (dispatch) time is always the current simulation time.  The tag
         must be unique among commands currently in flight.
-        ``wake=False`` suppresses the worker wake-up — used by
+        ``wake=False`` leaves an idle frame parked — used by
         :func:`closed_admission` to queue a resident batch's initial
-        window before waking the non-idle workers in one ordered pass.
+        window before waking the non-idle frames in one ordered pass.
         """
         if not 0 <= command.die < self.topology.dies:
             raise SimulationError(
@@ -824,26 +660,16 @@ class SchedulerCore:
         self.in_flight += 1
         self.die_inflight[command.die] += 1
         self._meta[command.tag] = (self.engine.now_s, submit_s)
-        slot = command.plane % self.planes
-        if self.flat:
-            self.fast_commands += 1
-            frame = self._frames[command.die][slot]
-            frame[4].append(command)
-            if wake and frame[5]:
-                # The frame is parked idle: schedule its wake at the
-                # current instant.  Mirrors the daemon work signal's
-                # fire-on-parked-worker — same single sequence number,
-                # and a no-op (non-parked) fire allocates none.
-                frame[5] = False
-                engine = self.engine
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._queue.push((engine.now_s, seq, frame))
-            return
-        self.fallback_commands += 1
-        self._queues[command.die][slot].append(command)
-        if wake:
-            self._work[command.die][slot].fire()
+        frame = self._frames[command.die][command.plane % self.planes]
+        frame[4].append(command)
+        if wake and frame[5]:
+            # The frame is parked idle: schedule its wake at the current
+            # instant (one sequence number; a busy frame needs none).
+            frame[5] = False
+            engine = self.engine
+            seq = engine._seq
+            engine._seq = seq + 1
+            engine._queue.push((engine.now_s, seq, frame))
 
     def submit_stream(
         self,
@@ -851,18 +677,17 @@ class SchedulerCore:
         window: int | None = None,
         arrival_s: float = 0.0,
     ) -> None:
-        """Install an open-loop arrival stream (see :func:`open_admission`).
+        """Install an open-loop arrival stream.
 
-        On a generator core this spawns the :func:`open_admission`
-        process; on a flat core it installs the equivalent admission
-        frame, which is advanced inside the burst handler — no
-        generator resume, no ``Signal`` park/fire per arrival, same
-        schedule bit-for-bit.  A flat core runs one stream at a time
-        (streams may be installed back to back once the previous one
-        has fully admitted); the generator form may be spawned freely.
-        A ``window`` below 1 or an ``arrival_s`` that is not ``>= 0``
-        (NaN included) raises :class:`SimulationError` before anything
-        is installed.
+        Admits ``commands`` in order, one every ``arrival_s`` simulated
+        seconds, stalling while ``window`` commands are in flight
+        (``None`` leaves the stream unwindowed).  The stream is an
+        admission frame advanced inside the burst handler: no generator
+        resume and no ``Signal`` park/fire per arrival.  A core runs one
+        stream at a time (streams may be installed back to back once the
+        previous one has fully admitted).  A ``window`` below 1 or an
+        ``arrival_s`` that is not ``>= 0`` (NaN included) raises
+        :class:`SimulationError` before anything is installed.
         """
         if window is not None and window < 1:
             raise SimulationError(f"stream window must be >= 1, not {window}")
@@ -870,21 +695,15 @@ class SchedulerCore:
             raise SimulationError(
                 f"arrival spacing must be >= 0, not {arrival_s!r}"
             )
-        if not self.flat:
-            self.engine.spawn(
-                open_admission(self, commands, window, arrival_s)
-            )
-            return
         admit = self._admit
         if admit is not None and admit[1] < admit[3]:
             raise SimulationError(
-                "flat cores admit one stream at a time: the previous "
+                "a core admits one stream at a time: the previous "
                 "submit_stream is still admitting"
             )
         if self._san is not None:
-            # The flat admission frame inlines enqueue, so phase plans
-            # are validated up front (the generator path checks inside
-            # enqueue itself).
+            # The admission frame inlines enqueue, so phase plans are
+            # validated up front.
             for command in commands:
                 self._san.check_command(command)
         n = len(commands)
@@ -892,261 +711,6 @@ class SchedulerCore:
         frame = [_P_ADMIT, 0, list(commands), n, limit, False, arrival_s]
         self._admit = frame
         self.engine.schedule_at(self.engine.now_s, frame)
-
-    # -- internals ---------------------------------------------------------------
-
-    def _finish(self, command: DieCommand, die: int, channel: int) -> None:
-        tag = command.tag
-        admit_s, submit_s = self._meta.pop(tag)
-        completion = CommandCompletion(
-            tag=tag,
-            die=die,
-            channel=channel,
-            admit_s=admit_s,
-            done_s=self.engine.now_s,
-            submit_s=submit_s,
-        )
-        self.completions.append(completion)
-        self.in_flight -= 1
-        self.die_inflight[die] -= 1
-        self.completed.fire()
-        for callback in self.on_finish:
-            callback(completion)
-
-    # The channel-section body is spelled out inline in both
-    # `_channel_section` and `_read_drain` (and `_channel_section` is
-    # itself delegated to from `_worker` at top level only): every
-    # `yield from` level adds one frame each `send()` must traverse for
-    # every event, and the section loop is the hottest code in the
-    # simulator.  The acquire/hold/release pattern is the `_Lock`
-    # handoff discipline: `while busy: yield freed` re-check, holder
-    # sets `busy`, releases and fires.
-
-    def _channel_section(
-        self,
-        ops: tuple[tuple[bool, float, float], ...],
-        fused_s: float,
-        channel: int,
-        command: DieCommand,
-        kc: int = 0,
-    ) -> Process:
-        """Run a command's channel/ECC section (no cache register).
-
-        ``kc`` is the span kind code the worker computed at pop (the
-        :data:`~repro.obs.trace.KIND_NAMES` index, +3 for GC origin).
-        """
-        bus = self._buses[channel]
-        rec = self.recorder
-        span = None if rec is None else rec._spans.append
-        if not self.pipeline.pipelined_ecc:
-            # Paper-faithful fused section: transfer + encode/decode
-            # occupy the bus as one non-pipelined unit (the structural
-            # hazard of the single-page-buffer controller FSM).
-            while bus.busy:
-                yield bus.freed
-            bus.busy = True
-            yield fused_s
-            bus.busy = False
-            bus.freed.fire()
-            self.channel_busy_s[channel] += fused_s
-            if span is not None:
-                now = self.engine.now_s
-                span((TRACK_BUS, channel, 0,
-                      now - fused_s, now, command.tag, kc))
-            return
-        ecc = self._engines[channel]
-        for is_channel, duration, occupancy in ops:
-            if is_channel:
-                while bus.busy:
-                    yield bus.freed
-                bus.busy = True
-                yield duration
-                bus.busy = False
-                bus.freed.fire()
-                self.channel_busy_s[channel] += duration
-                if span is not None:
-                    now = self.engine.now_s
-                    span((TRACK_BUS, channel, 0,
-                          now - duration, now, command.tag, kc))
-            else:  # ECC: held for the initiation interval only.
-                while ecc.busy:
-                    yield ecc.freed
-                ecc.busy = True
-                yield occupancy
-                ecc.busy = False
-                ecc.freed.fire()
-                self.ecc_busy_s[channel] += occupancy
-                if span is not None:
-                    now = self.engine.now_s
-                    span((TRACK_ECC, channel, 0,
-                          now - occupancy, now, command.tag, kc))
-                drain = duration - occupancy
-                if drain > 0:
-                    yield drain
-
-    def _read_drain(
-        self,
-        command: DieCommand,
-        die: int,
-        channel: int,
-        cache: _Lock,
-        ops: tuple[tuple[bool, float, float], ...],
-        fused_s: float,
-        kc: int = 0,
-    ) -> Process:
-        """Stream a cached page out and complete its command.
-
-        Identical to `_channel_section` except the cache register is
-        freed the moment the data leaves it (fused section done, or
-        first bus transfer under pipelined ECC).  Cache releases use
-        the counting discipline (see :class:`_Lock`) so a
-        double-buffered register frees one slot at a time.
-        """
-        bus = self._buses[channel]
-        rec = self.recorder
-        span = None if rec is None else rec._spans.append
-        if not self.pipeline.pipelined_ecc:
-            while bus.busy:
-                yield bus.freed
-            bus.busy = True
-            yield fused_s
-            bus.busy = False
-            bus.freed.fire()
-            self.channel_busy_s[channel] += fused_s
-            if span is not None:
-                now = self.engine.now_s
-                span((TRACK_BUS, channel, 0,
-                      now - fused_s, now, command.tag, kc))
-            cache.busy -= 1
-            cache.freed.fire()
-            self._finish(command, die, channel)
-            return
-        ecc = self._engines[channel]
-        held = cache
-        for is_channel, duration, occupancy in ops:
-            if is_channel:
-                while bus.busy:
-                    yield bus.freed
-                bus.busy = True
-                yield duration
-                bus.busy = False
-                bus.freed.fire()
-                self.channel_busy_s[channel] += duration
-                if span is not None:
-                    now = self.engine.now_s
-                    span((TRACK_BUS, channel, 0,
-                          now - duration, now, command.tag, kc))
-                if held is not None:
-                    held.busy -= 1
-                    held.freed.fire()
-                    held = None
-            else:
-                while ecc.busy:
-                    yield ecc.freed
-                ecc.busy = True
-                yield occupancy
-                ecc.busy = False
-                ecc.freed.fire()
-                self.ecc_busy_s[channel] += occupancy
-                if span is not None:
-                    now = self.engine.now_s
-                    span((TRACK_ECC, channel, 0,
-                          now - occupancy, now, command.tag, kc))
-                drain = duration - occupancy
-                if drain > 0:
-                    yield drain
-        if held is not None:  # no transfer phase: free on exit
-            held.busy -= 1
-            held.freed.fire()
-        self._finish(command, die, channel)
-
-    def _worker(self, die: int, plane: int) -> Process:
-        channel = self.topology.channel_of(die)
-        queue = self._queues[die][plane]
-        work = self._work[die][plane]
-        cache_read = self.pipeline.cache_read
-        cache_cap = 2 if (cache_read and self.pipeline.read_ahead) else 1
-        host_prio = self.host_priority
-        gc_origin = CommandOrigin.GC
-        rec = self.recorder
-        span = None if rec is None else rec._spans.append
-        while True:
-            while not queue:
-                yield work
-            command = queue.popleft()
-            if host_prio and command.origin is gc_origin:
-                # Host-priority pop: a queued host command jumps the
-                # GC work ahead of it; the GC command keeps its place
-                # at the head for the next pop.
-                for index, candidate in enumerate(queue):
-                    if candidate.origin is not gc_origin:
-                        del queue[index]
-                        queue.appendleft(command)
-                        command = candidate
-                        break
-            kind = command.kind
-            kc = 0 if kind is CommandKind.READ else (
-                1 if kind is CommandKind.PROGRAM else 2
-            )
-            if command.origin is gc_origin:
-                kc += 3
-            if span is not None:
-                span((TRACK_QUEUE, die, plane,
-                      self._meta[command.tag][0], self.engine.now_s,
-                      command.tag, kc))
-            array, ops, fused = _split_plan_fast(command.phase_plan())
-            if kind is CommandKind.READ:
-                # Sense into the plane's page buffer, then stream out.
-                for duration in array:
-                    yield duration
-                    self.die_busy_s[die] += duration
-                    if span is not None:
-                        now = self.engine.now_s
-                        span((TRACK_PLANE, die, plane,
-                              now - duration, now, command.tag, kc))
-                if cache_read and ops:
-                    # Hand the page to the cache register and sense on.
-                    cache = self._caches[die][plane]
-                    while cache.busy >= cache_cap:
-                        yield cache.freed
-                    cache.busy += 1
-                    if command.cache_busy_s > 0:  # tRCBSY handoff
-                        yield command.cache_busy_s
-                        self.die_busy_s[die] += command.cache_busy_s
-                        if span is not None:
-                            now = self.engine.now_s
-                            span((TRACK_PLANE, die, plane,
-                                  now - command.cache_busy_s, now,
-                                  command.tag, kc))
-                    self.engine.spawn(self._read_drain(
-                        command, die, channel, cache, ops, fused, kc
-                    ))
-                    continue  # completion happens in the drain
-                yield from self._channel_section(
-                    ops, fused, channel, command, kc
-                )
-            elif kind is CommandKind.PROGRAM:
-                # Encode + stream in (bus frees for siblings), then
-                # busy the plane with the ISPP.
-                yield from self._channel_section(
-                    ops, fused, channel, command, kc
-                )
-                for duration in array:
-                    yield duration
-                    self.die_busy_s[die] += duration
-                    if span is not None:
-                        now = self.engine.now_s
-                        span((TRACK_PLANE, die, plane,
-                              now - duration, now, command.tag, kc))
-            else:  # ERASE: array-only, no data on the bus.
-                for duration in array:
-                    yield duration
-                    self.die_busy_s[die] += duration
-                    if span is not None:
-                        now = self.engine.now_s
-                        span((TRACK_PLANE, die, plane,
-                              now - duration, now, command.tag, kc))
-            self._finish(command, die, channel)
 
     # -- flat dispatch -----------------------------------------------------------
 
@@ -1161,17 +725,17 @@ class SchedulerCore:
         or any event beyond ``until_s``) and ``count`` is the number of
         flat events consumed.
 
-        The body is `_worker` / `_channel_section` / `_read_drain` /
-        `_finish` / :func:`open_admission` transliterated onto integer
-        program counters; see the layout comments above
-        :func:`_flat_lock_park`.  The engine's sequence counter,
-        deadlock counter and clock live in locals (``seq`` / ``parked``
-        / ``now``) and are written back only around calls that re-enter
-        engine machinery — a ``completed.fire()`` with real generator
-        waiters, the ``on_finish`` callbacks — and at burst exit.
+        The frames run on integer program counters; see the layout
+        comments above :func:`_flat_lock_park`.  The engine's sequence
+        counter, deadlock counter and clock live in locals (``seq`` /
+        ``parked`` / ``now``) and are written back only around calls
+        that re-enter engine machinery — a ``completed.fire()`` with
+        real generator waiters, the ``on_finish`` callbacks — and at
+        burst exit.
 
-        Two queue-elision paths keep bit-exactness while skipping the
-        event list, both resting on the same invariant: sequence
+        Two queue-elision paths keep the global ``(time, seq)`` order
+        exact while skipping the event list, both resting on the same
+        invariant: sequence
         numbers are allocated in strictly increasing order, so events
         already queued at the current instant always order before
         anything allocated now, and relative order among deferred
@@ -1190,20 +754,13 @@ class SchedulerCore:
           burst exit, so code outside this method never observes it.
 
         Every turn — queued, deferred or inline — bumps ``count``, so
-        ``events_processed`` stays identical to the generator path's.
+        ``events_processed`` counts turns, not event-list round trips.
         """
         engine = self.engine
         queue = engine._queue
         pop = queue.pop
         push = queue.push
-        heap = getattr(queue, "_heap", None)
-        if heap is None:  # calendar backend: peek/push/pop via the head cell
-            chead = queue._head
-            corder = queue._order
-            cbuckets = queue._buckets
-            cinv = queue._inv_width
-            cheappush = heappush
-            cheappop = heappop
+        heap = queue._heap
         die_busy = self.die_busy_s
         channel_busy = self.channel_busy_s
         ecc_busy = self.ecc_busy_s
@@ -1245,7 +802,6 @@ class SchedulerCore:
         parked = engine._parked
         count = 0
         in_flight = self.in_flight
-        fast_commands = self.fast_commands
         nxt_t = -1.0
         dws = deque()
         dws_append = dws.append
@@ -1272,9 +828,8 @@ class SchedulerCore:
                 index = frame[1]
                 if index < frame[3]:
                     if in_flight >= frame[4]:
-                        # Window full: park on the completion wake (a
-                        # re-park allocates nothing, exactly like the
-                        # generator's repeated `yield core.completed`).
+                        # Window full: park until a completion wakes
+                        # the frame (a re-park allocates nothing).
                         frame[5] = True
                         parked += 1
                     else:
@@ -1285,7 +840,6 @@ class SchedulerCore:
                             # `enqueue(command, submit_s=now)` inlined.
                             in_flight += 1
                             die_inflight[die] += 1
-                            fast_commands += 1
                             meta[tag] = (now, now)
                             target = frames[die][command.plane % planes]
                             target[4].append(command)
@@ -1300,22 +854,20 @@ class SchedulerCore:
                             engine._parked = parked
                             engine.now_s = now
                             self.in_flight = in_flight
-                            self.fast_commands = fast_commands
                             self.enqueue(command, submit_s=now)  # raises
                         frame[1] = index + 1
-                        # The generator's trailing `yield arrival_s`,
-                        # scheduled after every admit, the last included
-                        # (that resume is where the stream ends).
+                        # The next arrival turn, scheduled after every
+                        # admit, the last included (that turn is where
+                        # the stream ends).
                         nxt_t = now + frame[6]
-                # index == length: the stream is done — the generator
-                # raises StopIteration here; the frame goes inert.
+                # index == length: the stream is done; the frame goes
+                # inert.
             else:
                 while True:
                     if pc == P_SECTION:
                         if not pipelined_ecc:
                             # Fused section: one bus hold for the summed
-                            # total (taken even for an empty section, as
-                            # the generator's `yield fused_s` does).
+                            # total (taken even for an empty section).
                             bus = frame[15]
                             if bus[0]:
                                 frame[0] = P_BUSQ
@@ -1386,7 +938,7 @@ class SchedulerCore:
                                 break
                             pc = P_ARRAY
                             continue
-                        # `_finish` inlined (the read completed).
+                        # Finish the command (the read completed).
                         command = frame[6]
                         tag = command.tag
                         rec = meta_pop(tag)
@@ -1398,9 +950,8 @@ class SchedulerCore:
                         in_flight -= 1
                         die_inflight[frame[1]] -= 1
                         if admit_frame is not None and admit_frame[5]:
-                            # A window-parked flat stream wakes exactly
-                            # where `completed.fire()` would have
-                            # allocated its resume.
+                            # A window-parked stream wakes at this
+                            # completion, ahead of `completed` waiters.
                             admit_frame[5] = False
                             dws_append(admit_frame)
                             parked -= 1
@@ -1422,13 +973,11 @@ class SchedulerCore:
                             engine._parked = parked
                             engine.now_s = now
                             self.in_flight = in_flight
-                            self.fast_commands = fast_commands
                             for callback in on_finish:
                                 callback(completion)
                             seq = engine._seq
                             parked = engine._parked
                             in_flight = self.in_flight
-                            fast_commands = self.fast_commands
                             admit_frame = self._admit
                         if frame[4] is None:
                             break  # drain frames run once
@@ -1508,7 +1057,7 @@ class SchedulerCore:
                                 break
                         # Array phases done.
                         if not frame[13]:  # PROGRAM after section, or ERASE
-                            # `_finish` inlined (worker frames only:
+                            # Finish the command (dispatch frames only:
                             # drains never run array phases).
                             command = frame[6]
                             tag = command.tag
@@ -1542,13 +1091,11 @@ class SchedulerCore:
                                 engine._parked = parked
                                 engine.now_s = now
                                 self.in_flight = in_flight
-                                self.fast_commands = fast_commands
                                 for callback in on_finish:
                                     callback(completion)
                                 seq = engine._seq
                                 parked = engine._parked
                                 in_flight = self.in_flight
-                                fast_commands = self.fast_commands
                                 admit_frame = self._admit
                             pc = P_POP
                             continue
@@ -1564,7 +1111,7 @@ class SchedulerCore:
                                 parked += 1
                                 break
                             cache[0] = cache[0] + 1
-                            # acquired without waiting (no yield, no seq)
+                            # acquired without waiting (no event, no seq)
                             trcbsy = frame[6].cache_busy_s
                             if trcbsy > 0.0:
                                 frame[0] = P_TRCBSY
@@ -1628,7 +1175,7 @@ class SchedulerCore:
                                     break
                                 pc = P_ARRAY
                                 continue
-                            # `_finish` inlined (fused read done).
+                            # Finish the command (fused read done).
                             command = frame[6]
                             tag = command.tag
                             rec = meta_pop(tag)
@@ -1661,13 +1208,11 @@ class SchedulerCore:
                                 engine._parked = parked
                                 engine.now_s = now
                                 self.in_flight = in_flight
-                                self.fast_commands = fast_commands
                                 for callback in on_finish:
                                     callback(completion)
                                 seq = engine._seq
                                 parked = engine._parked
                                 in_flight = self.in_flight
-                                fast_commands = self.fast_commands
                                 admit_frame = self._admit
                             if frame[4] is None:
                                 break
@@ -1804,7 +1349,6 @@ class SchedulerCore:
                         engine._parked = parked
                         engine.now_s = now
                         self.in_flight = in_flight
-                        self.fast_commands = fast_commands
                         raise SimulationError(
                             f"flat dispatch: invalid state {pc}"
                         )
@@ -1823,34 +1367,11 @@ class SchedulerCore:
                     # the deferred-wake FIFO elides, never a tolerance.
                     if t == now:  # lint-ok: DET105
                         dws_append(frame)
-                    elif heap is not None:
+                    else:
                         push((t, seq, frame))
                         seq += 1
-                    else:
-                        index = int(t * cinv)
-                        if index == chead[0]:
-                            cheappush(chead[1], (t, seq, frame))
-                        else:
-                            # index > head: t >= now and now's bucket
-                            # is never behind the head cell in-burst.
-                            bucket = cbuckets.get(index)
-                            if bucket is None:
-                                cbuckets[index] = [(t, seq, frame)]
-                                cheappush(corder, index)
-                            else:
-                                cheappush(bucket, (t, seq, frame))
-                        seq += 1
                 else:
-                    if heap is not None:
-                        m = heap[0][0] if heap else inf
-                    else:
-                        hb = chead[1]
-                        if hb:
-                            m = hb[0][0]
-                        elif corder:
-                            m = cbuckets[corder[0]][0][0]
-                        else:
-                            m = inf
+                    m = heap[0][0] if heap else inf
                     if t < m:
                         seq += 1
                         if t > horizon:
@@ -1858,68 +1379,25 @@ class SchedulerCore:
                             engine._parked = parked
                             engine.now_s = now
                             self.in_flight = in_flight
-                            self.fast_commands = fast_commands
                             return (t, seq - 1, frame), count
                         now = t  # frame unchanged: rerun it inline
                         continue
-                    if heap is not None:
-                        push((t, seq, frame))
-                    else:
-                        index = int(t * cinv)
-                        if index == chead[0]:
-                            cheappush(chead[1], (t, seq, frame))
-                        else:
-                            bucket = cbuckets.get(index)
-                            if bucket is None:
-                                cbuckets[index] = [(t, seq, frame)]
-                                cheappush(corder, index)
-                            else:
-                                cheappush(bucket, (t, seq, frame))
+                    push((t, seq, frame))
                     seq += 1
             # Deferred same-instant wakes drain inline once the queue
             # head is strictly past `now`; a queued event still at
             # `now` holds a smaller sequence number and goes first.
-            if dws:
-                if heap is not None:
-                    m = heap[0][0] if heap else inf
-                else:
-                    hb = chead[1]
-                    if hb:
-                        m = hb[0][0]
-                    elif corder:
-                        m = cbuckets[corder[0]][0][0]
-                    else:
-                        m = inf
-                if m > now:
-                    frame = dws_popleft()
-                    continue
-            if heap is None:
-                # Inline calendar pop: the steady-state case is a
-                # non-empty head bucket, one C heappop away.
-                bucket = chead[1]
-                if not bucket:
-                    if not corder:
-                        engine._seq = seq
-                        engine._parked = parked
-                        engine.now_s = now
-                        self.in_flight = in_flight
-                        self.fast_commands = fast_commands
-                        return None, count
-                    index = cheappop(corder)
-                    bucket = cbuckets.pop(index)
-                    chead[0] = index
-                    chead[1] = bucket
-                event = cheappop(bucket)
-            else:
-                try:
-                    event = pop()
-                except IndexError:
-                    engine._seq = seq
-                    engine._parked = parked
-                    engine.now_s = now
-                    self.in_flight = in_flight
-                    self.fast_commands = fast_commands
-                    return None, count
+            if dws and (heap[0][0] if heap else inf) > now:
+                frame = dws_popleft()
+                continue
+            try:
+                event = pop()
+            except IndexError:
+                engine._seq = seq
+                engine._parked = parked
+                engine.now_s = now
+                self.in_flight = in_flight
+                return None, count
             if type(event[2]) is not list or event[0] > horizon:
                 while dws:
                     push((now, seq, dws_popleft()))
@@ -1928,14 +1406,12 @@ class SchedulerCore:
                 engine._parked = parked
                 engine.now_s = now
                 self.in_flight = in_flight
-                self.fast_commands = fast_commands
                 return event, count
             if san is not None and event[0] < now:
                 engine._seq = seq
                 engine._parked = parked
                 engine.now_s = now
                 self.in_flight = in_flight
-                self.fast_commands = fast_commands
                 san.backwards_time(event[0], now)
             now, _, frame = event
 
@@ -1947,12 +1423,10 @@ class CommandScheduler:
         self,
         topology: SsdTopology,
         pipeline: PipelineConfig | None = None,
-        fast_batch: bool = True,
         recorder=None,
     ):
         self.topology = topology
         self.pipeline = pipeline or PipelineConfig()
-        self.fast_batch = fast_batch
         self.recorder = recorder
 
     def run(
@@ -1966,18 +1440,14 @@ class CommandScheduler:
         ``queue_depth`` bounds how many commands are in flight at once
         (``None`` admits everything immediately), per-plane service is
         FIFO, and buses / ECC engines arbitrate among their dies in
-        wake-up order.  By default the core runs the flat dispatch
-        machinery (mixed kinds included) — bit-exact with the generator
-        workers; ``fast_batch=False`` at construction forces the
-        generator path (the equivalence oracle).  For a persistent
-        queue that accepts submissions while earlier commands are in
-        flight, use :class:`~repro.ssd.session.SsdSession` instead.
+        wake-up order.  For a persistent queue that accepts submissions
+        while earlier commands are in flight, use
+        :class:`~repro.ssd.session.SsdSession` instead.
         """
         validate_batch(self.topology, commands, queue_depth)
         engine = SimEngine()
         core = SchedulerCore(
-            engine, self.topology, self.pipeline, flat=self.fast_batch,
-            recorder=self.recorder,
+            engine, self.topology, self.pipeline, recorder=self.recorder
         )
         engine.spawn(closed_admission(core, commands, queue_depth))
         core.start()

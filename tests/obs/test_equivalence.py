@@ -3,14 +3,13 @@
 The instrumentation contract: every hook sits behind a ``recorder is
 None`` check and records *at* the scheduler's existing accounting
 points, changing no event ordering, sequence allocation or float
-arithmetic.  These tests enforce it — makespans, completion tuples and
-busy accumulators must be bit-identical with and without a recorder,
-across both event-list backends and both dispatch paths.
+arithmetic.  This test enforces it — makespans, completion tuples and
+busy accumulators must be bit-identical with and without a recorder.
+The golden digests in ``tests/ssd/test_dispatch_golden.py`` pin traced
+schedules and their span lists across the whole scheduler grid.
 """
 
 import random
-
-import pytest
 
 from repro.nand.timing import NandTimingModel
 from repro.obs import TraceRecorder
@@ -45,14 +44,13 @@ def _stream(n: int, dies: int, seed: int = 7) -> list[DieCommand]:
     return commands
 
 
-def _run(backend: str, flat: bool, traced: bool):
+def _run(traced: bool):
     """One mixed-open run; returns its full observable outcome."""
     recorder = TraceRecorder() if traced else None
-    engine = SimEngine(event_list=backend)
+    engine = SimEngine()
     topology = SsdTopology(channels=2, dies_per_channel=2)
     core = SchedulerCore(
-        engine, topology, PipelineConfig.full(),
-        flat=flat, recorder=recorder,
+        engine, topology, PipelineConfig.full(), recorder=recorder
     )
     completions = []
     core.on_finish.append(lambda completion: completions.append(
@@ -69,39 +67,17 @@ def _run(backend: str, flat: bool, traced: bool):
         "die_busy": list(core.die_busy_s),
         "channel_busy": list(core.channel_busy_s),
         "ecc_busy": list(core.ecc_busy_s),
-        "fast_commands": core.fast_commands,
         "recorder": recorder,
     }
 
 
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-@pytest.mark.parametrize("flat", [True, False], ids=["flat", "generators"])
-def test_traced_run_is_bit_identical_to_untraced(backend, flat):
-    untraced = _run(backend, flat, traced=False)
-    traced = _run(backend, flat, traced=True)
+def test_traced_run_is_bit_identical_to_untraced():
+    untraced = _run(traced=False)
+    traced = _run(traced=True)
     # Bit-identical, not approx: the hooks must not touch the sim.
     assert traced["makespan"] == untraced["makespan"]
     assert traced["completions"] == untraced["completions"]
     assert traced["die_busy"] == untraced["die_busy"]
     assert traced["channel_busy"] == untraced["channel_busy"]
     assert traced["ecc_busy"] == untraced["ecc_busy"]
-    assert traced["fast_commands"] == untraced["fast_commands"]
     assert len(traced["recorder"]) > 0
-
-
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_dispatch_paths_record_identical_span_sets(backend):
-    """Flat core and generator workers emit the same spans (any order)."""
-    flat_spans = sorted(_run(backend, True, traced=True)["recorder"].spans)
-    gen_spans = sorted(_run(backend, False, traced=True)["recorder"].spans)
-    assert flat_spans == gen_spans
-
-
-def test_backends_agree_on_the_traced_outcome():
-    heap = _run("heap", True, traced=True)
-    calendar = _run("calendar", True, traced=True)
-    assert heap["makespan"] == calendar["makespan"]
-    assert heap["completions"] == calendar["completions"]
-    assert sorted(heap["recorder"].spans) == sorted(
-        calendar["recorder"].spans
-    )

@@ -45,15 +45,14 @@ def _stream(n: int, dies: int, seed: int = 3) -> list[DieCommand]:
     return commands
 
 
-@pytest.fixture(params=[True, False], ids=["flat", "generators"])
-def traced_run(request):
+@pytest.fixture
+def traced_run():
     """One traced 2x2 mixed-open run; returns (recorder, core, n)."""
     recorder = TraceRecorder()
     engine = SimEngine()
     topology = SsdTopology(channels=2, dies_per_channel=2)
     core = SchedulerCore(
-        engine, topology, PipelineConfig.full(),
-        flat=request.param, recorder=recorder,
+        engine, topology, PipelineConfig.full(), recorder=recorder
     )
     core.start()
     engine.run()

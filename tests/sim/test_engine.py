@@ -92,13 +92,12 @@ class TestEngine:
         with pytest.raises(SimulationError):
             engine.spawn(iter(()), delay_s=-1.0)
 
-    @pytest.mark.parametrize("event_list", ("calendar", "heap"))
     @pytest.mark.parametrize("nan", (float("nan"), np.float64("nan")))
-    def test_nan_yield_rejected(self, event_list, nan):
+    def test_nan_yield_rejected(self, nan):
         def process():
             yield nan
 
-        engine = SimEngine(event_list=event_list)
+        engine = SimEngine()
         engine.spawn(process())
         with pytest.raises(SimulationError, match="invalid delay"):
             engine.run()

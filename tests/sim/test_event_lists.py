@@ -1,12 +1,11 @@
-"""Event-list backends: ordering equivalence and engine-level contracts.
+"""The event list and the engine contracts around it.
 
-The determinism contract (see ``sim/engine.py``): the calendar queue and
-the reference heap must produce the *identical* pop sequence — time-major,
-FIFO within a timestamp — on any schedule, including same-timestamp ties
-and interleaved push/pop.  These tests drive both structures directly
-with randomized schedules and also check the engine-facing behaviours
-this PR added: the named-backend constructor, the pending-count
-``max_events`` error, and handoff signal semantics.
+The determinism contract (see ``sim/engine.py``): the event list pops in
+``(time, sequence)`` order — time-major, FIFO within a timestamp — on
+any schedule, including same-timestamp ties and interleaved push and
+pop.  These tests drive :class:`HeapEventList` against a reference
+``heapq`` on randomized and hand-built schedules, and check the engine's
+pending-count ``max_events`` error and signal edge cases.
 """
 
 import heapq
@@ -15,118 +14,65 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import (
-    CalendarEventList,
-    DEFAULT_BUCKET_WIDTH_S,
-    HeapEventList,
-    SimEngine,
-)
+from repro.sim.engine import HeapEventList, SimEngine
+
+#: A schedule step: an event tuple to push, or ``POP``.
+POP = None
 
 
-def _random_schedule_agreement(rng, event_list, steps: int) -> None:
-    """Interleave pushes/pops; the list must match a reference heap."""
+def _random_schedule(seed: int, steps: int = 500) -> list:
+    """Interleaved pushes and pops, replayed on the reference heap."""
+    rng = random.Random(seed)
     reference: list = []
+    schedule = []
     now = 0.0
     seq = 0
-    for step in range(steps):
+    for _ in range(steps):
         if reference and rng.random() < 0.45:
-            popped = event_list.pop()
-            expected = heapq.heappop(reference)
-            assert popped == expected, f"diverged at step {step}"
-            now = popped[0]
+            now = heapq.heappop(reference)[0]
+            schedule.append(POP)
         else:
             # Heavy tie mass: ~1/3 of pushes land exactly at `now`
             # (signal wake-ups do), the rest spread over the phase
-            # spectrum from sub-bucket offsets to multi-millisecond
-            # erases.
-            offset = rng.choice(
-                [0.0, 0.0, 1e-7, 5e-6, DEFAULT_BUCKET_WIDTH_S, 3e-3]
-            )
+            # spectrum from sub-microsecond offsets to
+            # multi-millisecond erases.
+            offset = rng.choice([0.0, 0.0, 1e-7, 5e-6, 64e-6, 3e-3])
             entry = (now + offset * rng.random(), seq, None)
             seq += 1
-            event_list.push(entry)
             heapq.heappush(reference, entry)
-    while reference:
-        assert event_list.pop() == heapq.heappop(reference)
-    assert not event_list
-    assert len(event_list) == 0
+            schedule.append(entry)
+    return schedule
 
 
-class TestOrderingAgreement:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_calendar_matches_heap_on_random_schedules(self, seed):
-        rng = random.Random(seed)
-        _random_schedule_agreement(rng, CalendarEventList(), steps=500)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_heap_event_list_matches_reference(self, seed):
-        rng = random.Random(seed)
-        _random_schedule_agreement(rng, HeapEventList(), steps=300)
-
-    def test_fifo_within_one_timestamp(self):
-        # All at one instant: pop order must be exactly push (seq) order.
-        calendar = CalendarEventList()
-        entries = [(1e-3, seq, None) for seq in range(50)]
-        for entry in entries:
-            calendar.push(entry)
-        assert [calendar.pop() for _ in entries] == entries
-
-    def test_reuse_after_drain_accepts_earlier_times(self):
-        # A drained list is reused at a rebased (smaller) clock — the
-        # cached head bucket must not shadow the new epoch.
-        calendar = CalendarEventList()
-        calendar.push((5e-3, 0, None))
-        assert calendar.pop() == (5e-3, 0, None)
-        calendar.push((0.0, 1, None))
-        calendar.push((1e-6, 2, None))
-        assert calendar.pop() == (0.0, 1, None)
-        assert calendar.pop() == (1e-6, 2, None)
-
-    def test_peek_time_tracks_minimum(self):
-        calendar = CalendarEventList()
-        calendar.push((3e-3, 0, None))
-        assert calendar.peek_time() == 3e-3
-        calendar.push((1e-6, 1, None))
-        assert calendar.peek_time() == 1e-6
-        calendar.pop()
-        assert calendar.peek_time() == 3e-3
-
-    def test_invalid_bucket_width_rejected(self):
-        with pytest.raises(SimulationError):
-            CalendarEventList(bucket_width_s=0.0)
+SCHEDULES = {
+    **{f"random-{seed}": _random_schedule(seed) for seed in range(20)},
+    # All at one instant: pops follow push (sequence) order.
+    "fifo-one-instant": (
+        [(1e-3, seq, None) for seq in range(50)] + [POP] * 50
+    ),
+    # A drained list reused at a rebased (smaller) clock.
+    "push-earlier-after-drain": [
+        (5e-3, 0, None), POP, (0.0, 1, None), (1e-6, 2, None), POP, POP,
+    ],
+}
 
 
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown event list"):
-            SimEngine(event_list="splay")
-
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_identical_run_across_backends(self, backend):
-        # A full engine run (delays, signals, ties) must be bit-exact
-        # regardless of backend.
-        def trace_run(engine):
-            order = []
-            gate = engine.signal()
-
-            def waiter(name):
-                yield gate
-                order.append((name, engine.now_s))
-
-            def firer():
-                yield 250e-6
-                gate.fire()
-                yield 0.0
-                order.append(("firer", engine.now_s))
-
-            for name in ("a", "b", "c"):
-                engine.spawn(waiter(name))
-            engine.spawn(firer())
-            engine.run()
-            return order, engine.now_s, engine.events_processed
-
-        reference = trace_run(SimEngine(event_list="heap"))
-        assert trace_run(SimEngine(event_list=backend)) == reference
+class TestOrdering:
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_heap_event_list_matches_reference(self, schedule):
+        event_list = HeapEventList()
+        reference: list = []
+        for step, entry in enumerate(SCHEDULES[schedule]):
+            if entry is POP:
+                expected = heapq.heappop(reference)
+                assert event_list.pop() == expected, f"diverged at step {step}"
+            else:
+                event_list.push(entry)
+                heapq.heappush(reference, entry)
+        while reference:
+            assert event_list.pop() == heapq.heappop(reference)
+        assert not event_list
+        assert len(event_list) == 0
 
 
 class TestMaxEventsExhaustion:
@@ -162,53 +108,7 @@ class TestMaxEventsExhaustion:
         assert done and done[0] == pytest.approx(30e-6)
 
 
-class TestHandoffSignals:
-    def test_handoff_wakes_only_head_waiter(self):
-        engine = SimEngine()
-        woken = []
-        gate = engine.signal(handoff=True)
-
-        def waiter(name):
-            yield gate
-            woken.append(name)
-
-        def firer():
-            yield 1e-6
-            assert gate.fire() == 1
-
-        for name in ("a", "b", "c"):
-            engine.spawn(waiter(name))
-        engine.spawn(firer())
-        with pytest.raises(SimulationError, match="deadlock"):
-            engine.run()  # b and c stay parked forever
-        assert woken == ["a"]
-
-    def test_handoff_lock_discipline_matches_wake_all(self):
-        # The scheduler's re-check-loop discipline: N holders contend
-        # for one serially-reusable resource.  Handoff and wake-all
-        # must produce identical acquisition orders and finish times.
-        def run(handoff: bool):
-            engine = SimEngine()
-            busy = [False]
-            freed = engine.signal(handoff=handoff)
-            log = []
-
-            def holder(name, hold_s):
-                while busy[0]:
-                    yield freed
-                busy[0] = True
-                yield hold_s
-                busy[0] = False
-                freed.fire()
-                log.append((name, engine.now_s))
-
-            for index, name in enumerate("abcde"):
-                engine.spawn(holder(name, (index + 1) * 10e-6))
-            engine.run()
-            return log
-
-        assert run(handoff=True) == run(handoff=False)
-
+class TestSignals:
     def test_fire_with_no_waiters_is_noop(self):
         engine = SimEngine()
         signal = engine.signal()

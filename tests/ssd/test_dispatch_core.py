@@ -1,0 +1,115 @@
+"""Flat dispatch core: the stream surface and the engine hooks it uses.
+
+The core's timelines themselves (closed batches, resident sessions,
+open-loop streams, tie-heavy arrivals) are pinned by golden digests in
+``tests/ssd/test_dispatch_golden.py``; these tests cover the contracts
+around them: one admission stream per core, argument checks before
+anything is installed, and the engine's flat-frame entry points.
+"""
+
+import random
+
+import pytest
+
+from repro.errors import SimulationError
+from repro.nand.timing import NandTimingModel
+from repro.sim.engine import SimEngine
+from repro.ssd import PipelineConfig, SsdTopology
+from repro.ssd.scheduler import CommandKind, DieCommand, SchedulerCore
+
+READ_PHASES = NandTimingModel.read_phases(
+    sense_s=50e-6, transfer_s=20e-6, decode_s=40e-6, decode_hold_s=25e-6
+)
+PROGRAM_PHASES = NandTimingModel.program_phases(
+    program_s=200e-6, transfer_s=20e-6, encode_s=15e-6
+)
+ERASE_PHASES = NandTimingModel.erase_phases(2e-3)
+
+ALL_KINDS = (CommandKind.READ, CommandKind.PROGRAM, CommandKind.ERASE)
+
+
+def _mixed_stream(
+    n: int, dies: int, seed: int, kinds=ALL_KINDS, first_tag: int = 0
+) -> list[DieCommand]:
+    """Random mixed-kind die/plane stream (reads, programs, erases)."""
+    rng = random.Random(seed)
+    phases = {
+        CommandKind.READ: READ_PHASES,
+        CommandKind.PROGRAM: PROGRAM_PHASES,
+        CommandKind.ERASE: ERASE_PHASES,
+    }
+    return [
+        DieCommand.from_phases(
+            kind, die=rng.randrange(dies), tag=first_tag + i,
+            phases=phases[kind], plane=rng.randrange(2),
+            cache_busy_s=3e-6 if kind is CommandKind.READ else 0.0,
+        )
+        for i, kind in enumerate(
+            kinds[rng.randrange(len(kinds))] for _ in range(n)
+        )
+    ]
+
+
+def _stream_core(pipeline) -> SchedulerCore:
+    """A started, parked scheduler core on a drained engine."""
+    engine = SimEngine()
+    topology = SsdTopology(channels=2, dies_per_channel=2)
+    core = SchedulerCore(engine, topology, pipeline)
+    core.start()
+    engine.run()
+    return core
+
+
+class TestOpenLoopStreams:
+    def test_one_stream_at_a_time(self):
+        core = _stream_core(PipelineConfig.full())
+        commands = _mixed_stream(24, core.topology.dies, seed=59)
+        core.submit_stream(commands, window=2, arrival_s=1e-6)
+        with pytest.raises(SimulationError, match="one stream at a time"):
+            core.submit_stream(commands, window=2, arrival_s=1e-6)
+        core.engine.run()
+        # Drained: a follow-up stream is accepted and runs to the end.
+        follow = _mixed_stream(
+            24, core.topology.dies, seed=61, first_tag=100
+        )
+        core.submit_stream(follow, window=4, arrival_s=2e-6)
+        core.engine.run()
+        assert len(core.completions) == 48
+
+
+class TestSubmitStreamValidation:
+    @pytest.mark.parametrize(
+        "window,arrival_s",
+        [(0, 1e-6), (-2, 1e-6), (4, -1e-6), (4, float("nan"))],
+    )
+    def test_bad_stream_rejected_before_install(self, window, arrival_s):
+        core = _stream_core(PipelineConfig.full())
+        commands = _mixed_stream(10, core.topology.dies, seed=4)
+        with pytest.raises(SimulationError):
+            core.submit_stream(commands, window=window, arrival_s=arrival_s)
+        assert core.engine.idle
+        # Nothing half-installed: a valid stream still runs to the end.
+        core.submit_stream(commands, window=4, arrival_s=1e-6)
+        core.engine.run()
+        assert len(core.completions) == len(commands)
+
+
+class TestEngineFlatSurface:
+    def test_attach_flat_twice_raises(self):
+        engine = SimEngine()
+        engine.attach_flat(lambda event, until_s: (None, 1))
+        with pytest.raises(SimulationError, match="already attached"):
+            engine.attach_flat(lambda event, until_s: (None, 1))
+
+    def test_schedule_at_past_raises(self):
+        topology = SsdTopology(channels=1, dies_per_channel=1)
+        engine = SimEngine()
+        core = SchedulerCore(engine, topology, PipelineConfig.full())
+        core.start()
+        engine.run()
+        core.submit_stream(
+            _mixed_stream(4, topology.dies, seed=2), arrival_s=1e-6
+        )
+        engine.run()
+        with pytest.raises(SimulationError, match="into the past"):
+            engine.schedule_at(engine.now_s - 1e-6, [0])

@@ -4,13 +4,15 @@ The contract under test, per mode:
 
 * ``sync`` — the locked baseline: a session built with GC kwargs but
   ``gc_mode="sync"`` is **bit-exact** (host data and timelines) with a
-  plain session, on both dispatch paths and both event-list backends.
+  plain session.
 * ``foreground`` — collections stall the host window: the classic
   synchronous-GC device the sustained-write benchmark baselines on.
-* ``background`` — watermark/idle-triggered, die-parallel, deterministic
-  across flat/generator dispatch and calendar/heap event lists, faster
-  than foreground on the same churn, observable via GC-origin trace
-  spans and SMART counters.
+* ``background`` — watermark/idle-triggered, die-parallel, faster than
+  foreground on the same churn, observable via GC-origin trace spans
+  and SMART counters.
+
+Each mode's timeline (and the read-ahead one) is pinned by a golden
+digest in ``tests/ssd/test_dispatch_golden.py``.
 
 Every mode shares one submission path, so two invariants hold in all
 three: a trim never overtakes an earlier submission still in the
@@ -31,7 +33,6 @@ from repro.errors import ControllerError, SimulationError
 from repro.ftl.gc import GcConfig, GcStats
 from repro.nand.geometry import NandGeometry
 from repro.obs.trace import KIND_NAMES, TRACK_PLANE, TraceRecorder
-from repro.sim.engine import SimEngine
 from repro.sim.host import OpenLoopWorkload, run_open_loop_workload
 from repro.ssd import (
     DieStripedFtl,
@@ -45,12 +46,6 @@ from repro.workloads.traces import TraceOp, TraceOpKind
 
 QUEUE_DEPTH = 4
 
-DISPATCH_GRID = [
-    (fast_batch, event_list)
-    for fast_batch in (True, False)
-    for event_list in ("calendar", "heap")
-]
-
 
 def _page(tag: int) -> bytes:
     return bytes([tag & 0xFF]) * 4096
@@ -60,8 +55,6 @@ def _build(
     gc_mode="background",
     *,
     dies=2,
-    fast_batch=True,
-    event_list="calendar",
     recorder=None,
     gc_config=None,
     plain=False,
@@ -92,9 +85,7 @@ def _build(
     }
     session = SsdSession(
         ssd=ssd,
-        engine=SimEngine(event_list=event_list),
         queue_depth=QUEUE_DEPTH,
-        fast_batch=fast_batch,
         recorder=recorder,
         **kwargs,
     )
@@ -161,21 +152,14 @@ def _expected_read_datas(ops):
 
 
 class TestSyncEquivalence:
-    @pytest.mark.parametrize("fast_batch,event_list", DISPATCH_GRID)
-    def test_sync_mode_bit_exact_with_plain_session(
-        self, fast_batch, event_list
-    ):
+    def test_sync_mode_bit_exact_with_plain_session(self):
         """GC kwargs are inert in sync mode: same data, same timeline."""
-        ftl, session = _build(
-            plain=True, fast_batch=fast_batch, event_list=event_list
-        )
+        ftl, session = _build(plain=True)
         ops = _churn(ftl.logical_capacity)
         baseline, base_done = _run(ftl, session, ops)
 
         gc_ftl, gc_session = _build(
             "sync",
-            fast_batch=fast_batch,
-            event_list=event_list,
             gc_config=GcConfig(
                 policy="cost_benefit", low_water_blocks=1,
                 high_water_blocks=3,
@@ -196,20 +180,6 @@ class TestSyncEquivalence:
         ftl, _ = _build(plain=True)
         with pytest.raises(SimulationError):
             SsdSession(ftl, gc_mode="idle")
-
-
-class TestBackgroundDeterminism:
-    def test_timeline_identical_across_dispatch_and_event_lists(self):
-        """Die-parallel GC replays bit-exactly on all four machineries."""
-        prints = []
-        for fast_batch, event_list in DISPATCH_GRID:
-            ftl, session = _build(
-                "background", fast_batch=fast_batch, event_list=event_list
-            )
-            result, done = _run(ftl, session, _churn(ftl.logical_capacity))
-            assert ftl.gc_stats.background_collections > 0
-            prints.append((result.elapsed_s, _fingerprint(done)))
-        assert all(p == prints[0] for p in prints[1:])
 
 
 class TestCrossModeEquivalence:
@@ -520,19 +490,6 @@ class TestReadAhead:
         assert PipelineConfig.full().read_ahead is False
         assert "ra" not in PipelineConfig.full().describe()
         assert _read_ahead_config(True).describe().endswith("+ra")
-
-    def test_flat_matches_generator_with_read_ahead(self):
-        prints = []
-        for fast_batch in (True, False):
-            ftl, session = _build(
-                plain=True, dies=1, fast_batch=fast_batch,
-                pipeline=_read_ahead_config(True), plane_interleave=False,
-            )
-            result, done = _run(
-                ftl, session, _sequential_reads(ftl.logical_capacity)
-            )
-            prints.append((result.elapsed_s, _fingerprint(done)))
-        assert prints[0] == prints[1]
 
     def test_read_ahead_never_slower_on_sequential_reads(self):
         def makespan(on: bool) -> float:
