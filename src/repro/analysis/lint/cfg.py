@@ -4,14 +4,14 @@ The scheduler's locks follow a small syntactic protocol — this check
 verifies it *structurally*, complementing the runtime sanitizer (which
 verifies executions):
 
-* **acquire** — ``X.busy = True`` / ``X.busy += 1`` (generator `_Lock`)
-  or ``X[0] = True`` / ``X[0] = X[0] + 1`` (flat lock lists);
+* **acquire** — ``X.busy = True`` / ``X.busy += 1`` (attribute-style
+  locks) or ``X[0] = True`` / ``X[0] = X[0] + 1`` (flat lock lists);
 * **release** — the mirror assignments (``False`` / ``- 1``);
 * **handoff** — ownership leaves the function without a release on its
-  own lines.  Two forms exist in this codebase: the lock variable passed
-  on (a bare name in call arguments or a list/tuple literal — e.g.
-  ``spawn(self._read_drain(..., cache, ...))``, or the flat drain-frame
-  literal that carries ``cache``), and the flat burst's *release
+  own lines.  Two forms are recognised: the lock variable passed on (a
+  bare name in call arguments or a list/tuple literal — e.g.
+  ``engine.spawn(drain(cache))``, or the flat drain-frame literal that
+  carries ``cache``), and the flat burst's *release
   continuation* — assigning a ``P_*REL`` / ``P_TRCBSY`` program-counter
   constant (``frame[0] = P_BUSREL``) parks the release in a later state
   machine arm, so the current arm's obligation is discharged.

@@ -10,9 +10,8 @@ telemetry layer that does, in three instruments:
 :class:`~repro.obs.trace.TraceRecorder` passed to a
 :class:`~repro.ssd.scheduler.SchedulerCore` (or an
 :class:`~repro.ssd.session.SsdSession`) records one span per resource
-reservation, on both dispatch paths (generator workers and the flat
-``_flat_burst`` core).  The span model mirrors the scheduler's own
-accounting exactly:
+reservation in the flat ``_flat_burst`` dispatch core.  The span model
+mirrors the scheduler's own accounting exactly:
 
 * a **plane** span per array phase (sense / ISPP program / erase, and
   the tRCBSY cache handoff) — these sum to ``die_busy_s``;

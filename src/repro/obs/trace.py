@@ -6,11 +6,10 @@ resource reservation the scheduler accounts — exactly the intervals
 that feed the ``die_busy_s`` / ``channel_busy_s`` / ``ecc_busy_s``
 accumulators, plus a queue-wait span per command — so the trace's
 per-resource totals reconcile with the scheduler's own accounting to
-float tolerance (:meth:`TraceRecorder.busy_totals`).  Both dispatch
-paths emit spans: the generator workers and the flat ``_flat_burst``
-core record at the same accounting points, and recording changes no
-event ordering, sequence allocation or float arithmetic — traced runs
-are bit-identical to untraced ones.
+float tolerance (:meth:`TraceRecorder.busy_totals`).  The flat
+``_flat_burst`` dispatch core records at its accounting points, and
+recording changes no event ordering, sequence allocation or float
+arithmetic — traced runs are bit-identical to untraced ones.
 
 Spans are plain 7-tuples ``(track, a, b, start_s, end_s, tag, kind)``:
 

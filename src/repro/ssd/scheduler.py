@@ -373,16 +373,16 @@ def closed_admission(
     core: "SchedulerCore",
     commands: list[DieCommand],
     queue_depth: int | None,
-    wake_workers: bool = False,
+    wake_frames: bool = False,
 ) -> Process:
     """Admit a closed batch through a bounded in-flight window.
 
     ``queue_depth`` bounds how many commands are in flight at once
     (``None`` admits everything immediately — an infinitely deep
-    queue).  Commands are admitted in list order.  ``wake_workers``
+    queue).  Commands are admitted in list order.  ``wake_frames``
     is required when the core's dispatch frames are already resident
     (parked): the initial in-flight window is queued with wake-ups
-    suppressed, then :meth:`SchedulerCore.wake_workers` resumes the
+    suppressed, then :meth:`SchedulerCore.wake_frames` resumes the
     frames that actually received work in (die, plane) order — the same
     deterministic order as a fresh core's start-up, without scheduling
     a no-op wake for every idle plane.
@@ -390,13 +390,13 @@ def closed_admission(
     limit = len(commands) if queue_depth is None else queue_depth
     submit_s = core.engine.now_s  # the whole batch is submitted up front
     index = 0
-    if wake_workers:
+    if wake_frames:
         for command in commands:
             if core.in_flight >= limit:
                 break
             core.enqueue(command, submit_s=submit_s, wake=False)
             index += 1
-        core.wake_workers()
+        core.wake_frames()
     for command in commands[index:]:
         while core.in_flight >= limit:
             yield core.completed
@@ -596,7 +596,7 @@ class SchedulerCore:
         """True when no command is queued or executing."""
         return self.in_flight == 0
 
-    def wake_workers(self) -> None:
+    def wake_frames(self) -> None:
         """Wake every parked frame with queued work, (die, plane) order.
 
         Before admitting a closed batch into a resident core, this puts
@@ -745,7 +745,7 @@ class SchedulerCore:
           its turn).  If it is strictly earlier than every queued event
           it is the unique global minimum — by time alone, before
           tie-breaks — and runs inline without a push/pop round-trip.
-        * ``dws`` — same-instant wakes (lock handoffs, drain spawns,
+        * ``dws`` — same-instant wakes (lock releases, drain spawns,
           admission wakes).  They are FIFO in allocation order and
           order after every queued event at ``now`` (all of which hold
           smaller sequence numbers), so they drain inline once the
@@ -1117,7 +1117,7 @@ class SchedulerCore:
                                 frame[0] = P_TRCBSY
                                 nxt_t = now + trcbsy
                                 break
-                            # zero handoff: spawn the drain and move on
+                            # no tRCBSY: spawn the drain and move on
                             drain = [
                                 P_SECTION, frame[1], frame[2], frame[3],
                                 None, False, frame[6], 0, 0, cache,

@@ -41,6 +41,11 @@ route through it, which is what lets every namespace of a
 :class:`~repro.ftl.service.DifferentiatedStorage` share one device-wide
 queue.
 
+Every session drives the scheduler's one dispatch core on its engine's
+one event list; no knob selects another implementation.  The golden
+digests in ``tests/ssd/test_dispatch_golden.py`` pin the timelines of
+``submit``, ``execute`` and every GC mode.
+
 Garbage collection and the timeline — three session modes.  Every mode
 stages I/O the same way, at admission; ``gc_mode`` decides only where
 collections run and how they meet the host window:
@@ -350,7 +355,7 @@ class SsdSession:
         self.core.reset_accounting()
         self.core.completions.clear()
         self.engine.spawn(closed_admission(
-            self.core, commands, queue_depth, wake_workers=True
+            self.core, commands, queue_depth, wake_frames=True
         ))
         makespan = self.engine.run()
         completions = list(self.core.completions)

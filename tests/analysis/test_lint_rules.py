@@ -255,8 +255,7 @@ def test_det107_negative_balanced():
 
 
 def test_det107_negative_handoff_spawn():
-    # Passing the held lock into a spawned drain hands ownership off —
-    # the _worker -> _read_drain pattern.
+    # Passing the held lock into a spawned drain hands ownership off.
     assert _codes("""
         def worker(engine, cache, drain):
             cache.busy += 1

@@ -60,19 +60,19 @@ SCHEDULES = {
 class TestOrdering:
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
     def test_heap_event_list_matches_reference(self, schedule):
-        event_list = HeapEventList()
+        events = HeapEventList()
         reference: list = []
         for step, entry in enumerate(SCHEDULES[schedule]):
             if entry is POP:
                 expected = heapq.heappop(reference)
-                assert event_list.pop() == expected, f"diverged at step {step}"
+                assert events.pop() == expected, f"diverged at step {step}"
             else:
-                event_list.push(entry)
+                events.push(entry)
                 heapq.heappush(reference, entry)
         while reference:
-            assert event_list.pop() == heapq.heappop(reference)
-        assert not event_list
-        assert len(event_list) == 0
+            assert events.pop() == heapq.heappop(reference)
+        assert not events
+        assert len(events) == 0
 
 
 class TestMaxEventsExhaustion:
