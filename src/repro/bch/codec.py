@@ -170,11 +170,8 @@ class AdaptiveBCHCodec:
     def decode(
         self, codeword: bytes, t: int | None = None, strict: bool = True
     ) -> DecodeResult:
-        """Decode and record feedback for the reliability manager."""
-        t = self._t if t is None else t
-        result = self._decoder(t).decode(codeword, strict=strict)
-        self._observe_decode(result, self.spec_for(t).n)
-        return result
+        """Decode one codeword: a batch of one."""
+        return self.decode_batch([codeword], t=t, strict=strict)[0]
 
     def decode_batch(
         self,

@@ -120,22 +120,10 @@ class BCHDecoder:
             If True (default) raise :class:`DecodingFailure` on uncorrectable
             words; otherwise return a :class:`DecodeResult` with
             ``success=False`` carrying the uncorrected message bytes.
+
+        A batch of one through :meth:`decode_batch`.
         """
-        self._check_length(codeword)
-        calc = self.syndrome_calculator
-        syndromes = (
-            calc.syndromes_vectorized(codeword)
-            if self.vectorized
-            else calc.syndromes(codeword)
-        )
-        if SyndromeCalculator.all_zero(syndromes):
-            self.stats.observe(0, self.spec.n, failed=False)
-            return DecodeResult(
-                data=bytes(codeword[: self.spec.k // 8]),
-                corrected_bits=0,
-                early_exit=True,
-            )
-        return self._correct(codeword, syndromes, strict)
+        return self.decode_batch([codeword], strict=strict)[0]
 
     def decode_batch(
         self, codewords: Sequence[bytes], strict: bool = True

@@ -150,15 +150,8 @@ class NandController:
     # -- data operations ------------------------------------------------------------
 
     def write(self, block: int, page: int, data: bytes) -> WriteReport:
-        """Encode and program one page."""
-        flow = self.fsm.write_page(block, page, data)
-        return WriteReport(
-            latencies=flow.latencies,
-            ecc_t=self.codec.t,
-            algorithm=self.device.program_algorithm,
-            block=block,
-            page=page,
-        )
+        """Encode and program one page: a batch of one."""
+        return self.write_batch([(block, page, data)])[0]
 
     def _update_telemetry_registers(self) -> None:
         obs = self.codec.observation()
@@ -181,11 +174,11 @@ class NandController:
         if decision is not None and decision.changed:
             self.apply_config(decision.config.algorithm, decision.config.ecc_t)
 
-    def _read_report(self, flow, block: int = -1, page: int = -1) -> ReadReport:
+    def _read_report(self, flow, block: int, page: int) -> ReadReport:
         assert flow.decode is not None
         return ReadReport(
             latencies=flow.latencies,
-            ecc_t=self.codec.t,
+            ecc_t=flow.ecc_t,
             corrected_bits=flow.decode.corrected_bits,
             success=flow.decode.success,
             block=block,
@@ -193,12 +186,8 @@ class NandController:
         )
 
     def read(self, block: int, page: int) -> tuple[bytes, ReadReport]:
-        """Read and correct one page; updates reliability telemetry."""
-        flow = self.fsm.read_page(block, page, strict=self.config.strict_decode)
-        self._update_telemetry_registers()
-        if self._self_adaptive:
-            self._maybe_adapt()
-        return flow.data, self._read_report(flow, block, page)
+        """Read and correct one page: a batch of one."""
+        return self.read_batch([(block, page)])[0]
 
     def write_batch(
         self, ops: list[tuple[int, int, bytes]]
@@ -209,7 +198,7 @@ class NandController:
         return [
             WriteReport(
                 latencies=flow.latencies,
-                ecc_t=self.codec.t,
+                ecc_t=flow.ecc_t,
                 algorithm=self.device.program_algorithm,
                 block=block,
                 page=page,
@@ -221,20 +210,29 @@ class NandController:
         self, addresses: list[tuple[int, int]]
     ) -> list[tuple[bytes, ReadReport]]:
         """Read and correct a batch of pages (one ``decode_batch`` per
-        stored capability); telemetry matches per-page :meth:`read`.
+        stored capability) and update the telemetry registers.
 
         In self-adaptive mode adaptation decisions must observe the
         telemetry grow page by page (an epoch boundary can fall inside
-        the batch), so that mode keeps the serial flow.
+        the batch), so that mode senses and decodes one page at a time:
+        after each page it updates the registers, lets the reliability
+        manager adapt, then reports the page.
         """
-        if self._self_adaptive:
-            return [self.read(block, page) for block, page in addresses]
-        flows = self.fsm.read_pages(addresses, strict=self.config.strict_decode)
-        self._update_telemetry_registers()
-        return [
-            (flow.data, self._read_report(flow, block, page))
-            for (block, page), flow in zip(addresses, flows)
-        ]
+        strict = self.config.strict_decode
+        if not self._self_adaptive:
+            flows = self.fsm.read_pages(addresses, strict=strict)
+            self._update_telemetry_registers()
+            return [
+                (flow.data, self._read_report(flow, block, page))
+                for (block, page), flow in zip(addresses, flows)
+            ]
+        results = []
+        for block, page in addresses:
+            (flow,) = self.fsm.read_pages([(block, page)], strict=strict)
+            self._update_telemetry_registers()
+            self._maybe_adapt()
+            results.append((flow.data, self._read_report(flow, block, page)))
+        return results
 
     def erase(self, block: int) -> float:
         """Erase a block; returns the erase latency."""

@@ -2,7 +2,10 @@
 
 Sequences each page operation through the datapath — OCP burst, page
 buffer, ECC codec, flash device — accounting the latency of every stage.
-:class:`CoreControllerFsm` is the **paper-faithful** non-pipelined flow
+There is one datapath: :meth:`CoreControllerFsm.read_pages` and
+:meth:`~CoreControllerFsm.write_pages` run the flows for a batch of
+pages, and the per-page ``read_page`` / ``write_page`` are a batch of
+one.  :class:`CoreControllerFsm` is the **paper-faithful** non-pipelined flow
 the paper's throughput numbers assume: the single page buffer enforces
 the structural hazard, so a batch's elapsed time is the serial sum of
 every stage of every page.
@@ -52,10 +55,15 @@ class StageLatencies:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Outcome of one core-controller flow."""
+    """Outcome of one core-controller flow.
+
+    ``ecc_t`` is the correction capability the page was encoded with:
+    the active one on a write, the one stored for the page on a read.
+    """
 
     data: bytes
     latencies: StageLatencies
+    ecc_t: int
     decode: DecodeResult | None = None
 
 
@@ -94,38 +102,15 @@ class CoreControllerFsm:
     # -- write flow -----------------------------------------------------------
 
     def write_page(self, block: int, page: int, data: bytes) -> FlowResult:
-        """OCP in -> buffer -> encode -> program."""
-        check_page_data(data, self.device.geometry.page_data_bytes)
-        parity_bytes = self.codec.parity_bytes()
-        if not self.spare.fits(parity_bytes):
-            raise ControllerError(
-                f"t={self.codec.t} parity ({parity_bytes} B) exceeds the "
-                f"spare-area budget ({self.spare.parity_budget_bytes} B)"
-            )
-        transfer_s = self.ocp.data_burst(len(data))
-        self.buffer.load(data)
-        staged = self.buffer.drain()
-        codeword = self.codec.encode(staged)
-        encode_s = self.codec.encode_latency_s()
-        report = self.device.program_page(block, page, codeword)
-        self._written_t[(block, page)] = self.codec.t
-        return FlowResult(
-            data=staged,
-            latencies=StageLatencies(
-                transfer_s=transfer_s,
-                encode_s=encode_s,
-                program_s=report.latency_s,
-            ),
-        )
+        """OCP in -> buffer -> encode -> program, as a batch of one."""
+        return self.write_pages([(block, page, data)])[0]
 
     def write_pages(
         self, ops: list[tuple[int, int, bytes]]
     ) -> list[FlowResult]:
-        """Batched write flow: one codec ``encode_batch`` for all pages.
-
-        Semantically identical to calling :meth:`write_page` per op (same
-        device call order, same latency accounting); the ECC encode of the
-        whole batch runs through the vectorized datapath.
+        """Write flow for a batch of pages: every op goes OCP in ->
+        buffer -> encode -> program, with one codec ``encode_batch`` for
+        the whole batch and one device ``program_pages`` in op order.
         """
         expected = self.device.geometry.page_data_bytes
         parity_bytes = self.codec.parity_bytes()
@@ -146,11 +131,12 @@ class CoreControllerFsm:
         reports = self.device.program_pages(
             [(block, page) for block, page, _ in ops], codewords
         )
+        t = self.codec.t
         results = []
         for (block, page, _), data, report, transfer_s in zip(
             ops, staged, reports, transfers
         ):
-            self._written_t[(block, page)] = self.codec.t
+            self._written_t[(block, page)] = t
             results.append(
                 FlowResult(
                     data=data,
@@ -159,6 +145,7 @@ class CoreControllerFsm:
                         encode_s=encode_s,
                         program_s=report.latency_s,
                     ),
+                    ecc_t=t,
                 )
             )
         return results
@@ -174,35 +161,24 @@ class CoreControllerFsm:
     # -- read flow ---------------------------------------------------------------
 
     def read_page(self, block: int, page: int, strict: bool = True) -> FlowResult:
-        """Sense -> decode -> buffer -> OCP out."""
-        raw, report = self.device.read_page(block, page)
-        data_bytes = self.device.geometry.page_data_bytes
-        written_t = self._written_t.get((block, page))
-        if written_t is None:
-            raise ControllerError(
-                f"page {block}/{page} holds no ECC-protected data"
-            )
-        parity_bytes = self.codec.parity_bytes(written_t)
-        codeword = raw[: data_bytes + parity_bytes]
-        if len(codeword) < data_bytes + parity_bytes:
-            raise ControllerError(
-                "stored page shorter than its codeword (corrupt spare area?)"
-            )
-        result = self.codec.decode(codeword, t=written_t, strict=strict)
-        return self._finish_read(result, report.latency_s, written_t)
+        """Sense -> decode -> buffer -> OCP out, as a batch of one."""
+        return self.read_pages([(block, page)], strict=strict)[0]
 
     def read_pages(
         self, addresses: list[tuple[int, int]], strict: bool = True
     ) -> list[FlowResult]:
-        """Batched read flow: one device ``read_pages`` senses the whole
-        batch (vectorized RBER + error injection), then pages sharing a
-        stored capability decode through one ``decode_batch`` call (clean
-        pages early-exit in the vectorized syndrome pass).
+        """Read flow for a batch of pages: one device ``read_pages``
+        senses the whole batch (vectorized RBER + error injection), then
+        pages sharing a stored capability decode through one
+        ``decode_batch`` call (clean pages early-exit in the vectorized
+        syndrome pass).
 
-        Semantically identical to calling :meth:`read_page` per address:
-        same RBER/latency accounting and the same error distribution
-        (the scalar path's injection consumes the RNG differently, so
-        exact error positions match statistically, not draw-for-draw).
+        Every address is checked for a stored capability before the
+        device is touched, so a rejected batch senses nothing.
+        :meth:`read_page` is a batch of one, draw for draw.  A batch of
+        N draws errors from the same distribution as N single reads, with
+        the same RBER and latency accounting, but not the same draws: the
+        error injection spans the whole batch.
         """
         stored_ts: list[int] = []
         for block, page in addresses:
@@ -245,7 +221,7 @@ class CoreControllerFsm:
     def _finish_read(
         self, result: DecodeResult, read_array_s: float, written_t: int
     ) -> FlowResult:
-        """Latency accounting + OCP-out stage shared by both read flows."""
+        """Latency accounting + OCP-out stage of one decoded page."""
         decode_s = self.codec.decode_latency_s(
             t=written_t, with_errors=not result.early_exit
         )
@@ -259,6 +235,7 @@ class CoreControllerFsm:
                 decode_s=decode_s,
                 transfer_s=transfer_s,
             ),
+            ecc_t=written_t,
             decode=result,
         )
 

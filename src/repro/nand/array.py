@@ -23,13 +23,18 @@ Error injection
 :meth:`NandArray.read_pages` corrupts a whole batch in one vectorized
 pass with no Python per-bit loop.  Flipping each stored bit independently
 with probability ``rber`` (which makes per-page error counts exactly
-``Binomial(n_bits, rber)`` at uniformly random distinct positions — the
-same distribution the scalar seed path drew) is implemented by
-skip-sampling: geometric gaps at the batch's envelope rate ``max(rber)``
-locate candidate flips across the concatenated bitstream of the batch,
-and per-page thinning with probability ``rber_i / max(rber)`` keeps each
-page at its own rate.  The work is O(injected errors), not O(bits), and
-the flips are applied through packed byte masks.
+``Binomial(n_bits, rber)`` at uniformly random distinct positions) is
+implemented by skip-sampling: geometric gaps at the batch's envelope
+rate ``max(rber)`` locate candidate flips across the concatenated
+bitstream of the batch, and per-page thinning with probability
+``rber_i / max(rber)`` keeps each page at its own rate.  The work is
+O(injected errors), not O(bits), and the flips are applied through
+packed byte masks.
+
+There is one datapath: :meth:`NandArray.read_page` and
+:meth:`~NandArray.program_page` are a batch of one through
+:meth:`~NandArray.read_pages` and :meth:`~NandArray.program_pages`.  A
+batch is validated whole before any page, counter or RNG draw moves.
 """
 
 from __future__ import annotations
@@ -104,28 +109,8 @@ class NandArray:
         self._reads_since_erase[block] = 0
 
     def program_page(self, block: int, page: int, data: bytes) -> None:
-        """Program one page; NAND forbids reprogramming without erase.
-
-        Dedicated scalar path: serial DES traffic skips the batch
-        machinery's array construction and validation passes (the batch-1
-        overhead flagged after the PR 2 vectorization).
-        """
-        flat = self.geometry.page_address(block, page)
-        if self._programmed[flat]:
-            raise NandOperationError(
-                f"page {block}/{page} already programmed; erase the block first"
-            )
-        page_bytes = self.geometry.page_bytes
-        width = len(data)
-        if width > page_bytes:
-            raise NandOperationError(
-                f"data ({width} B) exceeds page ({page_bytes} B)"
-            )
-        row = self._store[flat]
-        row[:width] = np.frombuffer(data, dtype=np.uint8)
-        if width < page_bytes:
-            row[width:] = 0xFF
-        self._programmed[flat] = True
+        """Program one page: a batch of one through :meth:`program_pages`."""
+        self.program_pages([self.geometry.page_address(block, page)], [data])
 
     def program_pages(
         self, flats: np.ndarray, datas: Sequence[bytes]
@@ -146,13 +131,14 @@ class NandArray:
         if flats.size == 0:
             return
         self._check_flats(flats)
-        if np.any(self._programmed[flats]):
-            bad = int(flats[self._programmed[flats]][0])
+        reprogrammed = self._programmed[flats]
+        if reprogrammed.any():
+            bad = int(flats[reprogrammed][0])
             block, page = self.geometry.split_address(bad)
             raise NandOperationError(
                 f"page {block}/{page} already programmed; erase the block first"
             )
-        if np.unique(flats).size != flats.size:
+        if flats.size > 1 and np.unique(flats).size != flats.size:
             raise NandOperationError("duplicate page addresses in one batch")
         page_bytes = self.geometry.page_bytes
         lengths = [len(data) for data in datas]
@@ -178,36 +164,10 @@ class NandArray:
         return bool(self._programmed[self.geometry.page_address(block, page)])
 
     def read_page(self, block: int, page: int, rber: float = 0.0) -> bytes:
-        """Read a page back, injecting bit errors at the given RBER.
-
-        Erased pages read back as all 0xFF (NAND convention).  Error counts
-        are binomial over the page and positions uniform without
-        replacement.  Dedicated scalar path: no batch-array construction,
-        and clean or erased reads return without copying through the
-        injection kernel (the batch-1 overhead flagged after PR 2).
-        """
-        flat = self.geometry.page_address(block, page)
-        if rber >= 1.0:
-            raise NandOperationError(f"RBER must be < 1, got {rber}")
-        if rber < 0.0:
-            raise NandOperationError("RBER must be non-negative")
-        self._reads_since_erase[block] += 1
-        if not self._programmed[flat]:
-            return bytes([0xFF]) * self.geometry.page_bytes
-        row = self._store[flat]
-        if rber == 0.0:
-            return row.tobytes()
-        # Draw the page's exact Binomial error count first: clean reads
-        # (the common case at healthy RBER) return without any injection
-        # work, and errored ones flip that many uniform distinct bits.
-        n_bits = self.geometry.page_bytes * 8
-        n_errors = int(self.rng.binomial(n_bits, rber))
-        if n_errors == 0:
-            return row.tobytes()
-        out = bytearray(row.tobytes())
-        for pos in self.rng.choice(n_bits, size=n_errors, replace=False):
-            out[pos >> 3] ^= 0x80 >> (pos & 7)
-        return bytes(out)
+        """Read one page: a batch of one through :meth:`read_pages`."""
+        return self.read_pages(
+            [self.geometry.page_address(block, page)], [rber]
+        )[0].tobytes()
 
     def read_pages(self, flats: np.ndarray, rbers: np.ndarray) -> np.ndarray:
         """Read a batch of pages, injecting bit errors in one pass.
@@ -233,11 +193,10 @@ class NandArray:
                 "flats and rbers must be matching one-dimensional arrays"
             )
         self._check_flats(flats)
-        if np.any(rbers >= 1.0):
-            bad = float(rbers[rbers >= 1.0][0])
-            raise NandOperationError(f"RBER must be < 1, got {bad}")
-        if np.any(rbers < 0.0):
-            raise NandOperationError("RBER must be non-negative")
+        valid = (rbers >= 0.0) & (rbers < 1.0)  # False for NaN too
+        if not valid.all():
+            bad = float(rbers[~valid][0])
+            raise NandOperationError(f"RBER must be in [0, 1), got {bad}")
         # Every read stresses its block (read disturb), programmed or not.
         np.add.at(
             self._reads_since_erase, flats // self.geometry.pages_per_block, 1

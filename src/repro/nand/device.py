@@ -10,16 +10,16 @@ Bundles the behavioural array with the physical-layer models:
 * operation latencies come from cached ISPP Monte-Carlo timing runs
   (re-simulated per algorithm and wear decade, not per operation).
 
-The datapath is batch-native: per-page metadata (program algorithm,
-wear at program time) lives in parallel numpy arrays indexed by flat page
+The datapath is batch-native: per-page metadata (the program algorithm
+each page was written with) lives in a numpy array indexed by flat page
 address, so :meth:`NandFlashDevice.read_pages` computes every page's
 effective RBER — lifetime curve x read-disturb growth — in one vectorized
-pass and issues a single batched array read.  The scalar
-:meth:`read_page` / :meth:`program_page` are dedicated fast paths with
-identical semantics (same RBER/latency/metadata arithmetic, same error
-*distribution*); their error injection consumes the RNG differently
-from the batch kernels, so the two paths agree statistically, not
-draw-for-draw.
+pass and issues a single batched array read.  It is the only read path:
+:meth:`~NandFlashDevice.read_page` and :meth:`~NandFlashDevice.program_page`
+are a batch of one, so a scalar call and ``read_pages([address])`` return
+the same bytes and reports, draw for draw.  A rejected batch (bad
+address, invalid RBER) raises :class:`NandOperationError` before any
+counter or RNG draw moves.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class BatchReadReport:
     Keeps the hot batch path free of per-page object construction: the
     per-page effective RBERs and algorithm codes stay as arrays, and
     :class:`OperationReport` views are materialized only on demand
-    (scalar wrappers, tests, telemetry dumps).
+    (:meth:`NandFlashDevice.read_page` takes ``report(0)``, tests and
+    telemetry dumps the rest).
     """
 
     latency_s: float
@@ -105,7 +106,7 @@ class ReadDisturbParams:
     def factor_batch(self, reads_since_erase: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`factor` over a per-page read-count array."""
         reads = np.asarray(reads_since_erase, dtype=float)
-        if np.any(reads < 0):
+        if (reads < 0).any():
             raise NandOperationError("read count must be non-negative")
         return 1.0 + self.coefficient * reads / self.reads_ref
 
@@ -181,22 +182,8 @@ class NandFlashDevice:
     # -- operations ----------------------------------------------------------------
 
     def program_page(self, block: int, page: int, data: bytes) -> OperationReport:
-        """Program a page with the selected algorithm.
-
-        Dedicated scalar path (no batch-array construction) so serial DES
-        traffic does not pay per-call numpy dispatch overhead; reports are
-        identical to a batch of one.
-        """
-        self.array.program_page(block, page, data)
-        self.page_programs += 1
-        flat = self.geometry.page_address(block, page)
-        self._meta_algorithm[flat] = _ALG_CODE[self._algorithm]
-        return OperationReport(
-            latency_s=self.program_time_s(
-                self._algorithm, float(self.array._wear[block])
-            ),
-            algorithm=self._algorithm,
-        )
+        """Program one page: a batch of one through :meth:`program_pages`."""
+        return self.program_pages([(block, page)], [data])[0]
 
     def program_pages(
         self,
@@ -206,9 +193,9 @@ class NandFlashDevice:
         """Program a batch of pages with the selected algorithm.
 
         The batch is validated and stored through one
-        :meth:`NandArray.program_pages` pass; per-page metadata and
-        latencies (one timing Monte-Carlo per wear decade, reused across
-        the batch) are filled vectorized.
+        :meth:`NandArray.program_pages` pass; per-page metadata is
+        filled vectorized, and latencies come from the timing cache (one
+        ISPP Monte-Carlo per wear decade, reused across the batch).
         """
         if len(addresses) != len(datas):
             raise NandOperationError(
@@ -221,36 +208,15 @@ class NandFlashDevice:
         self.page_programs += len(addresses)
         wear = self.array.wear_batch(blocks)
         self._meta_algorithm[flats] = _ALG_CODE[self._algorithm]
-        latencies = self._program_times(self._algorithm, wear)
         return [
-            OperationReport(latency_s=float(latency), algorithm=self._algorithm)
-            for latency in latencies
+            OperationReport(latency_s=latency, algorithm=self._algorithm)
+            for latency in self._program_times(self._algorithm, wear)
         ]
 
     def read_page(self, block: int, page: int) -> tuple[bytes, OperationReport]:
-        """Read a page; stored pages suffer RBER-driven bit errors.
-
-        Dedicated scalar path: per-page RBER (stored algorithm x current
-        wear x read disturb) is computed with plain float arithmetic and
-        the array's scalar read, skipping the batch kernels' numpy
-        dispatch overhead.  Values match a batch of one to the last bit
-        of float arithmetic.
-        """
-        self.page_reads += 1
-        flat = self.geometry.page_address(block, page)
-        code = int(self._meta_algorithm[flat])
-        rber = 0.0
-        algorithm = None
-        if code != _NO_META:
-            algorithm = _ALGORITHMS[code]
-            rber = self.rber_model.rber(algorithm, float(self.array._wear[block]))
-            rber *= self.disturb.factor(int(self.array._reads_since_erase[block]))
-        data = self.array.read_page(block, page, rber)
-        return data, OperationReport(
-            latency_s=self.timing.read_time_s(),
-            rber=rber,
-            algorithm=algorithm,
-        )
+        """Read one page: a batch of one through :meth:`read_pages`."""
+        raw, report = self.read_pages([(block, page)])
+        return raw[0].tobytes(), report.report(0)
 
     def read_pages(
         self, addresses: list[tuple[int, int]]
@@ -273,7 +239,6 @@ class NandFlashDevice:
                     algorithm_codes=np.zeros(0, dtype=np.int8),
                 ),
             )
-        self.page_reads += len(addresses)
         blocks, flats = self._flat_addresses(addresses)
         codes = self._meta_algorithm[flats]
         programmed = codes != _NO_META
@@ -296,6 +261,7 @@ class NandFlashDevice:
                 reads[programmed]
             )
         raw = self.array.read_pages(flats, rbers)
+        self.page_reads += len(addresses)
         return raw, BatchReadReport(
             latency_s=self.timing.read_time_s(),
             rbers=rbers,
@@ -347,20 +313,15 @@ class NandFlashDevice:
 
     def _program_times(
         self, algorithm: IsppAlgorithm, wear: np.ndarray
-    ) -> np.ndarray:
-        """Per-page program latencies; one cache fill per wear decade."""
-        wear = np.asarray(wear, dtype=float)
-        decades = np.where(
-            wear < 1, 0, np.floor(np.log10(np.maximum(wear, 1.0)))
-        ).astype(np.int64)
-        latencies = np.empty(wear.size, dtype=float)
-        for decade in np.unique(decades):
-            mask = decades == decade
-            # Any wear value inside the decade hits the same cache slot.
-            latencies[mask] = self.program_time_s(
-                algorithm, float(wear[mask][0])
-            )
-        return latencies
+    ) -> list[float]:
+        """Per-page program latencies.  Distinct wear values are looked
+        up in ascending order, so the timing cache fills (one ISPP
+        Monte-Carlo per new wear decade) in ascending decade order."""
+        wears = wear.tolist()
+        times = {
+            w: self.program_time_s(algorithm, w) for w in sorted(set(wears))
+        }
+        return [times[w] for w in wears]
 
     def rber_now(self, block: int, algorithm: IsppAlgorithm | None = None) -> float:
         """Current RBER of pages programmed in this block with ``algorithm``."""
@@ -378,11 +339,11 @@ class NandFlashDevice:
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise NandOperationError("addresses must be (block, page) pairs")
         blocks, pages = pairs[:, 0], pairs[:, 1]
-        if np.any((blocks < 0) | (blocks >= self.geometry.blocks)):
+        if ((blocks < 0) | (blocks >= self.geometry.blocks)).any():
             raise NandOperationError(
                 f"block out of range 0..{self.geometry.blocks - 1}"
             )
-        if np.any((pages < 0) | (pages >= self.geometry.pages_per_block)):
+        if ((pages < 0) | (pages >= self.geometry.pages_per_block)).any():
             raise NandOperationError(
                 f"page out of range 0..{self.geometry.pages_per_block - 1}"
             )

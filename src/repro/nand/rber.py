@@ -89,7 +89,7 @@ class LifetimeRberModel:
         below the SV curve.  Matches the scalar :meth:`rber` elementwise.
         """
         cycles = np.asarray(pe_cycles, dtype=float)
-        if np.any(cycles < 0):
+        if (cycles < 0).any():
             raise ConfigurationError("cycle count must be non-negative")
         sv = self.floor_sv + self.amplitude * (cycles / self.n_ref) ** self.exponent
         if dv is None:

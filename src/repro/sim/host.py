@@ -9,9 +9,9 @@ are plain loops: the host clock is the running sum of every group's
 latency (or makespan) plus think time, and no DES runs.
 
 Four hosts are modelled: :func:`run_host_workload` drives physical page
-addresses straight into the controller (batched runs of the trace go
-through ``read_batch``/``write_batch`` and therefore the device's batched
-``read_pages``/``program_pages`` datapath), :func:`run_ftl_workload`
+addresses straight into the controller (every run of the trace, one page
+or many, goes through ``read_batch``/``write_batch`` and therefore the
+device's ``read_pages``/``program_pages`` datapath), :func:`run_ftl_workload`
 drives *logical* pages through a flash translation layer's
 ``read_many``/``write_many`` — out-of-place updates, GC and all —
 :func:`run_ssd_workload` drives a die-striped multi-die SSD closed-loop
@@ -45,11 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (ssd uses sim)
 class HostWorkload:
     """One host stream: a named sequence of trace operations.
 
-    ``batch_pages`` > 1 groups runs of consecutive same-kind reads or
-    writes and issues them through the controller's batched ECC datapath
-    (``read_batch`` / ``write_batch``) — the host-side analogue of a deep
-    I/O queue.  Latency accounting and statistics are identical to the
-    serial flow; only the software encode/decode work is batched.
+    ``batch_pages`` groups up to that many consecutive same-kind reads
+    or writes into one controller ``read_batch`` / ``write_batch`` call
+    (1 issues one page per call) — the host-side analogue of a deep I/O
+    queue.  The latency accounting does not depend on the grouping; the
+    software encode/decode work is batched, and at RBER > 0 the read
+    errors are drawn per call, so the draws do depend on it.
 
     ``queue_depth`` only matters to the SSD runner: it bounds how many
     page commands the command scheduler keeps in flight at once (0 means
@@ -231,24 +232,17 @@ def run_host_workload(
         kind = group[0].kind
         latency = 0.0
         if kind is TraceOpKind.WRITE:
-            if len(group) == 1:
-                reports = [controller.write(group[0].block, group[0].page,
-                                            group[0].data)]
-            else:
-                reports = controller.write_batch(
-                    [(op.block, op.page, op.data) for op in group]
-                )
+            reports = controller.write_batch(
+                [(op.block, op.page, op.data) for op in group]
+            )
             for report in reports:
                 op_latency = report.latencies.total_s
                 result.stats.observe_write(page_bytes, op_latency)
                 latency += op_latency
         elif kind is TraceOpKind.READ:
-            if len(group) == 1:
-                reads = [controller.read(group[0].block, group[0].page)]
-            else:
-                reads = controller.read_batch(
-                    [(op.block, op.page) for op in group]
-                )
+            reads = controller.read_batch(
+                [(op.block, op.page) for op in group]
+            )
             for _, report in reads:
                 op_latency = report.latencies.total_s
                 result.stats.observe_read(page_bytes, op_latency)

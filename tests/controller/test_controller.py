@@ -94,3 +94,28 @@ class TestController:
         controller.read(0, 0)
         controller.read(0, 0)
         assert len(controller.reliability.adaptations) >= 1
+
+    def test_unwritten_page_read_rejected_before_sensing(self, controller):
+        device = controller.device
+        before = (
+            device.page_reads,
+            device.array.reads_since_erase(0),
+            device.rng.bit_generator.state,
+        )
+        with pytest.raises(ControllerError, match="no ECC-protected data"):
+            controller.read(0, 1)
+        assert before == (
+            device.page_reads,
+            device.array.reads_since_erase(0),
+            device.rng.bit_generator.state,
+        )
+
+    def test_read_report_names_the_stored_t(self, controller, rng):
+        controller.apply_config(IsppAlgorithm.SV, 4)
+        controller.write(0, 0, random_page(4096, rng))
+        controller.apply_config(IsppAlgorithm.SV, 65)
+        _, report = controller.read(0, 0)
+        assert report.ecc_t == 4
+        assert report.latencies.decode_s == controller.codec.decode_latency_s(
+            t=4, with_errors=report.corrected_bits > 0
+        )

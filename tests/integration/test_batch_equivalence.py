@@ -1,13 +1,15 @@
-"""Stack-level equivalence: the batched controller/host datapath must be
-observably identical to the serial one (same data, same latency
-accounting, same telemetry).
+"""Stack-level equivalence: running the controller/host datapath over a
+batch of N pages must be observably identical to N one-page calls (same
+data, same latency accounting, same telemetry).
 
-Since the storage substrate injects read-back errors with a vectorized
-batch draw, exact serial/batch identity holds at RBER = 0 (the device
-model is pinned to an error-free lifetime curve here); the rber > 0
-equivalence — binomially consistent error counts, identical wear and
-read-disturb bookkeeping — is covered statistically in
-``tests/nand/test_device_batch.py``."""
+A one-page call is a batch of one, draw for draw
+(``tests/integration/test_batch_of_one.py``).  A batch of N pages draws
+its read-back errors across the whole batch, so exact identity with N
+one-page calls holds at RBER = 0 (the device model is pinned to an
+error-free lifetime curve here); at RBER > 0 the two agree in
+distribution — binomially consistent error counts, identical wear and
+read-disturb bookkeeping — as ``tests/nand/test_device_batch.py``
+checks."""
 
 import numpy as np
 import pytest

@@ -204,3 +204,17 @@ class TestBatchDatapath:
     def test_batch_address_bounds(self, array):
         with pytest.raises(NandOperationError):
             array.read_pages(np.array([array.geometry.pages]), np.zeros(1))
+
+
+class TestRejectedRbers:
+    @pytest.mark.parametrize("rber", [np.nan, 1.0, -0.1, np.inf])
+    def test_invalid_rber_leaves_no_trace(self, array, rber):
+        array.program_page(0, 0, b"x")
+        before = (
+            array._reads_since_erase.tolist(), array.rng.bit_generator.state
+        )
+        with pytest.raises(NandOperationError, match="RBER"):
+            array.read_pages(np.array([0]), np.array([rber]))
+        assert before == (
+            array._reads_since_erase.tolist(), array.rng.bit_generator.state
+        )

@@ -7,6 +7,7 @@ from repro.errors import NandOperationError
 from repro.nand.device import NandFlashDevice
 from repro.nand.geometry import NandGeometry
 from repro.nand.ispp import IsppAlgorithm
+from repro.nand.rber import LifetimeRberModel
 
 
 @pytest.fixture()
@@ -74,3 +75,49 @@ class TestDevice:
         fresh = device.rber_now(0)
         device.array._wear[0] = 100_000
         assert device.rber_now(0) > fresh
+
+
+def _trace(device):
+    """Everything a read may touch: SMART reads, read disturb, the RNG."""
+    return (
+        device.page_reads,
+        device.array._reads_since_erase.tolist(),
+        device.rng.bit_generator.state,
+    )
+
+
+class TestRejectedReads:
+    """A rejected read raises the library's error and leaves no trace."""
+
+    @pytest.mark.parametrize("address", [(5, 0), (-1, 0), (0, 4), (0, -1)])
+    def test_out_of_range_address(self, address):
+        device = NandFlashDevice(
+            NandGeometry(blocks=2, pages_per_block=4),
+            rng=np.random.default_rng(3),
+        )
+        device.program_page(0, 0, bytes(64))
+        before = _trace(device)
+        with pytest.raises(NandOperationError):
+            device.read_pages([address])
+        with pytest.raises(NandOperationError):
+            device.read_page(*address)
+        with pytest.raises(NandOperationError):
+            device.program_page(*address, bytes(64))
+        assert _trace(device) == before
+        assert device.page_programs == 1
+
+    def test_nan_rber_from_the_lifetime_model(self):
+        class _NanRber(LifetimeRberModel):
+            def rber_batch(self, pe_cycles, dv=None):
+                return np.full(np.asarray(pe_cycles).shape, np.nan)
+
+        device = NandFlashDevice(
+            NandGeometry(blocks=2, pages_per_block=4),
+            rber_model=_NanRber(),
+            rng=np.random.default_rng(4),
+        )
+        device.program_page(0, 0, bytes(64))
+        before = _trace(device)
+        with pytest.raises(NandOperationError, match="nan"):
+            device.read_page(0, 0)
+        assert _trace(device) == before

@@ -1,9 +1,14 @@
-"""Batch-vs-scalar device equivalence (ISSUE 2 satellite coverage).
+"""One batch of N pages against N one-page reads on the device.
 
-* ``read_pages`` with RBER = 0 is byte-identical to serial ``read_page``;
+``read_page`` is a batch of one, draw for draw
+(``tests/integration/test_batch_of_one.py``).  A batch of N pages draws
+its errors across the whole batch, so it matches N single reads in
+distribution rather than draw for draw:
+
+* ``read_pages`` with RBER = 0 is byte-identical to one-page reads;
 * with RBER > 0, injected error counts per page are binomially
-  consistent with the reported rate;
-* wear and read-disturb counters advance identically in both paths,
+  consistent with the reported rate, and the reported RBERs match;
+* wear and read-disturb counters advance identically either way,
   including the reset on erase.
 """
 

@@ -16,6 +16,7 @@ from repro.errors import ControllerError
 from repro.ftl.ftl import FlashTranslationLayer
 from repro.ftl.service import DifferentiatedStorage, ServiceClass
 from repro.nand.geometry import NandGeometry
+from repro.nand.ispp import IsppAlgorithm
 from repro.sim.host import HostWorkload, run_ssd_workload
 from repro.ssd import DieStripedFtl, SsdDevice, SsdTopology, spawn_die_rngs
 from repro.workloads.traces import queued_playback_trace
@@ -210,3 +211,18 @@ class TestHostRunner:
         assert quad.read_mb_s / single.read_mb_s >= 2.0
         assert quad.stats.reads == single.stats.reads
         assert quad.corrected_bits > 0
+
+
+class TestStoredCapability:
+    def test_read_holds_the_ecc_engine_for_the_stored_t(self):
+        """A page written at t = 4 and read after a switch to t = 65
+        holds the ECC engine for the t = 4 decode interval."""
+        ftl = DieStripedFtl(_ssd(wear=0))
+        ftl.apply_config(IsppAlgorithm.SV, 4)
+        ftl.stage_writes([(0, _payloads(1)[0])])
+        ftl.apply_config(IsppAlgorithm.SV, 65)
+        _, (command,) = ftl.stage_reads([0])
+        codec = ftl.shards[0].controller.codec
+        decode = command.phases[-1]
+        assert decode.hold_s == codec.decode_interval_s(4)
+        assert decode.hold_s < codec.decode_interval_s(65)
