@@ -17,7 +17,7 @@ from repro.workloads.traces import (
 
 #: ``repr`` of each closed-loop runner's ``elapsed_s`` on one trace.
 PINNED_ELAPSED = {
-    "host": 0.007951163333333334,
+    "host": 0.007951163333333336,
     "ftl": 0.005426401428571428,
     "ssd": 0.004484324444444444,
 }
