@@ -42,13 +42,16 @@ through a wide ECC engine instead of streaming bits:
 Batch API contract: ``encode_batch``/``decode_batch`` (on
 :class:`BCHEncoder`, :class:`BCHDecoder` and :class:`AdaptiveBCHCodec`)
 take a sequence of equal-length words at one capability and return
-per-word results bit-identical to the scalar ``encode``/``decode``,
-including permissive-mode failures and telemetry.  Encoder output is
-tested against the long-division definition ``poly2_mod(m << r, g)``;
-the byte-serial syndrome path survives as the decoder's test oracle
-(``BCHDecoder(spec, vectorized=False)``).  Measured on a 4 KiB page at
-t = 65: clean-page decode ~41x, errored-page (t/2 errors) ~6x over the
-byte-serial path (``benchmarks/bench_ecc_throughput.py``).
+per-word results, including permissive-mode failures and telemetry.
+There is no second datapath: the per-word ``encode``/``decode`` run the
+same kernels on one word.  The kernels are tested against definitions,
+not against a parallel implementation: encoder output against the
+long-division ``poly2_mod(m << r, g)``, syndromes against Horner
+evaluation (``repro.bch.reference.naive_syndromes``) and the syndromes
+of the injected error pattern, decodes against the injected positions.
+``tests/bch/test_decode_budget.py`` pins the decoder's counted cost,
+and ``benchmarks/bench_ecc_throughput.py`` reports per-page against
+batch throughput.
 """
 
 from repro.bch.params import BCHCodeSpec, design_code

@@ -10,10 +10,10 @@ per code, not per codec: the fold table is shared by every live encoder
 and decoder of the code (one per die), the syndrome and Chien tables by
 every live decoder, and each is freed with its last user.
 
-``encode_batch``/``decode_batch`` expose the vectorized batch datapath
-(see :mod:`repro.bch` for the design): whole page groups move through
-numpy kernels with per-word results and telemetry identical to the
-scalar calls.
+``encode_batch``/``decode_batch`` are the datapath (see :mod:`repro.bch`
+for the design): whole page groups move through numpy kernels, and
+``encode``/``decode`` run the same kernels on one word, with identical
+per-word results and telemetry.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class AdaptiveBCHCodec:
 
         One vectorized syndrome pass covers the whole batch and clean
         pages early-exit before Berlekamp-Massey; telemetry is recorded
-        per word exactly as with :meth:`decode`.
+        per word for the reliability manager.
         """
         t = self._t if t is None else t
         results = self._decoder(t).decode_batch(codewords, strict=strict)

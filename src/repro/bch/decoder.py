@@ -5,14 +5,13 @@ syndrome stage.  Decoding failures (more than t errors) raise
 :class:`repro.errors.DecodingFailure` or, in permissive mode, are reported
 in the :class:`DecodeResult`.
 
-Fast path: single-word decodes take their syndromes from the encoder's
-fold-table remainder kernel by default (``vectorized=False`` restores
-the byte-serial seed path, kept as the test oracle and benchmark
-reference), and :meth:`BCHDecoder.decode_batch` decodes a whole batch of
-pages with one batched syndrome computation — the all-zero-syndrome
-early exit is evaluated vectorized across the batch, so clean pages
-never reach Berlekamp-Massey.  The decoder shares the encoder's table
-for its code but never builds an encoder.
+One datapath: :meth:`BCHDecoder.decode_batch` decodes a whole batch of
+pages with one batched syndrome computation on the encoder's fold-table
+remainder kernel — the all-zero-syndrome early exit is evaluated
+vectorized across the batch, so clean pages never reach
+Berlekamp-Massey — and :meth:`BCHDecoder.decode` is a batch of one.
+The decoder shares the encoder's table for its code but never builds an
+encoder.
 """
 
 from __future__ import annotations
@@ -84,22 +83,10 @@ class DecoderStats:
 
 
 class BCHDecoder:
-    """Decoder for one fixed :class:`BCHCodeSpec`.
+    """Decoder for one fixed :class:`BCHCodeSpec`."""
 
-    Parameters
-    ----------
-    spec:
-        The designed code.
-    vectorized:
-        Use the fold-table syndrome kernel for single-word decodes
-        (default).  ``False`` selects the byte-serial reference path —
-        identical results, kept for cross-checking and as the benchmark
-        baseline.
-    """
-
-    def __init__(self, spec: BCHCodeSpec, vectorized: bool = True):
+    def __init__(self, spec: BCHCodeSpec):
         self.spec = spec
-        self.vectorized = vectorized
         self.syndrome_calculator = SyndromeCalculator(spec)
         self.chien = ChienSearch(spec)
         self.stats = DecoderStats()

@@ -1,49 +1,33 @@
 """Syndrome computation (first decoding stage of Fig. 2).
 
-S_i = c(alpha^i) for i = 1..2t.  Two implementations coexist:
+S_i = c(alpha^i) for i = 1..2t.  One fold-table kernel computes them
+for a single word and a whole batch alike
+(:meth:`SyndromeCalculator.syndromes_batch`): the encoder's remainder
+kernel reduces every word's message bytes mod g in one batched pass;
+XOR-ing in the received parity bytes gives a remainder D congruent to
+the word mod g (Lin & Costello, *Error Control Coding*, ch. 6), so
+S_i = D(alpha^i).  Clean words (D = 0) need no evaluation; the others
+evaluate D's 8 * parity_bytes bits against a small power table for the
+odd syndromes, and even syndromes come for free over GF(2) since
+S_{2i} = S_i^2.  Both tables are shared by every live calculator of the
+code and freed with the last.
 
-* **Byte-serial reference** (:meth:`SyndromeCalculator.syndromes`): as in
-  the paper's hardware, each odd syndrome is produced by reducing the
-  codeword modulo the corresponding minimal polynomial (a small LFSR) and
-  evaluating the 16-bit remainder at alpha^i; even syndromes come for free
-  over GF(2) since S_{2i} = S_i^2.  Reduction is table-driven
-  byte-at-a-time per minimal polynomial.  It is kept as the test oracle.
-
-* **Fold-table fast path** (:meth:`SyndromeCalculator.syndromes_batch` /
-  :meth:`syndromes_vectorized`): the encoder's remainder kernel reduces
-  every word's message bytes mod g in one batched pass; XOR-ing in the
-  received parity bytes gives a remainder D congruent to the word mod g
-  (Lin & Costello, *Error Control Coding*, ch. 6), so S_i = D(alpha^i).
-  Clean words (D = 0) need no evaluation; the others evaluate D's
-  8 * parity_bytes bits against a small power table.  Both tables are
-  shared by every live calculator of the code and freed with the last.
-
-Implementation note: the byte-serial reduction loop computes
-``c(x) * x^d mod m_i(x)`` (d = deg m_i), so the evaluated remainder carries
-an extra factor ``alpha^(i*d)`` which is cancelled by a precomputed
-per-syndrome compensation constant.
+The kernel is checked against the definition (Horner evaluation,
+``repro.bch.reference.naive_syndromes``) and against the syndromes of
+an injected error pattern
+(:meth:`SyndromeCalculator.syndromes_of_error_positions`).
 """
 
 from __future__ import annotations
 
 import weakref
 from collections.abc import Sequence
-from functools import lru_cache
 
 import numpy as np
 
 from repro.bch.encoder import BCHEncoder, fold_remainders
 from repro.bch.params import BCHCodeSpec
 from repro.gf.field import GF2m
-from repro.gf.minpoly import minimal_polynomial
-from repro.gf.poly2 import poly2_deg, poly2_eval_in_field, poly2_mod
-
-
-@lru_cache(maxsize=None)
-def _reduction_table(minpoly: int) -> tuple[int, ...]:
-    """256-entry table: (v(x) << deg) mod minpoly for byte-serial reduction."""
-    deg = poly2_deg(minpoly)
-    return tuple(poly2_mod(v << deg, minpoly) for v in range(256))
 
 
 #: Parity-bit power tables of the codes some live calculator has used,
@@ -80,67 +64,15 @@ def _build_power_table(field: GF2m, n: int, t: int) -> np.ndarray:
     return table
 
 
-def reduce_codeword(data: bytes, minpoly: int) -> int:
-    """Return ``data(x) * x^deg(minpoly) mod minpoly`` (byte-serial LFSR).
-
-    The uniform ``x^deg`` factor keeps the byte-parallel path and the
-    bit-serial fallback (for polynomials of degree < 8) consistent; callers
-    compensate at evaluation time.
-    """
-    deg = poly2_deg(minpoly)
-    if deg >= 8:
-        table = _reduction_table(minpoly)
-        mask = (1 << deg) - 1
-        shift = deg - 8
-        state = 0
-        for byte in data:
-            idx = ((state >> shift) ^ byte) & 0xFF
-            state = ((state << 8) & mask) ^ table[idx]
-        return state
-    value = int.from_bytes(data, "big")
-    return poly2_mod(value << deg, minpoly)
-
-
 class SyndromeCalculator:
     """Computes the 2t syndromes of a received word for a given code."""
 
     def __init__(self, spec: BCHCodeSpec):
         self.spec = spec
         self.field: GF2m = spec.field()
-        # Distinct odd-index minimal polynomials cover indices 1..2t.
-        self._odd_minpolys: dict[int, int] = {}
-        self._compensation: dict[int, int] = {}
-        order = self.field.order
-        for i in range(1, 2 * spec.t + 1, 2):
-            minpoly = minimal_polynomial(self.field, i)
-            self._odd_minpolys[i] = minpoly
-            deg = poly2_deg(minpoly)
-            self._compensation[i] = self.field.alpha_pow((-i * deg) % order)
-        # Shared fast-path tables, fetched on first use.
+        # Shared kernel tables, fetched on first use.
         self._fold_table: np.ndarray | None = None
         self._power_table: np.ndarray | None = None
-
-    def syndromes(self, codeword: bytes) -> list[int]:
-        """Return [S_1, ..., S_2t]; all zero iff the word is a codeword.
-
-        Codeword bytes are MSB-first: byte 0 bit 7 is the coefficient of
-        x^(n-1).
-        """
-        spec = self.spec
-        field = self.field
-        out = [0] * (2 * spec.t)
-        for i, minpoly in self._odd_minpolys.items():
-            remainder = reduce_codeword(codeword, minpoly)
-            if remainder:
-                value = poly2_eval_in_field(remainder, field.alpha_pow(i), field)
-                out[i - 1] = field.mul(value, self._compensation[i])
-        # Even syndromes: S_{2j} = S_j^2 (binary-code conjugacy).
-        for i in range(2, 2 * spec.t + 1, 2):
-            half = out[i // 2 - 1]
-            out[i - 1] = field.mul(half, half)
-        return out
-
-    # -- fold-table fast path -------------------------------------------------
 
     def _bit_power_table(self) -> np.ndarray:
         """This code's power table over the parity bits (see
@@ -220,14 +152,19 @@ class SyndromeCalculator:
         return out
 
     def syndromes_vectorized(self, codeword: bytes) -> list[int]:
-        """Fast-path equivalent of :meth:`syndromes` (same return value)."""
+        """Return [S_1, ..., S_2t] of one word; all zero iff the word is
+        a codeword.
+
+        Codeword bytes are MSB-first: byte 0 bit 7 is the coefficient of
+        x^(n-1).
+        """
         return self._syndromes([codeword])[0].tolist()
 
     def syndromes_batch(self, codewords: Sequence[bytes]) -> np.ndarray:
         """Syndromes of a batch of received words.
 
         Returns an int64 array of shape ``(len(codewords), 2t)``; row b is
-        identical to ``syndromes(codewords[b])``.  Every word must be
+        ``syndromes_vectorized(codewords[b])``.  Every word must be
         ``k/8 + parity_bytes`` bytes long.
         """
         return self._syndromes(codewords)

@@ -1,7 +1,9 @@
-"""Property tests: batch kernels agree bit-for-bit with the definition
-(encode) and the byte-serial reference (syndromes, decode) across
-capabilities and error weights (0..t+2, i.e. including uncorrectable
-words)."""
+"""Property tests: batch kernels agree bit-for-bit with the definitions
+across capabilities and error weights (0..t+2, i.e. including
+uncorrectable words): encode with long division, syndromes with Horner
+evaluation (k = 1024 codes) and with the syndromes of the injected
+error pattern, decodes with the injected positions and with
+per-word decodes."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.bch.decoder import BCHDecoder, DecoderStats
 from repro.bch.encoder import BCHEncoder
 from repro.bch.codec import AdaptiveBCHCodec
 from repro.bch.params import design_code
+from repro.bch.reference import naive_syndromes
 from repro.errors import DecodingFailure
 from tests.conftest import flip_bits, stored_parity_by_definition
 
@@ -22,6 +25,21 @@ def _random_weights(t: int, rng: np.random.Generator, samples: int = 6):
     extremes = [0, 1, t, t + 2]
     drawn = rng.integers(0, t + 3, size=samples).tolist()
     return sorted(set(extremes + drawn))
+
+
+def _corrupted_words(spec, rng: np.random.Generator):
+    """Codewords of random messages, each carrying one random error
+    weight from :func:`_random_weights`; returns (words, positions)."""
+    encoder = BCHEncoder(spec)
+    words, patterns = [], []
+    for weight in _random_weights(spec.t, rng):
+        codeword = encoder.encode_codeword(rng.bytes(spec.k // 8))
+        positions = rng.choice(
+            spec.n_stored, size=weight, replace=False
+        ).tolist()
+        words.append(flip_bits(codeword, positions))
+        patterns.append(positions)
+    return words, patterns
 
 
 @pytest.mark.parametrize("k,t", SPECS)
@@ -38,42 +56,36 @@ class TestBatchAgainstScalar:
 
     def test_syndromes_vectorized_and_batch_match_reference(self, k, t, rng):
         spec = design_code(k, t)
-        encoder = BCHEncoder(spec)
         calc = BCHDecoder(spec).syndrome_calculator
-        words = []
-        for weight in _random_weights(t, rng):
-            codeword = encoder.encode_codeword(rng.bytes(k // 8))
-            positions = rng.choice(
-                spec.n_stored, size=weight, replace=False
-            ).tolist()
-            words.append(flip_bits(codeword, positions))
+        words, patterns = _corrupted_words(spec, rng)
         batch = calc.syndromes_batch(words)
-        for row, word in zip(batch, words):
-            reference = calc.syndromes(word)
+        for row, word, positions in zip(batch, words, patterns):
+            reference = calc.syndromes_of_error_positions(positions)
+            if k <= 1024:
+                assert naive_syndromes(spec, word) == reference
             assert calc.syndromes_vectorized(word) == reference
             assert row.tolist() == reference
 
     def test_decode_batch_matches_scalar_permissive(self, k, t, rng):
         spec = design_code(k, t)
-        encoder = BCHEncoder(spec)
         batch_decoder = BCHDecoder(spec)
-        scalar_decoder = BCHDecoder(spec, vectorized=False)
-        words = []
-        for weight in _random_weights(t, rng):
-            codeword = encoder.encode_codeword(rng.bytes(k // 8))
-            positions = rng.choice(
-                spec.n_stored, size=weight, replace=False
-            ).tolist()
-            words.append(flip_bits(codeword, positions))
+        scalar_decoder = BCHDecoder(spec)
+        words, patterns = _corrupted_words(spec, rng)
         batch_results = batch_decoder.decode_batch(words, strict=False)
-        for word, batch_result in zip(words, batch_results):
-            scalar_result = scalar_decoder.decode(word, strict=False)
-            assert scalar_result.data == batch_result.data
-            assert scalar_result.corrected_bits == batch_result.corrected_bits
-            assert (scalar_result.error_positions
-                    == batch_result.error_positions)
-            assert scalar_result.success == batch_result.success
-            assert scalar_result.early_exit == batch_result.early_exit
+        for word, positions, batch_result in zip(
+            words, patterns, batch_results
+        ):
+            assert scalar_decoder.decode(word, strict=False) == batch_result
+            if len(positions) <= t:
+                # Correctable: exactly the injected errors are undone.
+                assert batch_result.success
+                assert sorted(batch_result.error_positions) == sorted(
+                    positions
+                )
+                assert batch_result.data == flip_bits(word, positions)[
+                    : k // 8
+                ]
+                assert batch_result.early_exit == (not positions)
         # Aggregate decoder telemetry also agrees word-for-word.
         assert batch_decoder.stats == scalar_decoder.stats
 
