@@ -5,10 +5,10 @@ buffer, ECC codec, flash device — accounting the latency of every stage.
 There is one datapath: :meth:`CoreControllerFsm.read_pages` and
 :meth:`~CoreControllerFsm.write_pages` run the flows for a batch of
 pages, and the per-page ``read_page`` / ``write_page`` are a batch of
-one.  :class:`CoreControllerFsm` is the **paper-faithful** non-pipelined flow
-the paper's throughput numbers assume: the single page buffer enforces
-the structural hazard, so a batch's elapsed time is the serial sum of
-every stage of every page.
+one.  :class:`CoreControllerFsm` is the **paper-faithful** non-pipelined
+flow the paper's throughput numbers assume: the single page buffer
+enforces the structural hazard, so a batch's elapsed time is the serial
+sum of every stage of every page.
 
 :class:`PipelinedCoreFsm` is the pipelined variant: identical data
 semantics and identical per-page :class:`StageLatencies` accounting, but

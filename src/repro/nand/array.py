@@ -217,8 +217,8 @@ class NandArray:
 
         Skip-sampling: candidate flips are drawn over the concatenated
         bitstream with geometric gaps at the envelope rate ``max(rates)``
-        and thinned per page to its own rate — O(errors) work, exactly the
-        scalar path's Binomial-count/uniform-position distribution.
+        and thinned per page to its own rate — O(errors) work, with
+        Binomial per-page counts at uniform distinct positions.
         """
         n_bits = out.shape[1] * 8
         r_max = float(rates.max())

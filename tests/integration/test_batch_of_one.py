@@ -65,18 +65,6 @@ def test_device_read_page_is_read_pages_of_one():
     assert _counters(scalar) == _counters(batch)
 
 
-def test_device_program_page_is_program_pages_of_one():
-    scalar = NandFlashDevice(GEOMETRY, rng=np.random.default_rng(5))
-    batch = NandFlashDevice(GEOMETRY, rng=np.random.default_rng(5))
-    payloads = np.random.default_rng(6)
-    for block, page in ADDRESSES:
-        data = payloads.bytes(GEOMETRY.page_bytes)
-        assert (scalar.program_page(block, page, data)
-                == batch.program_pages([(block, page)], [data])[0])
-    assert _counters(scalar) == _counters(batch)
-    assert np.array_equal(scalar.array._store, batch.array._store)
-
-
 def test_controller_read_is_read_batch_of_one():
     scalar, batch = _controller(2012), _controller(2012)
     assert scalar.codec.t == 65
