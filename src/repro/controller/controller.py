@@ -218,20 +218,23 @@ class NandController:
         after each page it updates the registers, lets the reliability
         manager adapt, then reports the page.
         """
-        strict = self.config.strict_decode
-        if not self._self_adaptive:
-            flows = self.fsm.read_pages(addresses, strict=strict)
-            self._update_telemetry_registers()
-            return [
-                (flow.data, self._read_report(flow, block, page))
-                for (block, page), flow in zip(addresses, flows)
-            ]
+        adaptive = self._self_adaptive
+        if adaptive:
+            groups = [[address] for address in addresses]
+        else:
+            groups = [addresses]
         results = []
-        for block, page in addresses:
-            (flow,) = self.fsm.read_pages([(block, page)], strict=strict)
+        for group in groups:
+            flows = self.fsm.read_pages(
+                group, strict=self.config.strict_decode
+            )
             self._update_telemetry_registers()
-            self._maybe_adapt()
-            results.append((flow.data, self._read_report(flow, block, page)))
+            if adaptive:
+                self._maybe_adapt()
+            results.extend(
+                (flow.data, self._read_report(flow, block, page))
+                for (block, page), flow in zip(group, flows)
+            )
         return results
 
     def erase(self, block: int) -> float:
