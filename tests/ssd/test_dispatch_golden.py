@@ -133,10 +133,22 @@ def _closed(pipeline, kinds, row, sanitize, recorder, monkeypatch):
         engines.append(SimEngine(sanitize=sanitize))
         return engines[-1]
 
+    commands = _commands(kinds, 48, topology.dies, seed)
+    session = SsdSession(
+        ssd=SsdDevice(topology, seed=0, pipeline=pipeline),
+        engine=SimEngine(sanitize=sanitize),
+        recorder=None if recorder is None else TraceRecorder(),
+    )
+    executed = session.execute(commands, queue_depth)
     monkeypatch.setattr(scheduler_mod, "SimEngine", engine_factory)
     result = CommandScheduler(
         topology, pipeline=pipeline, recorder=recorder
-    ).run(_commands(kinds, 48, topology.dies, seed), queue_depth)
+    ).run(commands, queue_depth)
+    assert executed.completions == result.completions
+    assert executed.makespan_s == result.makespan_s
+    assert executed.die_busy_s == result.die_busy_s
+    assert executed.channel_busy_s == result.channel_busy_s
+    assert executed.ecc_busy_s == result.ecc_busy_s
     digest = hashlib.sha256()
     _schedule(
         digest, result.completions, result.makespan_s, engines[0], result

@@ -9,6 +9,8 @@ mixed traces — the guarantee that lets the open-loop redesign ride on
 the same timing model.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,22 @@ def _erase_spiced(trace, seed):
     )
 
 
+def _runner_digest(result) -> str:
+    """sha256 of what a closed-loop SSD run reports."""
+    return hashlib.sha256(repr((
+        result.elapsed_s,
+        result.stats.read_latency.samples,
+        result.stats.write_latency.samples,
+        result.queue_latency.samples,
+        result.service_latency.samples,
+        result.corrected_bits,
+        result.uncorrectable_pages,
+        result.die_busy_s,
+        result.channel_busy_s,
+        result.ecc_busy_s,
+    )).encode()).hexdigest()
+
+
 def _read_commands(count, dies, tags=None):
     tags = range(count) if tags is None else tags
     return [
@@ -184,6 +202,36 @@ def _read_commands(count, dies, tags=None):
 # ---------------------------------------------------------------------------
 # Closed-loop equivalence (the acceptance-criterion oracle test)
 # ---------------------------------------------------------------------------
+
+#: sha256 of ``run_ssd_workload`` per (topology, pipeline, batch, QD, seed)
+#: case: elapsed time, read / write / queue / service latency samples,
+#: corrected bits, uncorrectable pages and the three busy lists.
+RUNNER_DIGESTS = {
+    "1x1-serial-b4-qd0-s3":
+        "58b8476d7bc218c13684c4b04e3479fcf477591f8371a1efc637cefbf1a0cf6f",
+    "1x1-serial-b4-qd0-s17":
+        "258921bfa7d6a921832d1cfdd8b1b1c0055d8294f672d363ebf530956ecc0f24",
+    "1x1-serial-b8-qd2-s3":
+        "cc86d5ea9ebbbe9084d66e852b6abe562ae3cf1437ccb8327cd6bf82c30ce62c",
+    "1x1-serial-b8-qd2-s17":
+        "c6888ee2750a83cc8d186e533b3322adb73eed09f461b8519b8b567e3d7b2811",
+    "1x2-cache+mplane+ecc-b4-qd0-s3":
+        "d0eba61e563ee1cde3b14b6c3cd41470c0c0176ef4225ed263659a7ee6e4dd2c",
+    "1x2-cache+mplane+ecc-b4-qd0-s17":
+        "28b87a8cc6acd949668f09e55ac9f5234e862fcbf4adb206b199cbf6b2eaaf95",
+    "1x2-cache+mplane+ecc-b8-qd2-s3":
+        "a8fd3b31eef5d8b9f68eee59cd5e93ce998642478729b8b5519c779130b37e25",
+    "1x2-cache+mplane+ecc-b8-qd2-s17":
+        "5845565a4151ee3e48644e78607765678fc9216f1d53841643f23388362005a8",
+    "2x2-cache+ecc-b4-qd0-s3":
+        "eb0a298ddf2b596097ebdd2c0b9b8243740cee59ce3545c7b75228c084772672",
+    "2x2-cache+ecc-b4-qd0-s17":
+        "0cd40fc5faad615758159e110721ebbc0f55da34b0567eaab3319f6f7cc01248",
+    "2x2-cache+ecc-b8-qd2-s3":
+        "5f2e90f8621e0004fe017beb35f788e3e90b2818a1b23f6c50afcac839729cc0",
+    "2x2-cache+ecc-b8-qd2-s17":
+        "5ae95e48fff5a10836c057cc1077030a1ad9c2b4989ea7d2df12cce1f5225581",
+}
 
 
 class TestClosedLoopEquivalence:
@@ -226,6 +274,35 @@ class TestClosedLoopEquivalence:
         assert (
             session_backed.uncorrectable_pages == oracle.uncorrectable_pages
         )
+
+    @pytest.mark.parametrize("channels,dies_per_channel,pipeline", [
+        (1, 1, None),
+        (1, 2, PipelineConfig.full()),
+        (2, 2, PipelineConfig(cache_read=True, pipelined_ecc=True)),
+    ])
+    @pytest.mark.parametrize("batch_pages,queue_depth", [
+        (4, 0), (8, 2),
+    ])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_closed_runner_matches_pinned_digest(
+        self, channels, dies_per_channel, pipeline, batch_pages,
+        queue_depth, seed,
+    ):
+        trace = _erase_spiced(
+            mixed_trace(blocks=2, pages_per_block=4, seed=seed), seed
+        )
+        workload = HostWorkload(
+            "equiv", trace, batch_pages=batch_pages, queue_depth=queue_depth
+        )
+        result = run_ssd_workload(
+            _build(channels, dies_per_channel, pipeline), workload
+        )
+        label = (pipeline or PipelineConfig()).describe()
+        case = (
+            f"{channels}x{dies_per_channel}-{label}-b{batch_pages}"
+            f"-qd{queue_depth}-s{seed}"
+        )
+        assert _runner_digest(result) == RUNNER_DIGESTS[case]
 
     @pytest.mark.parametrize("queue_depth", [None, 1, 3])
     def test_execute_matches_run_to_drain_scheduler(self, queue_depth):
