@@ -8,8 +8,9 @@ reservation.
 Three workload shapes per topology (1x1 up to 8x8 channels x dies):
 
 * ``reads-closed`` / ``writes-closed`` — homogeneous closed batches at
-  queue depth 32 through :meth:`CommandScheduler.run`: the die-striped
-  FTL's bread-and-butter pattern;
+  queue depth 32 through :meth:`SsdSession.execute` on a fresh session
+  (built outside the measured window): the die-striped FTL's
+  bread-and-butter pattern;
 * ``mixed-open`` — an open-loop 70/30 read/program stream with paced
   2 us arrivals through a 256-deep in-flight window
   (:meth:`SchedulerCore.submit_stream`), transfer-heavy phase shapes
@@ -45,11 +46,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.sim.engine import SimEngine  # noqa: E402
-from repro.ssd.scheduler import (  # noqa: E402
-    CommandScheduler,
-    PipelineConfig,
-    SchedulerCore,
-)
+from repro.ssd import SsdDevice, SsdSession  # noqa: E402
+from repro.ssd.scheduler import PipelineConfig, SchedulerCore  # noqa: E402
 from repro.ssd.topology import SsdTopology  # noqa: E402
 from tests.ssd.test_cost_budget import (  # noqa: E402  (path bootstrap above)
     COUNTERS,
@@ -96,11 +94,13 @@ def _run_open(topology: SsdTopology, commands, measure):
 
 
 def _run_closed(topology: SsdTopology, commands, measure):
-    """(measure(CommandScheduler.run), makespan) for one closed batch."""
-    scheduler = CommandScheduler(topology, pipeline=PipelineConfig.full())
+    """(measure(SsdSession.execute), makespan) for one closed batch."""
+    session = SsdSession(
+        ssd=SsdDevice(topology, seed=0, pipeline=PipelineConfig.full())
+    )
     results = []
     measured = measure(lambda: results.append(
-        scheduler.run(commands, queue_depth=CLOSED_QD)
+        session.execute(commands, queue_depth=CLOSED_QD)
     ))
     return measured, results[0].makespan_s
 

@@ -10,14 +10,11 @@ flow the paper's throughput numbers assume: the single page buffer
 enforces the structural hazard, so a batch's elapsed time is the serial
 sum of every stage of every page.
 
-:class:`PipelinedCoreFsm` is the pipelined variant: identical data
-semantics and identical per-page :class:`StageLatencies` accounting, but
-its batch elapsed time follows a two-stage pipeline — the array phase of
-page i+1 (sense, or the two-round data load + encode on writes) overlaps
-the channel phase of page i (transfer + decode, or the ISPP program).
-The recurrence in :func:`pipeline_elapsed_s` is exactly what the SSD
-scheduler's cache-read mode produces on a 1-channel x 1-die topology, so
-the two models cross-check each other.
+Every overlap beyond that is modelled once, by the SSD command
+scheduler's :class:`~repro.ssd.scheduler.PipelineConfig`.
+:func:`pipeline_elapsed_s` is the closed form of its cache-read
+double buffer on a 1-channel x 1-die topology: the array phase of page
+i+1 overlaps the channel phase of page i.
 """
 
 from __future__ import annotations
@@ -214,10 +211,6 @@ class CoreControllerFsm:
             for i in range(len(addresses))
         ]
 
-    def serial_elapsed_s(self, flows: list[FlowResult]) -> float:
-        """Batch wall time of the non-pipelined FSM: the serial stage sum."""
-        return sum(flow.latencies.total_s for flow in flows)
-
     def _finish_read(
         self, result: DecodeResult, read_array_s: float, written_t: int
     ) -> FlowResult:
@@ -263,46 +256,3 @@ def pipeline_elapsed_s(stages: Iterable[tuple[float, float]]) -> float:
         b_end = handoff + b_s
     return b_end
 
-
-class PipelinedCoreFsm(CoreControllerFsm):
-    """Two-stage pipelined FSM variant (cache read / two-round load).
-
-    Data movement, per-page :class:`StageLatencies` and telemetry are
-    identical to :class:`CoreControllerFsm` — only the *batch elapsed
-    time* changes: :attr:`last_batch_elapsed_s` holds the pipelined
-    makespan of the most recent ``read_pages``/``write_pages`` call
-    instead of the serial sum.  The serial figure stays available through
-    :meth:`serial_elapsed_s` for side-by-side accounting.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.last_batch_elapsed_s = 0.0
-
-    def read_pages(
-        self, addresses: list[tuple[int, int]], strict: bool = True
-    ) -> list[FlowResult]:
-        """Batched read flow with cache-read overlap accounting."""
-        flows = super().read_pages(addresses, strict=strict)
-        self.last_batch_elapsed_s = pipeline_elapsed_s(
-            (
-                flow.latencies.read_array_s,
-                flow.latencies.transfer_s + flow.latencies.decode_s,
-            )
-            for flow in flows
-        )
-        return flows
-
-    def write_pages(
-        self, ops: list[tuple[int, int, bytes]]
-    ) -> list[FlowResult]:
-        """Batched write flow with two-round data-load accounting."""
-        flows = super().write_pages(ops)
-        self.last_batch_elapsed_s = pipeline_elapsed_s(
-            (
-                flow.latencies.transfer_s + flow.latencies.encode_s,
-                flow.latencies.program_s,
-            )
-            for flow in flows
-        )
-        return flows

@@ -16,11 +16,14 @@ role:
   :class:`~repro.controller.NandController` per die under a single
   cross-layer policy, so the section-6 operating modes (baseline /
   min-UBER / max-read-throughput) reconfigure the whole SSD at once;
-* :class:`~repro.ssd.scheduler.CommandScheduler` — a discrete-event
-  command timeline on :class:`~repro.sim.engine.SimEngine` over explicit
-  :class:`~repro.nand.timing.CommandPhase` sequences: array planes,
-  channel buses, per-channel ECC engines and per-plane cache registers
-  are independent serially-reusable resources.  The default
+* :class:`~repro.ssd.session.SsdSession` — the device's queue pair
+  over one resident :class:`~repro.ssd.scheduler.SchedulerCore`, a
+  discrete-event command timeline on :class:`~repro.sim.engine.SimEngine`
+  over explicit :class:`~repro.nand.timing.CommandPhase` sequences:
+  array planes, channel buses, per-channel ECC engines and per-plane
+  cache registers are independent serially-reusable resources.  It
+  takes open-loop submissions and drains closed batches
+  (:meth:`~repro.ssd.session.SsdSession.execute`).  The default
   :class:`~repro.ssd.scheduler.PipelineConfig` reproduces the paper's
   non-pipelined page-buffer FSM hazard exactly; enabling ``cache_read``
   / ``multi_plane`` / ``pipelined_ecc`` unlocks the corresponding
@@ -44,7 +47,6 @@ from repro.ssd.scheduler import (
     CommandCompletion,
     CommandKind,
     CommandOrigin,
-    CommandScheduler,
     DieCommand,
     PipelineConfig,
     ScheduleResult,
@@ -70,7 +72,6 @@ __all__ = [
     "CommandCompletion",
     "CommandKind",
     "CommandOrigin",
-    "CommandScheduler",
     "DieAddress",
     "DieCommand",
     "DiePageAddress",

@@ -27,7 +27,6 @@ from repro.nand.ispp import IsppAlgorithm
 from repro.nand.timing import NandTimingModel
 from repro.ssd.scheduler import (
     CommandKind,
-    CommandScheduler,
     DieCommand,
     PipelineConfig,
     ScheduleResult,
@@ -46,7 +45,7 @@ DiePageAddress = tuple[int, int, int]
 
 
 class SsdDevice:
-    """A farm of per-die controllers behind one command scheduler."""
+    """A farm of per-die controllers behind one device-wide session."""
 
     def __init__(
         self,
@@ -77,7 +76,6 @@ class SsdDevice:
             )
             for rng in rngs
         ]
-        self.scheduler = CommandScheduler(self.topology, self.pipeline)
         self._session: "SsdSession | None" = None
 
     @property

@@ -39,12 +39,13 @@ the **flat dispatch core**: coroutine-free state-machine frames
 scheduled directly on the engine's event list and advanced by one
 burst handler (see the "flat dispatch core" section below).  It is the
 only implementation; its timelines are pinned by golden digests in
-``tests/ssd/test_dispatch_golden.py``.  :class:`CommandScheduler` is
-the classic closed-batch view: `run()` spawns a fresh core plus a
-queue-depth-bounded admission process (the NVMe-style host queue) and
-drains it to the batch makespan.  Everything is deterministic: the same
-command list, topology, pipeline config and queue depth produce the
-same completion order and the same final clock.
+``tests/ssd/test_dispatch_golden.py``.  A closed batch runs on the
+same resident core: :meth:`~repro.ssd.session.SsdSession.execute`
+admits it through :func:`closed_admission` (a queue-depth-bounded
+admission process, the NVMe-style host queue) and drains it to the
+batch makespan.  Everything is deterministic: the same command list,
+topology, pipeline config and queue depth produce the same completion
+order and the same final clock.
 """
 
 from __future__ import annotations
@@ -373,30 +374,26 @@ def closed_admission(
     core: "SchedulerCore",
     commands: list[DieCommand],
     queue_depth: int | None,
-    wake_frames: bool = False,
 ) -> Process:
-    """Admit a closed batch through a bounded in-flight window.
+    """Admit a closed batch into a started core's parked frames.
 
     ``queue_depth`` bounds how many commands are in flight at once
     (``None`` admits everything immediately — an infinitely deep
-    queue).  Commands are admitted in list order.  ``wake_frames``
-    is required when the core's dispatch frames are already resident
-    (parked): the initial in-flight window is queued with wake-ups
-    suppressed, then :meth:`SchedulerCore.wake_frames` resumes the
-    frames that actually received work in (die, plane) order — the same
-    deterministic order as a fresh core's start-up, without scheduling
-    a no-op wake for every idle plane.
+    queue).  Commands are admitted in list order.  The initial in-flight
+    window is queued with wake-ups suppressed, then
+    :meth:`SchedulerCore.wake_frames` resumes the frames that received
+    work in (die, plane) order, so the batch timeline does not depend
+    on which frame went idle last and no idle plane takes a no-op turn.
     """
     limit = len(commands) if queue_depth is None else queue_depth
     submit_s = core.engine.now_s  # the whole batch is submitted up front
     index = 0
-    if wake_frames:
-        for command in commands:
-            if core.in_flight >= limit:
-                break
-            core.enqueue(command, submit_s=submit_s, wake=False)
-            index += 1
-        core.wake_frames()
+    for command in commands:
+        if core.in_flight >= limit:
+            break
+        core.enqueue(command, submit_s=submit_s, wake=False)
+        index += 1
+    core.wake_frames()
     for command in commands[index:]:
         while core.in_flight >= limit:
             yield core.completed
@@ -490,9 +487,8 @@ class SchedulerCore:
     per (die, plane), parked idle while its queue is empty.
     :meth:`enqueue` accepts a command at any simulation time — including
     while earlier commands are still in flight — making the core the
-    substrate for both the classic closed-batch
-    :class:`CommandScheduler` and the open-loop
-    :class:`~repro.ssd.session.SsdSession`.
+    substrate of :class:`~repro.ssd.session.SsdSession`, for its
+    open-loop submissions and its closed ``execute`` batches alike.
 
     Completions are appended to :attr:`completions`; :attr:`completed`
     fires once per completion, and synchronous ``on_finish`` callbacks
@@ -599,12 +595,12 @@ class SchedulerCore:
     def wake_frames(self) -> None:
         """Wake every parked frame with queued work, (die, plane) order.
 
-        Before admitting a closed batch into a resident core, this puts
-        the frames' resume events in the same deterministic order as a
-        fresh core's start-up, so batch timelines are reproducible
-        regardless of which frame went idle last.  Frames with empty
-        queues stay parked — their wake would be a no-op turn (find
-        nothing, re-park) and cannot be observed by the batch.
+        After a closed batch's initial window is queued, this puts the
+        frames' resume events in (die, plane) order, so batch timelines
+        are reproducible regardless of which frame went idle last.
+        Frames with empty queues stay parked — their wake would be a
+        no-op turn (find nothing, re-park) and cannot be observed by the
+        batch.
         """
         engine = self.engine
         push = engine._queue.push
@@ -1415,54 +1411,3 @@ class SchedulerCore:
                 san.backwards_time(event[0], now)
             now, _, frame = event
 
-
-class CommandScheduler:
-    """Dispatches die commands over the topology on one DES run."""
-
-    def __init__(
-        self,
-        topology: SsdTopology,
-        pipeline: PipelineConfig | None = None,
-        recorder=None,
-    ):
-        self.topology = topology
-        self.pipeline = pipeline or PipelineConfig()
-        self.recorder = recorder
-
-    def run(
-        self,
-        commands: list[DieCommand],
-        queue_depth: int | None = None,
-    ) -> ScheduleResult:
-        """Schedule a closed batch of commands; returns the full timeline.
-
-        A thin run-to-drain wrapper over a fresh :class:`SchedulerCore`:
-        ``queue_depth`` bounds how many commands are in flight at once
-        (``None`` admits everything immediately), per-plane service is
-        FIFO, and buses / ECC engines arbitrate among their dies in
-        wake-up order.  For a persistent queue that accepts submissions
-        while earlier commands are in flight, use
-        :class:`~repro.ssd.session.SsdSession` instead.
-        """
-        validate_batch(self.topology, commands, queue_depth)
-        engine = SimEngine()
-        core = SchedulerCore(
-            engine, self.topology, self.pipeline, recorder=self.recorder
-        )
-        engine.spawn(closed_admission(core, commands, queue_depth))
-        core.start()
-        makespan = engine.run()
-        if len(core.completions) != len(commands):
-            raise SimulationError(
-                f"scheduler completed {len(core.completions)} of "
-                f"{len(commands)} commands"
-            )
-        if engine.sanitizer is not None:
-            engine.sanitizer.check_drain(core, makespan)
-        return ScheduleResult(
-            completions=core.completions,
-            makespan_s=makespan,
-            die_busy_s=core.die_busy_s,
-            channel_busy_s=core.channel_busy_s,
-            ecc_busy_s=core.ecc_busy_s,
-        )

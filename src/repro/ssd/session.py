@@ -31,13 +31,13 @@ the open-loop replacement — the software analogue of an NVMe submission
   it applies once every earlier submission has been staged, so a trim
   never overtakes a write still in the backlog.
 
-:meth:`SsdSession.execute` is the closed-loop compatibility surface:
-it drains one pre-built command batch exactly like
-:class:`~repro.ssd.scheduler.CommandScheduler.run` — the resident core
-is re-based to a zero clock while idle, so batch timelines (per-command
-latencies, completion order, makespan) are **bit-exact** with the
-run-to-drain scheduler.  ``DieStripedFtl.read_many``/``write_many``
-route through it, which is what lets every namespace of a
+:meth:`SsdSession.execute` is the one way a closed batch is
+scheduled: it drains one pre-built command batch on the resident core,
+re-based to a zero clock while idle, so a batch's timeline (per-command
+latencies, completion order, makespan) does not depend on what the
+session ran before.  ``DieStripedFtl.read_many``/``write_many`` and raw
+:class:`~repro.ssd.device.SsdDevice` batch I/O route through it, which
+is what lets every namespace of a
 :class:`~repro.ftl.service.DifferentiatedStorage` share one device-wide
 queue.
 
@@ -334,12 +334,14 @@ class SsdSession:
     ) -> ScheduleResult:
         """Drain one closed batch of pre-built die commands.
 
-        The compatibility surface behind ``read_many``/``write_many``:
+        The closed-batch surface behind ``read_many``/``write_many``:
         requires an idle session (nothing in flight, empty backlog, no
-        scheduled events), re-bases the clock to zero and replays the
-        batch through the resident core — bit-exact with
-        :meth:`~repro.ssd.scheduler.CommandScheduler.run` on a fresh
-        engine (same completion order, same latencies, same makespan).
+        scheduled events), re-bases the clock to zero, zeroes the busy
+        accumulators and admits the batch through
+        :func:`~repro.ssd.scheduler.closed_admission` at ``queue_depth``
+        (``None`` admits it all at once).  Returns the batch's
+        completions, makespan and busy lists; the timelines are pinned
+        in ``tests/ssd/test_dispatch_golden.py``.
         """
         if not self.core.idle or self._backlog:
             raise SimulationError(
@@ -354,9 +356,7 @@ class SsdSession:
         self.engine.rebase()
         self.core.reset_accounting()
         self.core.completions.clear()
-        self.engine.spawn(closed_admission(
-            self.core, commands, queue_depth, wake_frames=True
-        ))
+        self.engine.spawn(closed_admission(self.core, commands, queue_depth))
         makespan = self.engine.run()
         completions = list(self.core.completions)
         if len(completions) != len(commands):

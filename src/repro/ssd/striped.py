@@ -28,12 +28,12 @@ in :class:`~repro.ftl.service.DifferentiatedStorage` can be backed by
 either a single-die partition or a striped SSD span.
 
 Timing is executed by the device's persistent
-:class:`~repro.ssd.session.SsdSession` rather than a fresh run-to-drain
-scheduler per batch: ``read_many``/``write_many`` drain a closed batch
-through :meth:`~repro.ssd.session.SsdSession.execute` (bit-exact with
-the classic scheduler), while :meth:`stage_reads`/:meth:`stage_writes`
-expose the same data-path + command-building step per submission so the
-session's open-loop ``submit()`` stream reuses one code path.  Every
+:class:`~repro.ssd.session.SsdSession`: ``read_many``/``write_many``
+drain a closed batch through
+:meth:`~repro.ssd.session.SsdSession.execute`, while
+:meth:`stage_reads`/:meth:`stage_writes` expose the same data-path +
+command-building step per submission so the session's open-loop
+``submit()`` stream reuses one code path.  Every
 striped FTL over one :class:`~repro.ssd.device.SsdDevice` shares that
 device's session by default, so namespaces contend in one device-wide
 queue.
@@ -451,11 +451,10 @@ class DieStripedFtl:
     ) -> list[float]:
         """Drain the batch on the device session; per-tag latencies.
 
-        Uses :meth:`~repro.ssd.session.SsdSession.execute`, which is
-        bit-exact with a fresh run-to-drain
-        :class:`~repro.ssd.scheduler.CommandScheduler` — the session
-        merely keeps its workers (and any sibling namespaces' traffic)
-        on one persistent timeline.
+        Uses :meth:`~repro.ssd.session.SsdSession.execute`, which
+        re-bases the session's resident core to a zero clock, so the
+        batch's timeline does not depend on earlier batches or on
+        sibling namespaces sharing the session.
         """
         if queue_depth is None:
             queue_depth = self.queue_depth

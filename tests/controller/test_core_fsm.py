@@ -75,49 +75,8 @@ class TestReadFlow:
         )
 
 
-class TestPipelinedFsm:
-    """Pipelined FSM variant: same data/stage accounting, overlapped clock."""
-
-    @pytest.fixture()
-    def pipelined(self, rng):
-        from repro.controller.core import PipelinedCoreFsm
-
-        geometry = NandGeometry(blocks=4, pages_per_block=4)
-        device = NandFlashDevice(geometry, rng=rng)
-        codec = AdaptiveBCHCodec(k=geometry.page_data_bits, t_max=16)
-        codec.set_correction_capability(4)
-        return PipelinedCoreFsm(codec, device, OcpInterface())
-
-    def test_data_identical_to_serial_fsm(self, fsm, pipelined, rng):
-        payloads = [rng.bytes(4096) for _ in range(4)]
-        ops = [(0, i, data) for i, data in enumerate(payloads)]
-        serial_writes = fsm.write_pages(ops)
-        pipe_writes = pipelined.write_pages(ops)
-        for serial, pipe in zip(serial_writes, pipe_writes):
-            assert pipe.data == serial.data
-        reads = pipelined.read_pages([(0, i) for i in range(4)])
-        for read, payload in zip(reads, payloads):
-            assert read.data == payload
-
-    def test_batch_elapsed_is_pipelined(self, pipelined, rng):
-        from repro.controller.core import pipeline_elapsed_s
-
-        ops = [(0, i, rng.bytes(4096)) for i in range(4)]
-        flows = pipelined.write_pages(ops)
-        expected = pipeline_elapsed_s(
-            (f.latencies.transfer_s + f.latencies.encode_s,
-             f.latencies.program_s)
-            for f in flows
-        )
-        assert pipelined.last_batch_elapsed_s == pytest.approx(expected)
-        assert pipelined.last_batch_elapsed_s < pipelined.serial_elapsed_s(flows)
-        reads = pipelined.read_pages([(0, i) for i in range(4)])
-        read_expected = pipeline_elapsed_s(
-            (f.latencies.read_array_s,
-             f.latencies.transfer_s + f.latencies.decode_s)
-            for f in reads
-        )
-        assert pipelined.last_batch_elapsed_s == pytest.approx(read_expected)
+class TestPipelineRecurrence:
+    """The double-buffer recurrence of the scheduler's 1x1 cache reads."""
 
     def test_recurrence_against_hand_computed(self):
         from repro.controller.core import pipeline_elapsed_s

@@ -28,8 +28,11 @@ The shapes are those of ``benchmarks/bench_sim_speed.py`` at its quick
 size (4ch x 4die, full pipeline, 3,000 commands): the mixed-open stream
 (70/30 reads/programs, window 256, 2 us arrivals) with the trace
 recorder off and on, and closed read and write batches at queue depth
-32 through :meth:`CommandScheduler.run`.  The benchmarks import
-:func:`count_costs` to print these counts next to their ops/s.
+32, each through a fresh session's
+:meth:`~repro.ssd.session.SsdSession.execute` (the session is built
+outside the counted window: its constructor's parking turns are set-up,
+not batch).  The benchmarks import :func:`count_costs` to print these
+counts next to their ops/s.
 """
 
 from __future__ import annotations
@@ -44,11 +47,10 @@ import pytest
 import repro
 from repro.nand.timing import NandTimingModel
 from repro.obs import TraceRecorder
-from repro.sim import engine as engine_mod
 from repro.sim.engine import SimEngine
+from repro.ssd import SsdDevice, SsdSession
 from repro.ssd.scheduler import (
     CommandKind,
-    CommandScheduler,
     DieCommand,
     PipelineConfig,
     SchedulerCore,
@@ -169,10 +171,13 @@ def _mixed_open(traced: bool) -> dict[str, int]:
 def _closed(read_fraction: float) -> dict[str, int]:
     topology = SsdTopology(channels=4, dies_per_channel=4)
     commands = build_stream(OPS, topology.dies, read_fraction)
-    scheduler = CommandScheduler(topology, PipelineConfig.full())
     for _ in range(2):
+        session = SsdSession(
+            ssd=SsdDevice(topology, seed=0, pipeline=PipelineConfig.full()),
+            engine=SimEngine(sanitize=False),
+        )
         counts = count_costs(
-            lambda: scheduler.run(commands, queue_depth=CLOSED_QD)
+            lambda: session.execute(commands, queue_depth=CLOSED_QD)
         )
     return counts
 
@@ -186,9 +191,7 @@ SHAPES = {
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_counts_match_budget(shape, monkeypatch):
-    # CommandScheduler.run builds its own engine: keep it disarmed.
-    monkeypatch.setattr(engine_mod, "SANITIZE_DEFAULT", False)
+def test_counts_match_budget(shape):
     observed = SHAPES[shape]()
     budget = BUDGETS[shape]
     over = [

@@ -6,7 +6,8 @@ section).  With every pipeline flag disabled, the phase scheduler must
 reproduce its timelines *exactly* — same completion order, same
 per-command completion times, same final clock — on arbitrary command
 mixes.  The pipelined modes are then checked against closed-form
-makespans and for run-to-run determinism.
+makespans and for run-to-run determinism.  Every batch drains through
+a fresh session's :meth:`~repro.ssd.session.SsdSession.execute`.
 """
 
 import numpy as np
@@ -17,12 +18,8 @@ from repro.controller.core import pipeline_elapsed_s
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import CommandPhase, NandTimingModel, PhaseResource
 from repro.sim.engine import Process, SimEngine, Signal
-from repro.ssd.scheduler import (
-    CommandKind,
-    CommandScheduler,
-    DieCommand,
-    PipelineConfig,
-)
+from repro.ssd import SsdDevice, SsdSession
+from repro.ssd.scheduler import CommandKind, DieCommand, PipelineConfig
 from repro.ssd.topology import SsdTopology
 
 
@@ -118,6 +115,11 @@ def _topology(channels, dies_per_channel, planes=2):
     )
 
 
+def _session(topology, pipeline=None):
+    """A fresh session; closed batches drain through its ``execute``."""
+    return SsdSession(ssd=SsdDevice(topology, seed=0, pipeline=pipeline))
+
+
 def _random_commands(rng, count, dies, phase_built=True):
     """Mixed random command list; tags are submission order."""
     commands = []
@@ -204,7 +206,7 @@ class TestPr3Equivalence:
         reference, ref_makespan = Pr3Scheduler(topology).run(
             commands, queue_depth
         )
-        result = CommandScheduler(topology, PipelineConfig.serial()).run(
+        result = _session(topology, PipelineConfig.serial()).execute(
             commands, queue_depth
         )
         assert [
@@ -219,9 +221,9 @@ class TestPr3Equivalence:
         phase_built = _random_commands(rng, 30, topology.dies)
         rng.bit_generator.state = state
         scalar = _random_commands(rng, 30, topology.dies, phase_built=False)
-        scheduler = CommandScheduler(topology)
-        first = scheduler.run(phase_built, queue_depth=4)
-        second = scheduler.run(scalar, queue_depth=4)
+        session = _session(topology)
+        first = session.execute(phase_built, queue_depth=4)
+        second = session.execute(scalar, queue_depth=4)
         assert first.completion_order() == second.completion_order()
         assert first.makespan_s == pytest.approx(second.makespan_s)
 
@@ -231,9 +233,9 @@ class TestPr3Equivalence:
         topology = _topology(1, 1)
         spread = _programs(4, lambda i: i % 2)
         stacked = _programs(4, lambda i: 0)
-        scheduler = CommandScheduler(topology)
-        assert scheduler.run(spread).makespan_s == pytest.approx(
-            scheduler.run(stacked).makespan_s
+        session = _session(topology)
+        assert session.execute(spread).makespan_s == pytest.approx(
+            session.execute(stacked).makespan_s
         )
 
 
@@ -246,10 +248,10 @@ class TestCacheRead:
     def test_sense_overlaps_transfer(self):
         # Double-buffered: makespan = first sense + N x channel section
         # when the channel section dominates the sense.
-        scheduler = CommandScheduler(
+        session = _session(
             _topology(1, 1), PipelineConfig(cache_read=True)
         )
-        result = scheduler.run(_reads(4, [0], sense=100e-6))
+        result = session.execute(_reads(4, [0], sense=100e-6))
         assert result.makespan_s == pytest.approx(100e-6 + 4 * 110e-6)
 
     def test_matches_pipelined_fsm_recurrence(self):
@@ -266,24 +268,24 @@ class TestCacheRead:
             )
             for i, (a, b) in enumerate(stages)
         ]
-        scheduler = CommandScheduler(
+        session = _session(
             _topology(1, 1), PipelineConfig(cache_read=True)
         )
-        result = scheduler.run(commands)
+        result = session.execute(commands)
         assert result.makespan_s == pytest.approx(pipeline_elapsed_s(stages))
 
     def test_cache_busy_charged_on_handoff(self):
-        plain = CommandScheduler(
+        plain = _session(
             _topology(1, 1), PipelineConfig(cache_read=True)
-        ).run(_reads(4, [0]))
-        with_busy = CommandScheduler(
+        ).execute(_reads(4, [0]))
+        with_busy = _session(
             _topology(1, 1), PipelineConfig(cache_read=True)
-        ).run(_reads(4, [0], cache_busy=3e-6))
+        ).execute(_reads(4, [0], cache_busy=3e-6))
         assert with_busy.makespan_s > plain.makespan_s
 
     def test_serial_mode_unaffected_by_cache_fields(self):
-        scheduler = CommandScheduler(_topology(1, 1))
-        result = scheduler.run(_reads(4, [0], cache_busy=3e-6))
+        session = _session(_topology(1, 1))
+        result = session.execute(_reads(4, [0], cache_busy=3e-6))
         assert result.makespan_s == pytest.approx(4 * 210e-6)
 
 
@@ -295,13 +297,13 @@ class TestCacheRead:
 class TestMultiPlane:
     def test_programs_overlap_across_planes(self):
         config = PipelineConfig(multi_plane=True)
-        alternating = CommandScheduler(_topology(1, 1), config).run(
+        alternating = _session(_topology(1, 1), config).execute(
             _programs(4, lambda i: i % 2)
         )
-        stacked = CommandScheduler(_topology(1, 1), config).run(
+        stacked = _session(_topology(1, 1), config).execute(
             _programs(4, lambda i: 0)
         )
-        serial = CommandScheduler(_topology(1, 1)).run(
+        serial = _session(_topology(1, 1)).execute(
             _programs(4, lambda i: i % 2)
         )
         assert stacked.makespan_s == pytest.approx(serial.makespan_s)
@@ -318,13 +320,13 @@ class TestMultiPlane:
             )
             for i in range(6)
         ]
-        overlapped = CommandScheduler(_topology(1, 1), config).run(commands)
-        serial = CommandScheduler(_topology(1, 1)).run(commands)
+        overlapped = _session(_topology(1, 1), config).execute(commands)
+        serial = _session(_topology(1, 1)).execute(commands)
         assert overlapped.makespan_s < serial.makespan_s
 
     def test_die_busy_accounting_covers_both_planes(self):
         config = PipelineConfig(multi_plane=True)
-        result = CommandScheduler(_topology(1, 1), config).run(
+        result = _session(_topology(1, 1), config).execute(
             _programs(4, lambda i: i % 2)
         )
         assert result.die_busy_s[0] == pytest.approx(4 * 600e-6)
@@ -342,10 +344,10 @@ class TestPipelinedEcc:
         # transfer and the engine accepts a page every hold interval.
         topology = _topology(1, 4)
         commands = _reads(8, [0, 1, 2, 3])
-        serial = CommandScheduler(topology).run(commands)
-        pipelined = CommandScheduler(
+        serial = _session(topology).execute(commands)
+        pipelined = _session(
             topology, PipelineConfig(cache_read=True, pipelined_ecc=True)
-        ).run(commands)
+        ).execute(commands)
         assert serial.makespan_s == pytest.approx(8 * 110e-6 + 100e-6)
         # Steady state: one page per 60 us engine interval, after the
         # first sense; the last page pays its decode drain + transfer.
@@ -355,12 +357,12 @@ class TestPipelinedEcc:
 
     def test_ecc_busy_accounted_separately(self):
         topology = _topology(1, 2)
-        result = CommandScheduler(
+        result = _session(
             topology, PipelineConfig(pipelined_ecc=True)
-        ).run(_reads(6, [0, 1]))
+        ).execute(_reads(6, [0, 1]))
         assert result.channel_busy_s[0] == pytest.approx(6 * 10e-6)
         assert result.ecc_busy_s[0] == pytest.approx(6 * 60e-6)
-        serial = CommandScheduler(topology).run(_reads(6, [0, 1]))
+        serial = _session(topology).execute(_reads(6, [0, 1]))
         assert serial.channel_busy_s[0] == pytest.approx(6 * 110e-6)
         assert serial.ecc_busy_s[0] == 0.0
 
@@ -373,10 +375,10 @@ class TestPipelinedEcc:
             )
             for die in range(4)
         ]
-        serial = CommandScheduler(topology).run(programs)
-        pipelined = CommandScheduler(
+        serial = _session(topology).execute(programs)
+        pipelined = _session(
             topology, PipelineConfig(pipelined_ecc=True)
-        ).run(programs)
+        ).execute(programs)
         # Serial: 4 fused 60 us bus sections + the last 600 us program.
         assert serial.makespan_s == pytest.approx(4 * 60e-6 + 600e-6)
         assert pipelined.makespan_s < serial.makespan_s
@@ -398,9 +400,9 @@ class TestDeterminismAndValidation:
         topology = _topology(2, 2)
         rng = np.random.default_rng(23)
         commands = _random_commands(rng, 48, topology.dies)
-        scheduler = CommandScheduler(topology, config)
-        first = scheduler.run(commands, queue_depth=6)
-        second = scheduler.run(commands, queue_depth=6)
+        session = _session(topology, config)
+        first = session.execute(commands, queue_depth=6)
+        second = session.execute(commands, queue_depth=6)
         assert first.completion_order() == second.completion_order()
         assert first.makespan_s == second.makespan_s
         assert [c.done_s for c in first.completions] == [
@@ -414,7 +416,7 @@ class TestDeterminismAndValidation:
         topology = _topology(2, 4)
         rng = np.random.default_rng(5)
         commands = _random_commands(rng, 64, topology.dies)
-        result = CommandScheduler(topology, config).run(
+        result = _session(topology, config).execute(
             commands, queue_depth=5
         )
         assert sorted(result.completion_order()) == list(range(64))
@@ -423,14 +425,14 @@ class TestDeterminismAndValidation:
         topology = _topology(1, 4)
         rng = np.random.default_rng(41)
         commands = _random_commands(rng, 40, topology.dies)
-        serial = CommandScheduler(topology).run(commands).makespan_s
-        full = CommandScheduler(
+        serial = _session(topology).execute(commands).makespan_s
+        full = _session(
             topology, PipelineConfig(multi_plane=True, pipelined_ecc=True)
-        ).run(commands).makespan_s
+        ).execute(commands).makespan_s
         assert full <= serial + 1e-12
 
     def test_duplicate_tags_rejected(self):
-        scheduler = CommandScheduler(_topology(1, 1))
+        session = _session(_topology(1, 1))
         duplicate = [
             DieCommand(kind=CommandKind.READ, die=0, tag=4,
                        die_s=10e-6, channel_s=10e-6),
@@ -438,7 +440,7 @@ class TestDeterminismAndValidation:
                        die_s=10e-6, channel_s=10e-6),
         ]
         with pytest.raises(SimulationError, match="duplicate command tag"):
-            scheduler.run(duplicate)
+            session.execute(duplicate)
 
     def test_invalid_phase_fields_rejected(self):
         with pytest.raises(SimulationError):
