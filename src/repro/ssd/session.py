@@ -62,6 +62,10 @@ collections run and how they meet the host window:
   :class:`~repro.ftl.gc.GcConfig`), GC commands *overlap* host I/O —
   they never consume the host queue-depth window, and the per-plane
   dispatch pop gives host commands priority over queued GC work.
+
+A closed :meth:`SsdSession.execute` batch keeps collections off the
+timeline in every mode: the ones its data path triggers run
+synchronously, and its completions trigger none.
 """
 
 from __future__ import annotations
@@ -342,6 +346,13 @@ class SsdSession:
         (``None`` admits it all at once).  Returns the batch's
         completions, makespan and busy lists; the timelines are pinned
         in ``tests/ssd/test_dispatch_golden.py``.
+
+        The batch runs with the session's completion hook detached: its
+        commands carry no submitted I/O to route and the backlog is
+        empty, and in background GC mode the hook would start
+        collections whose session-counter tags collide with the
+        batch's.  Other ``on_finish`` callbacks (a trace recorder's)
+        still see every completion.
         """
         if not self.core.idle or self._backlog:
             raise SimulationError(
@@ -357,7 +368,13 @@ class SsdSession:
         self.core.reset_accounting()
         self.core.completions.clear()
         self.engine.spawn(closed_admission(self.core, commands, queue_depth))
-        makespan = self.engine.run()
+        on_finish = self.core.on_finish
+        slot = on_finish.index(self._on_command_finish)
+        del on_finish[slot]
+        try:
+            makespan = self.engine.run()
+        finally:
+            on_finish.insert(slot, self._on_command_finish)
         completions = list(self.core.completions)
         if len(completions) != len(commands):
             raise SimulationError(

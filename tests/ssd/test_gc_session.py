@@ -203,6 +203,38 @@ class TestCrossModeEquivalence:
             assert len(done) == len(reads) + len(writes)
             assert ftl.gc_stats.collections > 0
 
+    def test_closed_batches_start_no_background_collection(self):
+        """Overwrite passes through ``execute`` match a sync session.
+
+        A closed batch tags its commands from zero, so a background
+        collection started inside it (tagged from the session counter)
+        would collide with the batch's tags.
+        """
+        def overwrite_passes(gc_mode):
+            topology = SsdTopology(
+                channels=1,
+                dies_per_channel=2,
+                geometry=NandGeometry(blocks=6, pages_per_block=8),
+            )
+            ssd = SsdDevice(topology, seed=1)
+            session = SsdSession(ssd=ssd, gc_mode=gc_mode)
+            ftl = DieStripedFtl(ssd, session=session)
+            # A submission hands the FTL's collectors to the session.
+            session.submit(IoCommand(TraceOpKind.WRITE, 0, _page(0)), ftl=ftl)
+            session.drain()
+            latencies = [
+                ftl.write_many([
+                    (lpn, _page(round_)) for lpn in range(ftl.logical_capacity)
+                ])
+                for round_ in range(6)
+            ]
+            return latencies, ftl.stats, ftl.gc_stats
+
+        background = overwrite_passes("background")
+        assert background == overwrite_passes("sync")
+        assert background[2].collections > 0
+        assert background[2].background_collections == 0
+
     def test_background_overlap_beats_foreground_stalls(self):
         fg_ftl, fg_session = _build("foreground")
         ops = _churn(fg_ftl.logical_capacity)
