@@ -76,9 +76,9 @@ BUDGETS = {
     "mixed-open-traced":
         {"events": 26558, "pushes": 16128, "pops": 16131, "calls": 4437},
     "reads-closed":
-        {"events": 27099, "pushes": 18657, "pops": 18692, "calls": 23892},
+        {"events": 27088, "pushes": 18678, "pops": 18681, "calls": 23538},
     "writes-closed":
-        {"events": 15527, "pushes": 12595, "pops": 12630, "calls": 21259},
+        {"events": 15516, "pushes": 12616, "pops": 12619, "calls": 20905},
 }
 
 

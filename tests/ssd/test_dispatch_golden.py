@@ -391,97 +391,97 @@ PINNED = {
     "closed-cache-erase-1x1-qdinf":
         "89d6db17047a0b2a9cd3092df726efa4110159fec5cf014cbcfd686bf114ebb1",
     "closed-cache-erase-2x2-qd4":
-        "a1c6642a25d1734ea16077b19c5c208f4e62629338bd12851bf56023185aac8d",
+        "d60a57f909f2c8ca88f68754de9993006de41f244cced416da04925290a4238a",
     "closed-cache-erase-4x2-qd32":
         "67f9eb321253e2d1d5a32cb12fa52a68a9e69e60db30a8245abeea46f58e2166",
     "closed-cache-mixed-1x1-qdinf":
         "e807a5653e66940877d55a9157f345b821d97ecabb9a9b9c747486c5c4a81fd6",
     "closed-cache-mixed-2x2-qd4":
-        "5a0468a93347602850796236a979e36a0ef2e205d7a28d27d987b0433e891159",
+        "1c12ff7a42c5901c4c6d64dc06996d12416e6b06a8deb8615e9851f07a36a5c4",
     "closed-cache-mixed-4x2-qd32":
         "0ae618d53201c32448404e1819992db4e50ee17ca748e1871c56327cd6e7e1fe",
     "closed-cache-program-1x1-qdinf":
         "26fedf8af173176ccbce62a0931bd18563291807db862d1038447809e453937a",
     "closed-cache-program-2x2-qd4":
-        "4751fce2d24507c633584bfa520e89c512a8a8351a41bb5c20c036e3f37a4445",
+        "179c36e794b2d120d8e4f93b71bbcf40af5545b047bb9d0a2426fa461666cd62",
     "closed-cache-program-4x2-qd32":
         "d7a4d2e84d097624c63aede91c552450f64e02746e3578cf443ff551b6d5fa1e",
     "closed-cache-read-1x1-qdinf":
         "f00a29ec8bca3de468ca66579c7a6668b5a0ee1ff4987dc7677cd568dee0717a",
     "closed-cache-read-2x2-qd4":
-        "dde1b627e2bd09519f15b9d6f3806edef798bb80b1bf1f4707a64d0da09d705d",
+        "4143d2d1c007ecda6ad2fc69335ad4d9ece1692f7f66e872d871e8a3b06768f7",
     "closed-cache-read-4x2-qd32":
         "1a819f258bf1bced25aa25ddfc985d6eca4b6b290f41cd3455abefc293b803ad",
     "closed-ecc-erase-1x1-qdinf":
         "89d6db17047a0b2a9cd3092df726efa4110159fec5cf014cbcfd686bf114ebb1",
     "closed-ecc-erase-2x2-qd4":
-        "a1c6642a25d1734ea16077b19c5c208f4e62629338bd12851bf56023185aac8d",
+        "d60a57f909f2c8ca88f68754de9993006de41f244cced416da04925290a4238a",
     "closed-ecc-erase-4x2-qd32":
         "67f9eb321253e2d1d5a32cb12fa52a68a9e69e60db30a8245abeea46f58e2166",
     "closed-ecc-mixed-1x1-qdinf":
         "d4b22087b04e7d479cfb17e42320c07898773e499a484aeb48709ce1fa8e2ebf",
     "closed-ecc-mixed-2x2-qd4":
-        "12a24311531dd013aab73961003b7ac3c5815f26eb073f96814eddfad71461b9",
+        "1705f44780ea7f2191313a2615ce89bb430467e8b9080add9d3a0d0f6177a7f2",
     "closed-ecc-mixed-4x2-qd32":
         "4970e4a7a5650a55d6f81d33d1c20d161477a8029ca9352d4b648d504be60d9c",
     "closed-ecc-program-1x1-qdinf":
         "4eecb879bd20c2c8cd25fb2125246a513c432ea881ba1027935471342db35903",
     "closed-ecc-program-2x2-qd4":
-        "e9661c53918359b20853cf894172976c5dc332bd4360f6c97a4d8b5fc914d14d",
+        "d07883c191a705f7158ca2b3ebf17598c2a96fe5ee8a528720863ad6d176cffc",
     "closed-ecc-program-4x2-qd32":
         "84871522770aa71f78796625a7746ae414d6ecb4df8bcd5b298448d987bf5074",
     "closed-ecc-read-1x1-qdinf":
         "baf9ecfd060692ca5e02b1b2d91191136fb724e099986fe03e2deb8255cff8dc",
     "closed-ecc-read-2x2-qd4":
-        "28b81d78b36f531209508a0bdc710145dd427828d892bd21d349157e2ad13ba0",
+        "c61bf10a430b959554dbc90e7b2f7653bca666adf04cf6b20f7aa886281bdefd",
     "closed-ecc-read-4x2-qd32":
         "b1152a680b30e923e4ad5771061d3afd538a14d60dc9f80f166273b08a7810db",
     "closed-full-erase-1x1-qdinf":
         "59395c5d61da445c122889d4b68f22b264a84954708edd5b6406d1544170654a",
     "closed-full-erase-2x2-qd4":
-        "ac64e01629e6268746e25251445b687ec9b698eac30cdf48a07c70c36d435592",
+        "5a7b9c1a12a28e9383d6680c65091557e9b31fb9ea648e1fa5df0ae912abdba7",
     "closed-full-erase-4x2-qd32":
-        "5cd9d07d0e763175983928a4885a3730e50024646309c2be52a0dc923fe0dd91",
+        "ea376feab415e876c7cf808844dc7a2633bff0185bdca5b558ecd46d9e167ffc",
     "closed-full-mixed-1x1-qdinf":
         "d835241d82fca1577e3ae2ec75bbcfdee5be03e79c476badd2db79238df6f4ec",
     "closed-full-mixed-2x2-qd4":
-        "60232328de3d4935476b37750a5de2f1e03f36009df2bc6bd4acba4c149a633c",
+        "31f015995a81b77467769cbd28fce53186b82d45de4f5c0d257079e733c6c632",
     "closed-full-mixed-4x2-qd32":
-        "48eea43b7e1c377df5778edde007c67d8ebd543875fbae39c2ebad8b02fe57bc",
+        "75c6fc28e2d1250305cb3978eedf0562efd1f70fbd407c3df4d865c13dba674a",
     "closed-full-program-1x1-qdinf":
         "6c68799f5775b3c7a4f84c352c6c040fdbc3ffeabfa8a3bc1b4f4446d568b31a",
     "closed-full-program-2x2-qd4":
-        "a47d73968d18b387b56b98d2cd8bb90838e386cb83e991d120d450361060a256",
+        "b5c4f53df05fb21bb87d6ce4dc758aaada257ef0741da10d09b757ece106845c",
     "closed-full-program-4x2-qd32":
-        "8f6d5a55d4a69a8e1f776addb3cf876831e2162e340a69f9709bf8cfcad33aa0",
+        "3b9ce97685c631e1eb9980acaa92a53a1bcf87982b87c920868144938adefded",
     "closed-full-read-1x1-qdinf":
         "677474366473c8ade9594b98d64e7d3ac4bed77828557f127cc65376b52adcc7",
     "closed-full-read-2x2-qd4":
-        "b8ad45041bed0353890cd1dd2a19d5634eba6b6d76656c4230787c4743874cff",
+        "d5e089b969ab0747632cbf4180820c5296970c4fbaf15ca7781ecefb01e80530",
     "closed-full-read-4x2-qd32":
-        "8267ed66371e3ce135f576da8fbf670371b1757d22609c2f469bdb042b3b1009",
+        "4bce5162130a7f675bb10c6a6743460737fe0671e31ac1a46d4b2f8bdcf3973e",
     "closed-serial-erase-1x1-qdinf":
         "89d6db17047a0b2a9cd3092df726efa4110159fec5cf014cbcfd686bf114ebb1",
     "closed-serial-erase-2x2-qd4":
-        "a1c6642a25d1734ea16077b19c5c208f4e62629338bd12851bf56023185aac8d",
+        "d60a57f909f2c8ca88f68754de9993006de41f244cced416da04925290a4238a",
     "closed-serial-erase-4x2-qd32":
         "67f9eb321253e2d1d5a32cb12fa52a68a9e69e60db30a8245abeea46f58e2166",
     "closed-serial-mixed-1x1-qdinf":
         "f3bc6637d71652d1686c1295b26ba6252e400b1a292630b14279544542245412",
     "closed-serial-mixed-2x2-qd4":
-        "872836b3edcf115a7b31ea773021f146f6bbf5f0b8206aaaef95722cc4c4aae6",
+        "34330ee4ecaa7ec6184be73b8e235c963f59b3179ca0a4747db5a67863c8b0cd",
     "closed-serial-mixed-4x2-qd32":
         "68ae26e31fb2e0bb014ee740238b119aa0e9c52aab6449317052465b77f33a61",
     "closed-serial-program-1x1-qdinf":
         "26fedf8af173176ccbce62a0931bd18563291807db862d1038447809e453937a",
     "closed-serial-program-2x2-qd4":
-        "4751fce2d24507c633584bfa520e89c512a8a8351a41bb5c20c036e3f37a4445",
+        "179c36e794b2d120d8e4f93b71bbcf40af5545b047bb9d0a2426fa461666cd62",
     "closed-serial-program-4x2-qd32":
         "d7a4d2e84d097624c63aede91c552450f64e02746e3578cf443ff551b6d5fa1e",
     "closed-serial-read-1x1-qdinf":
         "859eb47d74d75808566ae271e5ffc2c070edcc11d4298a9b5373f1c5d5eacd49",
     "closed-serial-read-2x2-qd4":
-        "8c787d7d0a99a0c0e7c36a376adecaada034a9c147a0639c32d9b8e0a6aa7224",
+        "17727cda13c222b9093260d0830323d6d36e5df288e4e1369b6a770af3ab1ae8",
     "closed-serial-read-4x2-qd32":
         "8c075266f94d39f3f699f8550d79e6465c6b1b823e8e2589c89b3941b7d8f519",
     "execute-cache-erase":
