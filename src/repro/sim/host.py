@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.controller.controller import NandController
+from repro.errors import SimulationError
 from repro.ftl.ftl import FlashTranslationLayer
 from repro.sim.engine import Process
 from repro.sim.stats import LatencyStats, ThroughputStats
@@ -56,6 +57,11 @@ class HostWorkload:
     page commands the command scheduler keeps in flight at once (0 means
     "as deep as the batch").  Single-device runners serialise every
     operation regardless.
+
+    A ``batch_pages`` below 1, a negative ``queue_depth`` or a
+    ``think_time_s`` that is not ``>= 0`` (NaN included) raises
+    :class:`~repro.errors.SimulationError` here, before any runner
+    starts.
     """
 
     name: str
@@ -63,6 +69,20 @@ class HostWorkload:
     think_time_s: float = 0.0
     batch_pages: int = 1
     queue_depth: int = 0
+
+    def __post_init__(self) -> None:
+        if self.batch_pages < 1:
+            raise SimulationError(
+                f"batch_pages must be >= 1, not {self.batch_pages}"
+            )
+        if self.queue_depth < 0:
+            raise SimulationError(
+                f"queue depth must be >= 0, not {self.queue_depth}"
+            )
+        if not self.think_time_s >= 0.0:
+            raise SimulationError(
+                f"think time must be >= 0, not {self.think_time_s!r}"
+            )
 
     @classmethod
     def from_trace(
@@ -102,6 +122,8 @@ class WorkloadResult:
     The SSD runners also surface the scheduler's own accounting:
     ``die_busy_s`` / ``channel_busy_s`` / ``ecc_busy_s`` are the
     per-resource busy-time totals attributable to this run.
+    ``corrected_bits`` likewise counts the bits corrected during this
+    run only, not the FTL's lifetime total.
     """
 
     name: str
@@ -227,8 +249,7 @@ def run_host_workload(
         name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
     )
     page_bytes = controller.geometry.page_data_bytes
-    batch_pages = max(1, workload.batch_pages)
-    for group in _batched_ops(workload.operations, batch_pages):
+    for group in _batched_ops(workload.operations, workload.batch_pages):
         kind = group[0].kind
         latency = 0.0
         if kind is TraceOpKind.WRITE:
@@ -281,9 +302,9 @@ def run_ftl_workload(
         name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
     )
     page_bytes = ftl.controller.geometry.page_data_bytes
-    batch_pages = max(1, workload.batch_pages)
+    bits_before = ftl.stats.corrected_bits
     names = _LpnNamespace()
-    for group in _batched_ops(workload.operations, batch_pages):
+    for group in _batched_ops(workload.operations, workload.batch_pages):
         kind = group[0].kind
         latency = 0.0
         if kind is TraceOpKind.WRITE:
@@ -301,7 +322,7 @@ def run_ftl_workload(
         else:  # ERASE: logical hosts discard instead (GC reclaims later)
             for op in group:
                 names.discard_block(ftl, op.block)
-        result.corrected_bits = ftl.stats.corrected_bits
+        result.corrected_bits = ftl.stats.corrected_bits - bits_before
         result.elapsed_s += float(
             latency + len(group) * workload.think_time_s
         )
@@ -340,11 +361,11 @@ def run_ssd_workload(
         name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
     )
     page_bytes = ftl.geometry.page_data_bytes
-    batch_pages = max(1, workload.batch_pages)
     queue_depth = workload.queue_depth if workload.queue_depth > 0 else None
+    bits_before = ftl.stats.corrected_bits
     names = _LpnNamespace()
 
-    for group in _batched_ops(workload.operations, batch_pages):
+    for group in _batched_ops(workload.operations, workload.batch_pages):
         kind = group[0].kind
         elapsed = 0.0
         if kind is TraceOpKind.WRITE:
@@ -384,7 +405,7 @@ def run_ssd_workload(
                 result.channel_busy_s[index] += busy
             for index, busy in enumerate(schedule.ecc_busy_s):
                 result.ecc_busy_s[index] += busy
-        result.corrected_bits = ftl.stats.corrected_bits
+        result.corrected_bits = ftl.stats.corrected_bits - bits_before
         result.elapsed_s += float(
             elapsed + len(group) * workload.think_time_s
         )
@@ -408,8 +429,6 @@ class OpenLoopWorkload:
 
     def __post_init__(self) -> None:
         if self.queue_depth is not None and self.queue_depth < 1:
-            from repro.errors import SimulationError
-
             raise SimulationError("queue depth must be >= 1")
 
 
@@ -418,7 +437,6 @@ def run_open_loop_workload(
     workload: OpenLoopWorkload,
     session: "SsdSession | None" = None,
     exact_latencies: bool = False,
-    recorder=None,
     on_completion=None,
 ) -> WorkloadResult:
     """Stream an arrival-stamped trace through the SSD's queue pair.
@@ -436,10 +454,8 @@ def run_open_loop_workload(
     (:class:`~repro.obs.histogram.StreamingLatencyStats`) and
     completions are consumed as they land, so memory stays O(1) in the
     trace length; ``exact_latencies=True`` opts back into retained
-    samples and exact percentiles.  ``recorder`` attaches a
-    :class:`~repro.obs.trace.TraceRecorder` when the run constructs its
-    own private session (pass a recorder-carrying session explicitly to
-    trace a shared queue pair).
+    samples and exact percentiles.  To trace a run, pass a session built
+    with a :class:`~repro.obs.trace.TraceRecorder`.
 
     An ERASE op is a host-side discard: every page the trace has named
     in that block is trimmed through :meth:`SsdSession.trim
@@ -462,21 +478,13 @@ def run_open_loop_workload(
     sustained-write benchmark uses to window throughput over time
     without retaining every completion.
     """
-    from repro.errors import SimulationError
     from repro.obs.histogram import StreamingLatencyStats
     from repro.ssd.session import IoCommand, SsdSession
 
     if session is None:
         # A private session starts with a fresh clock already.
-        session = SsdSession(
-            ftl, queue_depth=workload.queue_depth, recorder=recorder
-        )
+        session = SsdSession(ftl, queue_depth=workload.queue_depth)
     else:
-        if recorder is not None:
-            raise SimulationError(
-                "pass the recorder to the shared session at construction, "
-                "not to the runner (cores attach recorders once)"
-            )
         if (
             session.in_flight
             or session.backlog
@@ -492,6 +500,7 @@ def run_open_loop_workload(
     names = _LpnNamespace()
     page_bytes = ftl.geometry.page_data_bytes
     core = session.core
+    bits_before = ftl.stats.corrected_bits
     die_before = list(core.die_busy_s)
     channel_before = list(core.channel_busy_s)
     ecc_before = list(core.ecc_busy_s)
@@ -556,7 +565,7 @@ def run_open_loop_workload(
         session.queue_depth = restore_depth
     for completion in session.take_completions():
         observe(completion)
-    result.corrected_bits = ftl.stats.corrected_bits
+    result.corrected_bits = ftl.stats.corrected_bits - bits_before
     result.die_busy_s = [
         busy - before for busy, before in zip(core.die_busy_s, die_before)
     ]

@@ -5,8 +5,19 @@ import pytest
 
 from repro.controller.controller import NandController
 from repro.core.modes import OperatingMode
+from repro.core.policy import CrossLayerPolicy
+from repro.errors import SimulationError
+from repro.ftl.ftl import FlashTranslationLayer
 from repro.nand.geometry import NandGeometry
-from repro.sim.host import HostWorkload, run_host_workload
+from repro.sim.host import (
+    HostWorkload,
+    OpenLoopWorkload,
+    run_ftl_workload,
+    run_host_workload,
+    run_open_loop_workload,
+    run_ssd_workload,
+)
+from repro.ssd import DieStripedFtl, SsdDevice, SsdTopology
 from repro.workloads.traces import (
     TraceOp,
     TraceOpKind,
@@ -78,6 +89,17 @@ class TestHostWorkload:
         result = run_host_workload(controller, HostWorkload("erase", ops))
         assert result.stats.writes == 2
         assert result.stats.reads == 1
+
+    @pytest.mark.parametrize("bad", [
+        {"batch_pages": 0},
+        {"batch_pages": -3},
+        {"queue_depth": -2},
+        {"think_time_s": -1e-6},
+        {"think_time_s": float("nan")},
+    ], ids=["batch-0", "batch-neg", "qd-neg", "think-neg", "think-nan"])
+    def test_bad_workload_rejected_at_construction(self, bad):
+        with pytest.raises(SimulationError):
+            HostWorkload("bad", [], **bad)
 
     def test_think_time_extends_elapsed(self):
         trace = mixed_trace(blocks=1, pages_per_block=2)
@@ -226,3 +248,64 @@ class TestClosedLoopClock:
         assert type(result.elapsed_s) is float
         assert result.elapsed_s == PINNED_ELAPSED["ssd"]
 
+
+
+def _aged_ftl():
+    """A 1-die FTL at 30k P/E cycles: reads correct bits."""
+    controller = small_controller()
+    controller.device.array._wear[:] = 30_000
+    controller.set_mode(OperatingMode.BASELINE, pe_reference=30_000.0)
+    return FlashTranslationLayer(controller, blocks=[0, 1, 2])
+
+
+def _aged_striped_ftl():
+    """A 1ch x 2die striped FTL at 30k P/E cycles."""
+    ssd = SsdDevice(
+        SsdTopology(
+            channels=1, dies_per_channel=2,
+            geometry=NandGeometry(blocks=4, pages_per_block=8),
+        ),
+        policy=CrossLayerPolicy(), seed=2012,
+    )
+    for controller in ssd.controllers:
+        controller.device.array._wear[:] = 30_000
+    ssd.set_mode(OperatingMode.BASELINE, pe_reference=30_000.0)
+    return DieStripedFtl(ssd)
+
+
+RUNNERS = {
+    "ftl": (
+        _aged_ftl,
+        lambda ftl, ops: run_ftl_workload(ftl, HostWorkload("r", ops)),
+    ),
+    "ssd": (
+        _aged_striped_ftl,
+        lambda ftl, ops: run_ssd_workload(ftl, HostWorkload("r", ops)),
+    ),
+    "open-loop": (
+        _aged_striped_ftl,
+        lambda ftl, ops: run_open_loop_workload(
+            ftl, OpenLoopWorkload("r", ops)
+        ),
+    ),
+}
+
+
+class TestCorrectedBitsPerRun:
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_corrected_bits_count_this_run_only(self, runner):
+        build, run = RUNNERS[runner]
+        ftl = build()
+        writes = [
+            TraceOp(TraceOpKind.WRITE, 0, page, bytes([page]) * 4096)
+            for page in range(8)
+        ]
+        reads = [TraceOp(TraceOpKind.READ, 0, page) for page in range(8)]
+        first = run(ftl, writes + reads)
+        assert first.corrected_bits == ftl.stats.corrected_bits > 0
+        second = run(ftl, reads)
+        assert second.corrected_bits > 0
+        assert first.corrected_bits + second.corrected_bits == (
+            ftl.stats.corrected_bits
+        )
+        assert run(ftl, writes).corrected_bits == 0
