@@ -15,7 +15,9 @@ device's ``read_pages``/``program_pages`` datapath), :func:`run_ftl_workload`
 drives *logical* pages through a flash translation layer's
 ``read_many``/``write_many`` — out-of-place updates, GC and all —
 :func:`run_ssd_workload` drives a die-striped multi-die SSD closed-loop
-(each batch's elapsed time is the *scheduled makespan*, die-parallel and
+(each group drains through
+:meth:`SsdSession.execute <repro.ssd.session.SsdSession.execute>`, so
+its elapsed time is the *scheduled makespan*, die-parallel and
 channel-arbitrated, rather than a serial latency sum), and
 :func:`run_open_loop_workload` drives the SSD through its
 :class:`~repro.ssd.session.SsdSession` queue pair: operations arrive at
@@ -336,8 +338,8 @@ def run_ssd_workload(
     """Simulate a closed-loop host stream against a die-striped SSD.
 
     Trace pages become LPNs exactly as in :func:`run_ftl_workload`, but
-    every batched group is dispatched through the device's
-    :class:`~repro.ssd.session.SsdSession` at the workload's
+    every batched group drains through the device session's
+    :meth:`~repro.ssd.session.SsdSession.execute` at the workload's
     ``queue_depth``: per-operation latencies include queueing behind
     dies and channel buses, and the group advances the clock by its
     scheduled makespan, so the sustained MB/s reflects channel/die

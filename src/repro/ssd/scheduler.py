@@ -375,7 +375,7 @@ def closed_admission(
     commands: list[DieCommand],
     queue_depth: int | None,
 ) -> Process:
-    """Admit a closed batch into a started core's parked frames.
+    """Admit a closed batch into an idle core's parked frames.
 
     ``queue_depth`` bounds how many commands are in flight at once
     (``None`` admits everything immediately — an infinitely deep
@@ -387,14 +387,10 @@ def closed_admission(
     """
     limit = len(commands) if queue_depth is None else queue_depth
     submit_s = core.engine.now_s  # the whole batch is submitted up front
-    index = 0
-    for command in commands:
-        if core.in_flight >= limit:
-            break
+    for command in commands[:limit]:
         core.enqueue(command, submit_s=submit_s, wake=False)
-        index += 1
     core.wake_frames()
-    for command in commands[index:]:
+    for command in commands[limit:]:
         while core.in_flight >= limit:
             yield core.completed
         core.enqueue(command, submit_s=submit_s)

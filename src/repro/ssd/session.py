@@ -63,9 +63,8 @@ collections run and how they meet the host window:
   they never consume the host queue-depth window, and the per-plane
   dispatch pop gives host commands priority over queued GC work.
 
-A closed :meth:`SsdSession.execute` batch keeps collections off the
-timeline in every mode: the ones its data path triggers run
-synchronously, and its completions trigger none.
+In every mode a closed :meth:`SsdSession.execute` batch collects off
+the timeline, synchronously in its data path.
 """
 
 from __future__ import annotations
@@ -347,12 +346,10 @@ class SsdSession:
         completions, makespan and busy lists; the timelines are pinned
         in ``tests/ssd/test_dispatch_golden.py``.
 
-        The batch runs with the session's completion hook detached: its
-        commands carry no submitted I/O to route and the backlog is
-        empty, and in background GC mode the hook would start
-        collections whose session-counter tags collide with the
-        batch's.  Other ``on_finish`` callbacks (a trace recorder's)
-        still see every completion.
+        The session's completion hook is detached for the batch: its
+        completions route no I/O and start no background collection,
+        whose session-counter tags could collide with the batch's.
+        Other ``on_finish`` callbacks, a trace recorder's, still run.
         """
         if not self.core.idle or self._backlog:
             raise SimulationError(
