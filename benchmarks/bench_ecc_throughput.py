@@ -13,9 +13,11 @@ populations:
 Every row is per-page vs batch through one datapath: per-message
 ``encode_codeword`` against ``encode_codeword_batch``, and per-word
 ``decode`` (a batch of one) against ``decode_batch``, so each row
-measures what batching alone buys.  Outputs are cross-checked identical
-before the numbers are reported; a mismatch is the only failure.  The
-rows carry no floor: the decoder's cost is guarded by the counted
+measures what batching alone buys.  Before the numbers are reported,
+the per-page and batch outputs are cross-checked identical, and every
+decode must return the original message and exactly the injected error
+positions (full capability included); a mismatch is the only failure.
+The rows carry no floor: the decoder's cost is guarded by the counted
 budget in ``tests/bch/test_decode_budget.py``.  Run standalone
 (``python benchmarks/bench_ecc_throughput.py``) or through pytest; the
 full sweep is marked ``slow`` and the ``--quick`` knob shrinks the
@@ -39,12 +41,15 @@ PAGE_BYTES = 4096
 CAPABILITIES = (3, 14, 65)
 
 
-def _flip_random_bits(codeword: bytes, weight: int,
-                      n_bits: int, rng: np.random.Generator) -> bytes:
+def _flip_random_bits(codeword: bytes, weight: int, n_bits: int,
+                      rng: np.random.Generator) -> tuple[bytes, list[int]]:
+    """``codeword`` with ``weight`` distinct random bits flipped, and the
+    flipped positions in ascending order."""
+    positions = sorted(rng.choice(n_bits, size=weight, replace=False).tolist())
     corrupted = bytearray(codeword)
-    for pos in rng.choice(n_bits, size=weight, replace=False):
+    for pos in positions:
         corrupted[pos // 8] ^= 0x80 >> (pos % 8)
-    return bytes(corrupted)
+    return bytes(corrupted), positions
 
 
 def _mb_s(pages: int, seconds: float) -> float:
@@ -70,15 +75,16 @@ def bench_capability(t: int, batch_pages: int, single_pages: int,
     batch_encode_s = time.perf_counter() - start
     assert codewords[:single_pages] == single_cw, "encode mismatch"
 
+    # Each population: the received words and the positions flipped in each.
     populations = {
-        "clean": codewords,
-        "errored": [
+        "clean": (codewords, [[]] * len(codewords)),
+        "errored": tuple(zip(*[
             _flip_random_bits(cw, max(1, t // 2), spec.n_stored, rng)
             for cw in codewords
-        ],
-        "worst": [
+        ])),
+        "worst": tuple(zip(*[
             _flip_random_bits(cw, t, spec.n_stored, rng) for cw in codewords
-        ],
+        ])),
     }
 
     rows = [{
@@ -86,7 +92,7 @@ def bench_capability(t: int, batch_pages: int, single_pages: int,
         "single_mb_s": _mb_s(single_pages, single_encode_s),
         "batch_mb_s": _mb_s(batch_pages, batch_encode_s),
     }]
-    for name, words in populations.items():
+    for name, (words, injected) in populations.items():
         decoder.decode_batch(words[:2])  # build tables / warm caches
         start = time.perf_counter()
         single_results = [decoder.decode(w) for w in words[:single_pages]]
@@ -97,6 +103,11 @@ def bench_capability(t: int, batch_pages: int, single_pages: int,
         assert single_results == batch_results[:single_pages], (
             f"t={t} {name}: decode mismatch"
         )
+        for message, positions, result in zip(messages, injected,
+                                              batch_results):
+            assert (result.data, list(result.error_positions)) == (
+                message, positions
+            ), f"t={t} {name}: decode differs from what was injected"
         rows.append({
             "t": t, "population": name,
             "single_mb_s": _mb_s(single_pages, single_s),

@@ -34,10 +34,13 @@ through a wide ECC engine instead of streaming bits:
   vectorized squarings (S_2i = S_i^2).
 * **Decoder**: ``decode_batch`` computes all syndromes in one vectorized
   pass and applies the all-zero-syndrome early exit across the batch, so
-  clean pages never reach Berlekamp-Massey; errored words run a
-  degree-tracked inversionless BM and a two-pass Chien search (uint8
-  low-byte screen over all positions, exact evaluation at the ~n/256
-  surviving candidates).
+  clean pages never reach Berlekamp-Massey; errored words run the
+  binary BM in t steps (every second discrepancy is zero since
+  S_2i = S_i^2) and a two-pass Chien search: a uint8 low-byte screen
+  over all positions, one XOR of a strided view of a shared periodic
+  table per locator coefficient, then exact evaluation at the ~n/256
+  surviving candidates.  A locator of degree above t fails without a
+  search.
 
 Batch API contract: ``encode_batch``/``decode_batch`` (on
 :class:`BCHEncoder`, :class:`BCHDecoder` and :class:`AdaptiveBCHCodec`)
@@ -48,7 +51,9 @@ same kernels on one word.  The kernels are tested against definitions,
 not against a parallel implementation: encoder output against the
 long-division ``poly2_mod(m << r, g)``, syndromes against Horner
 evaluation (``repro.bch.reference.naive_syndromes``) and the syndromes
-of the injected error pattern, decodes against the injected positions.
+of the injected error pattern, the Chien search against evaluating
+locators with chosen roots at every position, decodes against the
+injected positions.
 ``tests/bch/test_decode_budget.py`` pins the decoder's counted cost,
 and ``benchmarks/bench_ecc_throughput.py`` reports per-page against
 batch throughput.

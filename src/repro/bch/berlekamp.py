@@ -1,10 +1,18 @@
-"""Inversionless Berlekamp-Massey (iBM) — second decoding stage of Fig. 2.
+"""Berlekamp-Massey (BM) — second decoding stage of Fig. 2.
 
-Iteratively builds the error-locator polynomial lambda(x) whose roots are
-the inverses of the error locations.  The inversionless formulation (no
-Galois division, as in Micheloni et al. ch. 8, the implementation the paper
-adopts) runs exactly 2t iterations; the hardware model charges
-``bm_cycles_per_iteration`` clocks per iteration.
+Builds the error-locator polynomial lambda(x) whose roots are the
+inverses of the error locations.  The syndromes of a binary word obey
+S_2i = S_i^2, so every second discrepancy of the recursion is zero and
+its step only shifts the correction term; the simplified binary
+algorithm runs the t steps whose discrepancy can be nonzero (Berlekamp
+1968; Lin & Costello, *Error Control Coding*, 2nd ed., section 6.2).
+The locator is normalised to lambda(0) = 1 and the correction term is
+stored already divided by its discrepancy, so each length change costs
+one field inversion and lambda is never rescaled.  The locator is a
+nonzero scalar multiple of the one the paper's inversionless (iBM)
+datapath computes: same degree, same roots.  The hardware model charges
+that datapath ``bm_cycles_per_iteration`` clocks for each of its t
+iterations (:mod:`repro.bch.hardware`).
 """
 
 from __future__ import annotations
@@ -17,16 +25,18 @@ from repro.gf.polygf import GFPoly
 
 @dataclass(frozen=True)
 class BerlekampResult:
-    """Outcome of the iBM recursion.
+    """Outcome of the BM recursion.
 
     Attributes
     ----------
     error_locator:
-        lambda(x), low-order-first coefficients, lambda(0) != 0.
+        lambda(x), low-order-first coefficients, lambda(0) = 1.
     degree:
         Claimed number of errors nu = deg(lambda) when consistent.
     iterations:
-        Number of update iterations executed (always 2t).
+        Number of update iterations executed: t for the 2t syndromes
+        of a t-error-correcting code, the count the hardware model
+        charges.
     """
 
     error_locator: GFPoly
@@ -35,74 +45,48 @@ class BerlekampResult:
 
 
 def berlekamp_massey(field: GF2m, syndromes: list[int]) -> BerlekampResult:
-    """Run inversionless BM on ``[S_1 .. S_2t]``.
+    """Run binary BM on ``[S_1 .. S_2t]`` of a binary received word.
 
     Returns the error-locator polynomial; the caller (decoder) validates it
     by Chien search (root count must equal the claimed degree).
 
-    The inner loops index the field's plain-list log/antilog tables
-    directly instead of calling :meth:`GF2m.mul` — the recursion is
-    O(t^2) scalar multiplications and the per-call numpy scalar indexing
-    dominated its runtime (~4x at t = 65).
+    The loops index the field's plain-list log/antilog tables directly
+    instead of calling :meth:`GF2m.mul`: the recursion is O(t^2) scalar
+    multiplications and per-call numpy scalar indexing would dominate.
     """
-    two_t = len(syndromes)
     exp2 = field.exp2_list
     log = field.log_list
-    syndromes = [int(s) for s in syndromes]
-    # lam: current locator estimate; b: previous (shifted) estimate.  Both
-    # carry an explicit degree bound so the update loops only touch the
-    # live prefix (deg lam <= L <= t, not 2t + 1 entries every round).
-    lam = [1] + [0] * two_t
-    b = [1] + [0] * two_t
-    deg_lam = 0
-    deg_b = 0
-    gamma = 1  # previous nonzero discrepancy (inversionless scaling)
-    log_gamma = 0
+    order = field.order
+    s_log = [log[s] for s in syndromes]  # -1 marks a zero syndrome
+    # At step r the correction term is x^shift * q(x), q held as logs
+    # (-1 for a zero coefficient): the previous locator before the last
+    # length change, divided by that step's discrepancy.
+    lam = [1]
+    q, shift = [0], 1
     length = 0  # current LFSR length L
-
-    for r in range(two_t):
+    steps = range(0, len(syndromes), 2)
+    for r in steps:
         # Discrepancy: delta = sum_{i=0..L} lam_i * S_{r+1-i}.
         delta = 0
-        for i in range(min(length, r) + 1):
-            li = lam[i]
-            s = syndromes[r - i]  # S_{r+1-i} stored at syndromes[r-i]
-            if li and s:
-                delta ^= exp2[log[li] + log[s]]
-
-        # T(x) = gamma*lam(x) + delta*x*b(x)  (characteristic 2).
-        if log_gamma:
-            new_lam = [
-                exp2[log[v] + log_gamma] if v else 0
-                for v in lam[: deg_lam + 1]
-            ]
-        else:
-            new_lam = lam[: deg_lam + 1]
-        new_deg = deg_lam
+        for c, s in zip(lam, s_log[r::-1]):
+            if c and s >= 0:
+                delta ^= exp2[log[c] + s]
         if delta:
-            shifted_deg = min(deg_b + 1, two_t)
-            if shifted_deg > new_deg:
-                new_lam.extend([0] * (shifted_deg - new_deg))
-                new_deg = shifted_deg
             log_delta = log[delta]
-            for i in range(1, shifted_deg + 1):
-                bv = b[i - 1]
-                if bv:
-                    new_lam[i] ^= exp2[log_delta + log[bv]]
-        new_lam.extend([0] * (two_t + 1 - len(new_lam)))
-
-        if delta and 2 * length <= r:
-            b = lam
-            deg_b = deg_lam
-            gamma = delta
-            log_gamma = log[gamma]
-            length = r + 1 - length
-        else:
-            b = [0] + b[:-1]  # b(x) <- x * b(x)
-            deg_b = min(deg_b + 1, two_t)
-        lam = new_lam
-        deg_lam = new_deg
+            term, term_shift = q, shift
+            if 2 * length <= r:
+                length = r + 1 - length
+                q = [(log[c] - log_delta) % order if c else -1 for c in lam]
+                shift = 0
+            # lam(x) += delta * x^term_shift * term(x), in place.
+            lam.extend([0] * (term_shift + len(term) - len(lam)))
+            for i, lq in enumerate(term, term_shift):
+                if lq >= 0:
+                    lam[i] ^= exp2[lq + log_delta]
+        # This step's shift and the skipped step's.
+        shift += 2
 
     locator = GFPoly(field, lam)
     return BerlekampResult(
-        error_locator=locator, degree=locator.degree, iterations=two_t
+        error_locator=locator, degree=locator.degree, iterations=len(steps)
     )

@@ -8,16 +8,18 @@ initiate" in a small ROM per correction capability; here the candidate set
 is derived from n directly.
 
 The software implementation is numpy-vectorized over all candidate
-positions (equivalent to an h = n fully-parallel evaluator) and runs in
-two passes: a uint8 screen XOR-accumulates only the *low byte* of every
-``coeff * alpha^(-j*i)`` term (half the gather traffic of a full
-evaluation; a zero value implies a zero low byte, so no root is missed),
-then the few surviving candidates (~n/256 plus the real roots) are
-evaluated exactly.  Per-degree position exponents ``(i * -j) mod order``
-come from a lazily-grown intp table shared by every live search over the
-same code (one per die), so the screen loop is one add, one gather and
-one XOR per locator coefficient.  The hardware latency model in
-:mod:`repro.bch.hardware` accounts for the real h-way datapath.
+positions (equivalent to an h = n fully-parallel evaluator).  Term i of
+lambda at position j is alpha^(log c_i - i*j), so every term walks the
+antilog table backwards with stride i.  A read-only uint8 table E holds
+the low byte of alpha^(-k mod order) for k < order + t*n, and the search
+runs in two passes: a screen XORs, per coefficient, the strided view
+``E[k0 : k0 + i*n : i]`` (k0 = -log c_i mod order) into one byte per
+position, with no index arithmetic and no gather (a zero value implies
+a zero low byte, so no root is missed); then the few surviving
+candidates (~n/256 plus the real roots) are evaluated exactly.  E is
+shared by every live search over the same code (one per die) and freed
+with the last.  The hardware latency model in :mod:`repro.bch.hardware`
+accounts for the real h-way datapath.
 """
 
 from __future__ import annotations
@@ -31,19 +33,19 @@ from repro.gf.field import GF2m
 from repro.gf.polygf import GFPoly
 
 
-class _ExponentRows:
-    """Rows 0..d of ``(i * eval_log_j) mod order`` for one code, grown to
-    the highest locator degree any search over that code has seen."""
-
-    __slots__ = ("rows", "__weakref__")
-
-    def __init__(self):
-        self.rows: np.ndarray | None = None
+#: Screen tables of the codes some live search uses, keyed by (field,
+#: length); an entry goes when its last user does.
+_SCREEN_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-#: The exponent rows of every code some live search uses, keyed by
-#: (field, n_stored); an entry goes when its last user does.
-_EXPONENT_ROWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+def _build_screen_table(field: GF2m, length: int) -> np.ndarray:
+    """Read-only uint8 table whose entry k is the low byte of
+    alpha^(-k mod order), for k < ``length``: one period, repeated."""
+    order = field.order
+    period = (field.exp[-np.arange(order) % order] & 0xFF).astype(np.uint8)
+    table = np.resize(period, length)
+    table.flags.writeable = False
+    return table
 
 
 class ChienSearch:
@@ -52,86 +54,62 @@ class ChienSearch:
     def __init__(self, spec: BCHCodeSpec):
         self.spec = spec
         self.field: GF2m = spec.field()
-        n = spec.n_stored  # byte-aligned stream (codeword * x^pad)
-        order = self.field.order
-        # Position j (power of x in the stream polynomial) has locator
-        # X = alpha^j; lambda's roots are X^{-1} = alpha^{-j}.  We evaluate
-        # lambda at alpha^e with e = (-j) mod order for j = 0..n-1.
-        exponents = (order - np.arange(n, dtype=np.int64)) % order
-        self._eval_logs = exponents
-        key = (self.field, n)
-        shared = _EXPONENT_ROWS.get(key)
-        if shared is None:
-            shared = _EXPONENT_ROWS[key] = _ExponentRows()
-        self._exponents = shared
-        # Lazy per-instance fast-path table and scratch buffers.
-        self._exp2_lo: np.ndarray | None = None
-        self._acc8: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
+        self._table: np.ndarray | None = None
 
-    def _degree_exponents(self, degree: int) -> np.ndarray:
-        """Rows 0..degree (at least) of ``(i * eval_log_j) mod order``.
-
-        Stored as intp: numpy re-casts any other index dtype to intp on
-        every fancy-indexing gather, which would cost a full extra pass
-        per locator coefficient.  Growing keeps the rows already built.
+    def _screen_table(self) -> np.ndarray:
+        """This code's screen table (see :func:`_build_screen_table`),
+        order + t * n_stored entries: one strided view for every
+        coefficient of a degree-t locator.  Built on first use and shared
+        with every search of the code.
         """
-        rows = self._exponents.rows
-        if rows is None or rows.shape[0] <= degree:
-            order = np.intp(self.field.order)
-            pl = (self._eval_logs % self.field.order).astype(np.intp)
-            grown = np.zeros((max(degree + 1, 2), pl.size), dtype=np.intp)
-            start = 1
-            if rows is not None:
-                start = rows.shape[0]
-                grown[:start] = rows
-            for i in range(start, grown.shape[0]):
-                np.add(grown[i - 1], pl, out=grown[i])
-                np.subtract(
-                    grown[i], order, out=grown[i], where=grown[i] >= order
-                )
-            grown.flags.writeable = False
-            self._exponents.rows = rows = grown
-        return rows
+        if self._table is None:
+            spec = self.spec
+            key = (self.field, self.field.order + spec.t * spec.n_stored)
+            table = _SCREEN_TABLES.get(key)
+            if table is None:
+                table = _SCREEN_TABLES[key] = _build_screen_table(*key)
+            self._table = table
+        return self._table
 
     def error_positions(self, locator: GFPoly) -> list[int]:
         """Bit positions (0 = MSB of byte 0) whose locator inverse is a root.
 
         Returns positions sorted ascending; the caller cross-checks the
         count against the locator degree to detect decoding failure.
+        Any degree is accepted: a coefficient beyond degree t, whose view
+        would overrun the table, is screened in runs of positions that
+        each fit.
         """
         if locator.field != self.field:
             raise ValueError("locator polynomial is over a different field")
         if locator.degree <= 0:
             return []
-        coeffs = np.asarray(locator.coeffs, dtype=np.int64)
-        nz = np.flatnonzero(coeffs)
-        coeff_logs = self.field.log[coeffs[nz]].astype(np.intp)
-        ipl = self._degree_exponents(int(nz[-1]))
-        if self._exp2_lo is None:
-            self._exp2_lo = (self.field.exp2_u16 & 0xFF).astype(np.uint8)
+        order = self.field.order
         n = self.spec.n_stored
-        if self._acc8 is None or self._acc8.size != n:
-            self._acc8 = np.empty(n, dtype=np.uint8)
-            self._scratch = np.empty(n, dtype=np.intp)
+        table = self._screen_table()
+        # Position j (power of x in the stream polynomial) has locator
+        # X = alpha^j; lambda's roots are X^{-1} = alpha^{-j}, and term i
+        # of lambda(alpha^{-j}) is alpha^(log c_i - i*j).
+        c0, *higher = locator.coeffs
+        log = self.field.log_list
+        terms = [(i, log[c]) for i, c in enumerate(higher, 1) if c]
         # Pass 1: XOR only the low byte of every term over all positions.
-        acc8, scratch = self._acc8, self._scratch
-        acc8[:] = 0
-        exp2_lo = self._exp2_lo
-        for row, log_c in zip(nz, coeff_logs):
-            np.add(ipl[row], log_c, out=scratch)
-            acc8 ^= exp2_lo[scratch]
-        candidates = np.flatnonzero(acc8 == 0)
+        acc = np.full(n, c0 & 0xFF, dtype=np.uint8)
+        for i, log_c in terms:
+            run = (table.size - order) // i + 1
+            for j in range(0, n, run):
+                k0 = (i * j - log_c) % order
+                count = min(run, n - j)
+                acc[j:j + count] ^= table[k0:k0 + i * count:i]
+        candidates = np.flatnonzero(acc == 0)
         if candidates.size == 0:
             return []
         # Pass 2: exact evaluation at the surviving candidates only.
-        exp2 = self.field.exp2_u16
-        values = np.zeros(candidates.size, dtype=np.uint16)
-        for row, log_c in zip(nz, coeff_logs):
-            values ^= exp2[ipl[row, candidates] + log_c]
-        exponents_j = candidates[values == 0]  # j = power of x
-        positions = sorted(int(n - 1 - j) for j in exponents_j)
-        return positions
+        degrees, logs = np.array(terms, dtype=np.int64).T
+        exponents = (logs[:, None] - degrees[:, None] * candidates) % order
+        values = np.bitwise_xor.reduce(self.field.exp[exponents], axis=0)
+        roots = candidates[values == c0]  # j = power of x
+        return (n - 1 - roots[::-1]).tolist()
 
     def root_count_in_field(self, locator: GFPoly) -> int:
         """Number of roots over the *whole* field (diagnostic for failures)."""

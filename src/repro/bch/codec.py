@@ -6,9 +6,10 @@ capability can be changed at runtime through ``set_correction_capability``
 codes are memoised per (k, t, m) for the whole process, mirroring the
 small ROM of characteristic polynomials in the hardware; each codec keeps
 one encoder and one decoder per t.  The tables behind them are built once
-per code, not per codec: the fold table is shared by every live encoder
-and decoder of the code (one per die), the syndrome and Chien tables by
-every live decoder, and each is freed with its last user.
+per code, not per codec, on first use: the fold table is shared by every
+live encoder and decoder of the code (one per die), the syndrome power
+table and the fixed-size Chien screen table by every live decoder, and
+each is freed with its last user.
 
 ``encode_batch``/``decode_batch`` are the datapath (see :mod:`repro.bch`
 for the design): whole page groups move through numpy kernels, and

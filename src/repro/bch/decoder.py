@@ -3,7 +3,9 @@
 Mirrors Fig. 2 of the paper, including the error-free early exit after the
 syndrome stage.  Decoding failures (more than t errors) raise
 :class:`repro.errors.DecodingFailure` or, in permissive mode, are reported
-in the :class:`DecodeResult`.
+in the :class:`DecodeResult`.  A word fails when its locator's degree is
+outside [1, t], which needs no Chien search, or when the search finds a
+root count other than that degree.
 
 One datapath: :meth:`BCHDecoder.decode_batch` decodes a whole batch of
 pages with one batched syndrome computation on the encoder's fold-table
@@ -152,17 +154,20 @@ class BCHDecoder:
         spec = self.spec
         message_bytes = spec.k // 8
         bm = berlekamp_massey(spec.field(), syndromes)
-        positions = self.chien.error_positions(bm.error_locator)
+        # A locator of degree outside [1, t] fails whatever its roots are.
+        positions = (
+            self.chien.error_positions(bm.error_locator)
+            if 1 <= bm.degree <= spec.t else None
+        )
 
-        if (
-            bm.degree < 1
-            or bm.degree > spec.t
-            or len(positions) != bm.degree
-        ):
+        if positions is None or len(positions) != bm.degree:
             self.stats.observe(0, spec.n, failed=True)
+            roots = "" if positions is None else (
+                f", {len(positions)} roots in range"
+            )
             failure = DecodingFailure(
-                f"uncorrectable word: locator degree {bm.degree}, "
-                f"{len(positions)} roots in range (t={spec.t})",
+                f"uncorrectable word: locator degree {bm.degree}"
+                f"{roots} (t={spec.t})",
                 detected=bm.degree,
             )
             if strict:

@@ -1,9 +1,10 @@
 """Dense polynomials over GF(2^m).
 
 Coefficients are stored low-order first in a plain list of field elements.
-This class backs the Berlekamp-Massey machine and the error-locator algebra;
-the performance-critical Chien evaluation goes through the vectorized
-:meth:`repro.gf.field.GF2m.eval_poly_vec` instead.
+This class carries the error-locator polynomial and its algebra; the
+Berlekamp-Massey recursion and the Chien search work on its coefficient
+list with the field's tables directly (:mod:`repro.bch.berlekamp`,
+:mod:`repro.bch.chien`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""Inversionless Berlekamp-Massey tests."""
+"""Binary Berlekamp-Massey tests."""
 
 from repro.bch.berlekamp import berlekamp_massey
+from repro.bch.hardware import EccLatencyModel
 from repro.bch.syndrome import SyndromeCalculator
 from repro.gf.field import get_field
 
@@ -15,7 +16,11 @@ class TestBerlekampMassey:
     def test_no_errors_gives_constant(self, small_spec):
         result = locator_for(small_spec, [])
         assert result.degree == 0
-        assert result.iterations == 2 * small_spec.t
+        # t iterations, the count the hardware model charges.
+        assert result.iterations == small_spec.t
+        model = EccLatencyModel()
+        assert (model.decode_breakdown(small_spec).berlekamp_cycles
+                == model.hw.bm_cycles_per_iteration * result.iterations)
 
     def test_degree_equals_error_count(self, small_spec):
         for count, positions in ((1, [4]), (2, [4, 30]), (3, [4, 30, 70])):

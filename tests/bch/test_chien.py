@@ -1,9 +1,46 @@
 """Chien search tests."""
 
+import numpy as np
+import pytest
+
 from repro.bch.berlekamp import berlekamp_massey
 from repro.bch.chien import ChienSearch
+from repro.bch.params import design_code
 from repro.bch.syndrome import SyndromeCalculator
 from repro.gf.polygf import GFPoly
+
+
+def rootless_quadratic(field):
+    """x^2 + x + c with trace(c) = 1: irreducible over GF(2^m), so it
+    has no root in the field."""
+
+    def trace(c):
+        total = 0
+        for _ in range(field.m):
+            total ^= c
+            c = field.mul(c, c)
+        return total
+
+    c = next(c for c in range(1, field.q) if trace(c) == 1)
+    return GFPoly(field, [c, 1, 1])
+
+
+def locator_with_roots(spec, exponents, extra_roots=()):
+    """Locator with a root alpha^(-j) for every exponent j, the extra
+    roots, and a factor with no roots in the field."""
+    field = spec.field()
+    roots = [field.alpha_pow(-j) for j in exponents] + list(extra_roots)
+    return GFPoly.from_roots(field, roots) * rootless_quadratic(field)
+
+
+def positions_by_definition(spec, locator):
+    """Positions whose stream exponent j has locator(alpha^(-j)) == 0,
+    by Horner evaluation at every j."""
+    field = spec.field()
+    n = spec.n_stored
+    return sorted(
+        n - 1 - j for j in range(n) if locator(field.alpha_pow(-j)) == 0
+    )
 
 
 class TestChienSearch:
@@ -43,3 +80,47 @@ class TestChienSearch:
         poly = GFPoly.from_roots(field, [root])
         chien = ChienSearch(small_spec)
         assert chien.error_positions(poly) == []
+
+
+class TestChienByDefinition:
+    """``error_positions`` against the locator evaluated at every
+    position, for locators built from chosen roots: inside and outside
+    the stored length, zero, and a factor with no roots.  Degrees run
+    past t, where the screen goes in runs of positions."""
+
+    @pytest.mark.parametrize("k, t", [(64, 3), (512, 10), (1024, 8)])
+    def test_matches_evaluation_at_every_position(self, k, t, rng):
+        spec = design_code(k, t)
+        assert spec.m <= 11
+        n, order = spec.n_stored, spec.field().order
+        chien = ChienSearch(spec)
+        for inside, outside in ((1, 0), (t, 0), (t - 1, 2), (2 * t, 3),
+                                (3 * t + 4, 1), (0, 4)):
+            exponents = (
+                rng.choice(n, inside, replace=False).tolist()
+                + rng.choice(np.arange(n, order), outside,
+                             replace=False).tolist()
+            )
+            for extra in ((), (0,)):
+                locator = locator_with_roots(spec, exponents, extra)
+                expected = positions_by_definition(spec, locator)
+                assert expected == sorted(
+                    n - 1 - j for j in exponents if j < n
+                )
+                assert chien.error_positions(locator) == expected
+
+    def test_page_code_finds_the_chosen_roots(self, rng):
+        spec = design_code(32768, 65)
+        n, order = spec.n_stored, spec.field().order
+        chien = ChienSearch(spec)
+        for inside, outside in ((63, 0), (40, 23), (60, 10)):
+            exponents = (
+                rng.choice(n, inside, replace=False).tolist()
+                + rng.choice(np.arange(n, order), outside,
+                             replace=False).tolist()
+            )
+            locator = locator_with_roots(spec, exponents)
+            assert locator.degree == inside + outside + 2
+            assert chien.error_positions(locator) == sorted(
+                n - 1 - j for j in exponents if j < n
+            )

@@ -83,6 +83,45 @@ class TestDecoder:
                 return
         pytest.skip("no detectable overload pattern found (extremely unlikely)")
 
+    def test_locator_degree_over_t_fails_without_chien(
+        self, small_spec, rng, monkeypatch
+    ):
+        # The error pattern is the t = 2 generator over the same field: a
+        # nonzero word of that code, so S_1..S_4 vanish, S_5 does not, and
+        # the locator is 1 + S_5 x^5, of degree 5 > t = 3.
+        inner = design_code(small_spec.k, 2)
+        assert inner.field() == small_spec.field()
+        n = small_spec.n_stored
+        positions = [
+            n - 1 - j for j in range(inner.generator.bit_length())
+            if inner.generator >> j & 1
+        ]
+        encoder, decoder = BCHEncoder(small_spec), BCHDecoder(small_spec)
+        codeword = encoder.encode_codeword(rng.bytes(small_spec.k // 8))
+        corrupted = flip_bits(codeword, positions)
+        searches = []
+        search = chien.ChienSearch.error_positions
+
+        def counted(self, locator):
+            searches.append(locator.degree)
+            return search(self, locator)
+
+        monkeypatch.setattr(chien.ChienSearch, "error_positions", counted)
+        with pytest.raises(DecodingFailure) as failure:
+            decoder.decode(corrupted)
+        assert failure.value.detected == 5
+        assert str(failure.value) == (
+            "uncorrectable word: locator degree 5 (t=3)"
+        )
+        result = decoder.decode(corrupted, strict=False)
+        assert not result.success
+        assert result.data == corrupted[:small_spec.k // 8]
+        assert (result.corrected_bits, result.error_positions) == (0, ())
+        assert searches == []
+        # A word within capacity still runs the search.
+        assert decoder.decode(flip_bits(codeword, positions[:2])).success
+        assert searches == [2]
+
     def test_wrong_length_rejected(self, small_spec):
         decoder = BCHDecoder(small_spec)
         with pytest.raises(ValueError):
@@ -142,34 +181,31 @@ class TestSharedTables:
         die_a, die_b = dies
         assert (die_a.syndrome_calculator._bit_power_table()
                 is die_b.syndrome_calculator._bit_power_table())
-        assert die_a.chien._exponents is die_b.chien._exponents
-        heights = []
+        assert die_a.chien._screen_table() is die_b.chien._screen_table()
         for index, (message, positions, corrupted) in enumerate(words):
             result = dies[index % 2].decode(corrupted)
             assert (result.data, result.error_positions) == fresh[index]
             assert result.data == message
             assert list(result.error_positions) == positions
-            heights.append(die_a.chien._exponents.rows.shape[0])
-        # The shared Chien rows grew mid-run, driven by both dies.
-        assert heights[0] < heights[-1]
-        assert heights == sorted(heights)
 
     def test_tables_are_freed_with_the_last_decoder(self):
         spec = design_code(1024, 5)
+        field = spec.field()
+        fold_key = (spec.generator, spec.r)
+        power_key = (field, 8 * spec.parity_bytes, spec.t)
+        screen_key = (field, field.order + spec.t * spec.n_stored)
         decoder = BCHDecoder(spec)
+        # Built on first decode, not with the decoder.
+        assert screen_key not in chien._SCREEN_TABLES
         # The all-zero word is a codeword; one flipped bit needs every
         # table of the fast path.
         word = flip_bits(bytes(spec.k // 8 + spec.parity_bytes), [3])
         assert decoder.decode(word).error_positions == (3,)
-        field = spec.field()
-        fold_key = (spec.generator, spec.r)
-        power_key = (field, 8 * spec.parity_bytes, spec.t)
-        rows_key = (field, spec.n_stored)
         assert fold_key in encoder_module._FOLD_TABLES
         assert power_key in syndrome._POWER_TABLES
-        assert rows_key in chien._EXPONENT_ROWS
+        assert screen_key in chien._SCREEN_TABLES
         del decoder
         gc.collect()
         assert fold_key not in encoder_module._FOLD_TABLES
         assert power_key not in syndrome._POWER_TABLES
-        assert rows_key not in chien._EXPONENT_ROWS
+        assert screen_key not in chien._SCREEN_TABLES
