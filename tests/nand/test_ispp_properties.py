@@ -4,13 +4,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nand.ispp import IsppAlgorithm, IsppEngine
+from repro.nand.ispp import IsppAlgorithm, IsppEngine, IsppSchedule
 
 level_arrays = st.lists(
     st.integers(min_value=0, max_value=3), min_size=64, max_size=256
 )
 cycle_counts = st.sampled_from([0.0, 1e2, 1e4, 1e5])
 algorithms = st.sampled_from(list(IsppAlgorithm))
+# The default staircase, one whose pump ceiling stalls the L3 cells and
+# one cut off after six pulses: the last two end with failed cells.
+schedules = st.sampled_from(
+    [IsppSchedule(), IsppSchedule(vpp_end=16.5), IsppSchedule(max_pulses=6)]
+)
 
 
 def make_engine(seed: int) -> IsppEngine:
@@ -46,6 +51,28 @@ class TestIsppInvariants:
         erased = targets == 0
         if erased.any():
             assert np.all(np.abs(result.deltas[erased]) < 1e-12)
+
+    @given(levels=level_arrays, algorithm=algorithms, pe=cycle_counts,
+           schedule=schedules, seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_inhibit_bookkeeping(self, levels, algorithm, pe, schedule, seed):
+        engine = IsppEngine(schedule=schedule, rng=np.random.default_rng(seed))
+        targets = np.array(levels)
+        result = engine.program_page(targets, algorithm, pe)
+        programmed = targets > 0
+        if not programmed.any():
+            assert result.pulses == 0 and result.failed_cells == 0
+            return
+        offset = 0.0
+        if algorithm is IsppAlgorithm.DV:
+            offset = (schedule.delta - schedule.delta / schedule.dv_attenuation) / 2.0
+        vfy = np.array([np.nan, *(v + offset for v in engine.levels.verify)])
+        short = result.vth[programmed] < vfy[targets[programmed]]
+        assert result.failed_cells == int(np.count_nonzero(short))
+        assert result.active_cells_per_pulse[0] == np.count_nonzero(programmed)
+        distinct = np.unique(targets[programmed]).size
+        assert result.verifies_per_pulse[0] == distinct
+        assert np.all(np.diff(result.verifies_per_pulse) <= 0)
 
     @given(levels=level_arrays, algorithm=algorithms, seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
