@@ -6,7 +6,10 @@ Vectorized page-wide Monte-Carlo of the program operation:
   ``V_PP - onset`` (one full ISPP step per pulse once in regime), with
   injection-granularity noise per pulse;
 * **verify** — after each pulse the still-active levels are verified; cells
-  at or above their verify level are program-inhibited;
+  at or above their verify level are program-inhibited.  The inhibit works
+  on a compacted active set: a verified cell is dropped from the arrays
+  the next pulse updates, so a pulse costs in proportion to the cells
+  still being programmed, not to the page;
 * **double verify (ISPP-DV)** — cells crossing the *pre-verify* level
   (VFY - offset) switch to a fine phase where the bitline bias attenuates
   the effective step to ``delta / attenuation``, compacting the final
@@ -163,13 +166,16 @@ class IsppEngine:
         # overshoot averages fine_step/2.
         vfy_offset = (sched.delta - fine_step) / 2.0 if dv else 0.0
 
-        # Verify voltage per cell (NaN for stay-erased cells).
-        vfy = np.full(n, np.nan)
-        for level in (1, 2, 3):
-            vfy[targets == level] = lv.verify[level - 1] + vfy_offset
-
-        active = targets > 0
-        fine = np.zeros(n, dtype=bool)  # DV fine-phase membership
+        # The active set: cells not yet verified, in index order, with
+        # their target level, V_TH, onset, verify level and DV fine-phase
+        # flag.  A cell that passes verify is written back and dropped
+        # (program inhibit), so each pulse touches only the active cells.
+        cells = np.flatnonzero(targets > 0)
+        level = targets[cells]
+        v = vth[cells]
+        on = onset[cells]
+        vfy = np.asarray(lv.verify, dtype=np.float64)[level - 1] + vfy_offset
+        fine = np.zeros(cells.size, dtype=bool)
         gran_coeff = (
             self.variability.granularity_coeff
             * self.aging.granularity_growth(pe_cycles)
@@ -181,46 +187,49 @@ class IsppEngine:
         preverify_counts: list[int] = []
 
         for k in range(sched.max_pulses):
-            if not active.any():
+            if not cells.size:
                 break
             vpp = sched.vpp_at(k)
             pulse_vpp.append(vpp)
-            active_counts.append(int(np.count_nonzero(active)))
+            active_counts.append(cells.size)
 
             # Coarse phase: track the staircase asymptote.
-            coarse = active & ~fine
+            coarse = ~fine
             max_coarse_step = 0.0
             if coarse.any():
-                asymptote = vpp - onset[coarse]
-                old = vth[coarse]
+                asymptote = vpp - on[coarse]
+                old = v[coarse]
                 new = np.maximum(old, asymptote)
                 steps = new - old
                 max_coarse_step = float(steps.max())
                 new = new + self.sampler.step_noise(steps, coeff=gran_coeff)
-                vth[coarse] = np.maximum(old, new)
+                v[coarse] = np.maximum(old, new)
 
             # Fine phase (DV): bitline-attenuated constant steps.
-            fine_active = False
-            if dv and fine.any():
-                moving = active & fine
-                fine_active = bool(moving.any())
-                steps = np.full(int(np.count_nonzero(moving)), fine_step)
+            fine_active = bool(fine.any())
+            if fine_active:
+                steps = np.full(int(np.count_nonzero(fine)), fine_step)
                 noisy = fine_step + self.sampler.step_noise(steps, coeff=gran_coeff)
                 # Pulses only add charge: clip at zero net movement.
-                vth[moving] += np.maximum(noisy, 0.0)
+                v[fine] += np.maximum(noisy, 0.0)
 
             # Verify: one final verify per active level; ISPP-DV adds a
             # pre-verify strobe per active level (double verify).
-            active_levels = np.unique(targets[active])
-            n_levels_active = int(np.count_nonzero(active_levels > 0))
+            n_levels_active = int(
+                np.count_nonzero(np.bincount(level, minlength=4)[1:])
+            )
             verify_counts.append(n_levels_active)
             preverify_counts.append(n_levels_active if dv else 0)
 
             if dv:
-                crossing_pre = active & ~fine & (vth >= vfy - sched.dv_preverify_offset)
-                fine |= crossing_pre
-            reached = active & (vth >= vfy)
-            active &= ~reached
+                fine |= v >= vfy - sched.dv_preverify_offset
+            reached = v >= vfy
+            if reached.any():
+                vth[cells[reached]] = v[reached]
+                keep = np.flatnonzero(~reached)
+                cells, level, v, on, vfy, fine = (
+                    a[keep] for a in (cells, level, v, on, vfy, fine)
+                )
 
             # Stall break: the pump ceiling is reached and no coarse cell can
             # advance any further — remaining cells are program failures.
@@ -228,11 +237,12 @@ class IsppEngine:
                 vpp >= sched.vpp_end
                 and max_coarse_step < 1e-6
                 and not fine_active
-                and active.any()
+                and cells.size
             ):
                 break
 
-        failed = int(np.count_nonzero(active))
+        vth[cells] = v
+        failed = cells.size
         return IsppResult(
             vth=vth,
             pulses=len(pulse_vpp),
