@@ -62,6 +62,8 @@ class IsppSchedule:
             raise ConfigurationError("DV attenuation must exceed 1")
         if self.dv_preverify_offset <= 0:
             raise ConfigurationError("DV pre-verify offset must be positive")
+        if self.max_pulses < 1:
+            raise ConfigurationError("ISPP needs at least one program pulse")
 
     def vpp_at(self, pulse_index: int) -> float:
         """Gate voltage of the given pulse (clamped at the pump ceiling)."""

@@ -32,6 +32,8 @@ class TestSchedule:
             IsppSchedule(dv_attenuation=1.0)
         with pytest.raises(ConfigurationError):
             IsppSchedule(dv_preverify_offset=0)
+        with pytest.raises(ConfigurationError):
+            IsppSchedule(max_pulses=0)
 
 
 class TestProgramPage:
