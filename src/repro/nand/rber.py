@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtr
 
 from repro import params as canon
 from repro.bch.uber import max_rber_for_t, required_t
@@ -200,9 +200,8 @@ class MonteCarloRber:
                 # Gaussian tail contribution of the inlier population.
                 for threshold, direction, bad_bits in boundaries[level]:
                     z = direction * (threshold - mean) / sigma
-                    tail_err_bits += (
-                        clean.size * bad_bits * float(scipy_stats.norm.sf(z))
-                    )
+                    # Upper Gaussian tail, norm.sf(z) == ndtr(-z).
+                    tail_err_bits += clean.size * bad_bits * float(ndtr(-z))
                 # Empirical contribution of gross outliers.
                 outliers = values[~inliers]
                 if outliers.size:
