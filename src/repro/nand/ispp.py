@@ -168,10 +168,9 @@ class IsppEngine:
         # overshoot averages fine_step/2.
         vfy_offset = (sched.delta - fine_step) / 2.0 if dv else 0.0
 
-        # The active set: cells not yet verified, in index order, with
-        # their target level, V_TH, onset, verify level and DV fine-phase
-        # flag.  A cell that passes verify is written back and dropped
-        # (program inhibit), so each pulse touches only the active cells.
+        # The active set: cells not yet verified, with their target level,
+        # V_TH, onset, verify level and DV fine-phase flag.  Index order
+        # fixes which cell each step_noise draw goes to.
         cells = np.flatnonzero(targets > 0)
         level = targets[cells]
         v = vth[cells]
@@ -227,6 +226,8 @@ class IsppEngine:
                 fine |= v >= vfy - sched.dv_preverify_offset
             reached = v >= vfy
             if reached.any():
+                # Program inhibit: verified cells go back to the page and
+                # leave the active set.
                 vth[cells[reached]] = v[reached]
                 keep = np.flatnonzero(~reached)
                 cells, level, v, on, vfy, fine = (
