@@ -9,10 +9,10 @@ moves it even when the result happens to agree.
 
 The cases cover both algorithms at three ages on random pages, uniform
 L1 and L3 pages, an all-erased page, a staircase whose pump ceiling
-(16.5 V) stalls the L3 cells, and a six-pulse staircase that ends with
-cells still unverified.  :meth:`MonteCarloRber.estimate` is pinned by
-the ``repr`` of its result, which also covers the per-level Gaussian
-tail integration.
+(16.5 V) is too low for the L3 and the slowest L2 cells, and a
+six-pulse staircase that ends with cells still unverified.
+:meth:`MonteCarloRber.estimate` is pinned by the ``repr`` of its
+result, which also covers the per-level Gaussian tail integration.
 """
 
 import dataclasses

@@ -11,8 +11,9 @@ level_arrays = st.lists(
 )
 cycle_counts = st.sampled_from([0.0, 1e2, 1e4, 1e5])
 algorithms = st.sampled_from(list(IsppAlgorithm))
-# The default staircase, one whose pump ceiling stalls the L3 cells and
-# one cut off after six pulses: the last two end with failed cells.
+# The default staircase, one whose pump ceiling is too low for the L3
+# cells and one cut off after six pulses: the last two end with failed
+# cells.
 schedules = st.sampled_from(
     [IsppSchedule(), IsppSchedule(vpp_end=16.5), IsppSchedule(max_pulses=6)]
 )
