@@ -1,16 +1,18 @@
-"""Golden digests of the closed-batch ``sys_*`` experiment reports.
+"""Golden digests of the ``sys_*`` experiment reports.
 
 ``sys_des`` (host and FTL runners), ``sys_services`` (namespaces on the
 FTL), ``sys_ssd`` (``run_ssd_workload`` over four topologies) and
 ``sys_pipeline`` (striped batches under every pipeline mode) print what
-the closed-loop runners and ``SsdSession.execute`` produce.  Each case
+the closed-loop runners and ``SsdSession.execute`` produce.
+``sys_observe`` renders a traced open-loop session: span
+reconciliation, windowed utilization and SMART counters.  Each case
 pins the sha256 of the report ``python -m repro run <id>`` prints (its
 ``render()``), built on a fresh ``ExperimentSuite(seed=2012)`` as the
 CLI builds it.  The reports do not depend on ``PYTHONHASHSEED``.
 
-The open-loop experiments (``sys_openloop``, ``sys_observe``,
-``sys_sustained``) take several times longer and are left to the
-scheduler and end-to-end golden digests.
+The other two open-loop experiments (``sys_openloop`` and
+``sys_sustained``, about 5 s each) are too slow to pin here and are
+left to the scheduler and end-to-end golden digests.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ RUNNERS = {
     "sys_services": ExperimentSuite.run_system_services,
     "sys_ssd": ExperimentSuite.run_system_ssd,
     "sys_pipeline": ExperimentSuite.run_system_pipeline,
+    "sys_observe": ExperimentSuite.run_system_observe,
 }
 
 #: sha256 of each experiment's rendered report.
@@ -36,6 +39,8 @@ DIGESTS = {
         "e11bc8d17fdb3ccc71b82478277ba1eb6501bd20e277d4be0ca53082a335be9f",
     "sys_pipeline":
         "6e5b813a77b0037bc2e6d4664e9dc872dafb21b9b500541d024f053666c7f778",
+    "sys_observe":
+        "cf72ae51c0cb55a2d6b54ffd7e82ab6a12020ac6a0cc6a874399bdc8bf170339",
 }
 
 
