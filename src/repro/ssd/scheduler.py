@@ -37,8 +37,12 @@ while earlier commands are still in flight — the substrate behind the
 open-loop :class:`~repro.ssd.session.SsdSession`.  The dispatchers are
 the **flat dispatch core**: coroutine-free state-machine frames
 scheduled directly on the engine's event list and advanced by one
-burst handler (see the "flat dispatch core" section below).  It is the
-only implementation; its timelines are pinned by golden digests in
+burst handler with one arm per mechanism — pop, array phases, cache
+handoff, section phase, bus release, ECC release, completion (see the
+"flat dispatch core" section below).  The fused section of the
+non-pipelined configuration runs as a one-phase section, so both
+configurations share those arms.  It is the only implementation; its
+timelines are pinned by golden digests in
 ``tests/ssd/test_dispatch_golden.py``.  A closed batch runs on the
 same resident core: :meth:`~repro.ssd.session.SsdSession.execute`
 admits it through :func:`closed_admission` (a queue-depth-bounded
@@ -291,17 +295,20 @@ class ScheduleResult:
 
 
 @lru_cache(maxsize=4096)
-def _split_plan(
-    plan: tuple[CommandPhase, ...],
-) -> tuple[tuple[float, ...], tuple[tuple[bool, float, float], ...], float]:
+def _split_plan(plan: tuple[CommandPhase, ...]) -> tuple[
+    tuple[float, ...],
+    tuple[tuple[bool, float, float], ...],
+    tuple[tuple[bool, float, float], ...],
+]:
     """Pre-decompose a phase plan for the dispatch hot loop.
 
-    Returns ``(array_durations, section_ops, fused_s)``: the plane
+    Returns ``(array_durations, section_ops, fused_ops)``: the plane
     (array) phase durations, the channel-section phases flattened to
     ``(is_channel, duration_s, occupancy_s)`` triples (so the burst
     handler touches plain floats, not dataclass attributes), and the
-    fused section total used by the non-pipelined configuration, summed
-    in phase order.
+    section the non-pipelined configuration runs instead: one bus phase
+    for the section total, summed in phase order (present even when the
+    plan has no channel phase).
 
     Cached: the pages of a die-striped batch overwhelmingly share
     identical phase tuples, so the split (and its tuple allocations)
@@ -318,7 +325,7 @@ def _split_plan(
         for p in channel
     )
     fused = sum(p.duration_s for p in channel)
-    return array, ops, fused
+    return array, ops, ((True, fused, fused),)
 
 
 #: Identity front-cache for :func:`_split_plan`.  ``lru_cache`` hashes
@@ -409,31 +416,39 @@ def closed_admission(
 # turn takes one sequence number from the engine's shared counter, so
 # flat frames and generator processes (the closed-batch admission)
 # interleave in the engine's global ``(time, seq)`` order.
+#
+# Each mechanism has one arm.  A frame that finds a lock taken parks at
+# the arm that tried to take it and re-runs that arm when a release
+# wakes it: the section cursor still names the phase that waits for the
+# bus or ECC engine, and the array cursor sits at the end while a read
+# waits for its cache register.  The non-pipelined configuration runs
+# its fused section as a one-phase section (one bus hold for the total),
+# so the bus arms serve both configurations.
 
 # Dispatcher/drain program counters (resume points after a scheduled
 # event or a lock park).
 _P_POP = 0        # fetch the next queued command (or park until woken)
-_P_ARRAY = 1      # an array phase's busy time just elapsed
-_P_CACHEQ = 2     # woken on a cache register's freed lock: re-check
-_P_TRCBSY = 3     # the tRCBSY cache-handoff busy time just elapsed
-_P_SECTION = 4    # enter the channel section (drain frames start here)
-_P_BUSQ = 5       # woken on a bus's freed lock: re-check
-_P_BUSREL = 6     # the bus hold just elapsed: release and account
-_P_ECCQ = 7       # woken on an ECC engine's freed lock: re-check
-_P_ECCREL = 8     # the ECC occupancy just elapsed: release and account
-_P_ECCDRAIN = 9   # the ECC post-occupancy drain just elapsed
-_P_ADMIT = 10     # admission frame: admit the next command of a stream
+_P_ARRAY = 1      # an array phase elapsed (cache-register waits resume)
+_P_TRCBSY = 2     # the tRCBSY cache handoff elapsed: spawn the drain frame
+_P_SECTION = 3    # next section phase (drains start, bus/ECC waits resume)
+_P_BUSREL = 4     # the bus hold just elapsed: release and account
+_P_ECCREL = 5     # the ECC occupancy just elapsed: release and account
+_P_FINISH = 6     # complete the command (drain frames then end)
+_P_ADMIT = 7      # admission frame: admit the next command of a stream
 
 # Dispatcher/drain frame layout (plain lists):
 # [0] pc  [1] die  [2] slot  [3] channel  [4] queue (deque of
 # DieCommand; None for one-shot drain frames)  [5] parked-idle flag
-# [6] current command  [7] array phase cursor  [8] channel phase cursor
+# [6] current command  [7] array phase cursor  [8] section phase cursor
 # [9] cache lock to release mid-section (drain frames), or None
 # [10] array durations  [11] section ops (is_channel, duration,
-# occupancy)  [12] fused section total  [13] is-read  [14] is-program
-# [15] channel bus lock  [16] channel ECC lock  [17] plane cache lock
-# [18] len(array)  [19] len(ops)  [20] span kind code (KIND_NAMES
-# index, +3 for GC-origin commands; refreshed per pop)
+# occupancy): the plan's channel phases under ``pipelined_ecc``, else
+# the fused one-phase section  [12] the plan's channel phases (a read
+# with none has nothing to stream through the cache register)
+# [13] is-read  [14] is-program  [15] channel bus lock  [16] channel ECC
+# lock  [17] plane cache lock  [18] len(array)  [19] len(section ops)
+# [20] span kind code (KIND_NAMES index, +3 for GC-origin commands;
+# refreshed per pop)
 #
 # Admission frame layout (an open-loop arrival process, flattened):
 # [0] pc (_P_ADMIT)  [1] next command index  [2] command list  [3] list
@@ -549,7 +564,7 @@ class SchedulerCore:
                 [
                     _P_POP, die, slot, topology.channel_of(die),
                     deque(), False, None, 0, 0, None,
-                    (), (), 0.0, False, False,
+                    (), (), (), False, False,
                     self._buses[topology.channel_of(die)],
                     self._eccs[topology.channel_of(die)],
                     self._caches[die][slot],
@@ -717,13 +732,17 @@ class SchedulerCore:
         or any event beyond ``until_s``) and ``count`` is the number of
         flat events consumed.
 
-        The frames run on integer program counters; see the layout
-        comments above :func:`_flat_lock_park`.  The engine's sequence
-        counter, deadlock counter and clock live in locals (``seq`` /
-        ``parked`` / ``now``) and are written back only around calls
-        that re-enter engine machinery — a ``completed.fire()`` with
-        real generator waiters, the ``on_finish`` callbacks — and at
-        burst exit.
+        The frames run on integer program counters, one arm per
+        mechanism: ``P_POP`` pops, ``P_ARRAY`` accounts the array phases
+        and takes the cache register, ``P_TRCBSY`` spawns the drain
+        frame, ``P_SECTION`` takes the bus or ECC engine for the next
+        section phase, ``P_BUSREL`` / ``P_ECCREL`` release them and
+        ``P_FINISH`` completes every command.  See the layout comments
+        above :func:`_flat_lock_park`.  The engine's sequence counter,
+        deadlock counter and clock live in locals (``seq`` / ``parked``
+        / ``now``) and are written back only around calls that re-enter
+        engine machinery — a ``completed.fire()`` with real generator
+        waiters, the ``on_finish`` callbacks — and at burst exit.
 
         Two queue-elision paths keep the global ``(time, seq)`` order
         exact while skipping the event list, both resting on the same
@@ -780,14 +799,11 @@ class SchedulerCore:
         GC_ORIGIN = CommandOrigin.GC
         P_POP = _P_POP
         P_ARRAY = _P_ARRAY
-        P_CACHEQ = _P_CACHEQ
         P_TRCBSY = _P_TRCBSY
         P_SECTION = _P_SECTION
-        P_BUSQ = _P_BUSQ
         P_BUSREL = _P_BUSREL
-        P_ECCQ = _P_ECCQ
         P_ECCREL = _P_ECCREL
-        P_ECCDRAIN = _P_ECCDRAIN
+        P_FINISH = _P_FINISH
         P_ADMIT = _P_ADMIT
         horizon = inf if until_s is None else until_s
         seq = engine._seq
@@ -801,9 +817,9 @@ class SchedulerCore:
         admit_frame = self._admit
         recorder = self.recorder
         # Sanitizer hooks cover the release arms only: every flat
-        # acquire site is dominated by an explicit `if lock[0]` park
-        # check a few lines above it (the DET107 static walk verifies
-        # the structure), so double-acquires cannot be expressed here,
+        # acquire site is dominated by an explicit busy check a few
+        # lines above it (the DET107 static walk verifies the
+        # structure), so double-acquires cannot be expressed here,
         # while a double-release would silently wake a second waiter.
         san = self._san
         # Span hooks ride the same accounting points as the busy
@@ -857,52 +873,36 @@ class SchedulerCore:
             else:
                 while True:
                     if pc == P_SECTION:
-                        if not pipelined_ecc:
-                            # Fused section: one bus hold for the summed
-                            # total (taken even for an empty section).
-                            bus = frame[15]
-                            if bus[0]:
-                                frame[0] = P_BUSQ
-                                if bus[2] is frame:
-                                    lock_park(bus, frame)
-                                else:
-                                    bus[1].append(frame)
-                                parked += 1
-                                break
-                            bus[0] = True
-                            frame[0] = P_BUSREL
-                            nxt_t = now + frame[12]
-                            break
-                        ops = frame[11]
                         cursor = frame[8]
                         if cursor < frame[19]:
-                            is_channel, duration, occupancy = ops[cursor]
+                            # Take the phase's lock: the channel bus for
+                            # a transfer (or the fused section), else
+                            # the ECC engine for its occupancy.
+                            is_channel, duration, occupancy = (
+                                frame[11][cursor]
+                            )
                             if is_channel:
-                                bus = frame[15]
-                                if bus[0]:
-                                    frame[0] = P_BUSQ
-                                    if bus[2] is frame:
-                                        lock_park(bus, frame)
-                                    else:
-                                        bus[1].append(frame)
-                                    parked += 1
+                                lock = frame[15]
+                                if not lock[0]:
+                                    lock[0] = True
+                                    frame[0] = P_BUSREL
+                                    nxt_t = now + duration
                                     break
-                                bus[0] = True
-                                frame[0] = P_BUSREL
-                                nxt_t = now + duration
-                                break
-                            ecc = frame[16]
-                            if ecc[0]:
-                                frame[0] = P_ECCQ
-                                if ecc[2] is frame:
-                                    lock_park(ecc, frame)
-                                else:
-                                    ecc[1].append(frame)
-                                parked += 1
-                                break
-                            ecc[0] = True
-                            frame[0] = P_ECCREL
-                            nxt_t = now + occupancy
+                            else:
+                                lock = frame[16]
+                                if not lock[0]:
+                                    lock[0] = True
+                                    frame[0] = P_ECCREL
+                                    nxt_t = now + occupancy
+                                    break
+                            # Taken: park; the release that wakes this
+                            # frame re-runs this phase.
+                            frame[0] = P_SECTION
+                            if lock[2] is frame:
+                                lock_park(lock, frame)
+                            else:
+                                lock[1].append(frame)
+                            parked += 1
                             break
                         # Section exhausted: free a still-held cache
                         # register (the no-transfer-phase drain exit).
@@ -921,16 +921,156 @@ class SchedulerCore:
                                 dws_append(head)
                                 parked -= 1
                             frame[9] = None
-                        if frame[14]:  # PROGRAM: array phase follows
-                            array = frame[10]
-                            frame[7] = 0
-                            if array:
-                                frame[0] = P_ARRAY
-                                nxt_t = now + array[0]
-                                break
-                            pc = P_ARRAY
+                        if not frame[14]:  # a read or its drain is done
+                            pc = P_FINISH
                             continue
-                        # Finish the command (the read completed).
+                        # PROGRAM: the array phases follow the section.
+                        array = frame[10]
+                        frame[7] = 0
+                        if array:
+                            frame[0] = P_ARRAY
+                            nxt_t = now + array[0]
+                            break
+                        pc = P_ARRAY
+                        continue
+                    elif pc == P_POP:
+                        cqueue = frame[4]
+                        if not cqueue:
+                            frame[0] = P_POP
+                            frame[5] = True  # park idle (uncounted)
+                            break
+                        command = cqueue.popleft()
+                        if host_prio and command.origin is GC_ORIGIN:
+                            # Host-priority pop: promote the first queued
+                            # host command past GC work; the GC command
+                            # returns to the head for the next pop.
+                            for index, candidate in enumerate(cqueue):
+                                if candidate.origin is not GC_ORIGIN:
+                                    del cqueue[index]
+                                    cqueue.appendleft(command)
+                                    command = candidate
+                                    break
+                        plan = command.phases
+                        if plan is None:
+                            plan = command.phase_plan()
+                        entry = memo_get(id(plan))
+                        if entry is not None and entry[0] is plan:
+                            array, ops, fused = entry[1]
+                        else:
+                            array, ops, fused = split(plan)
+                        section = ops if pipelined_ecc else fused
+                        frame[6] = command
+                        frame[10] = array
+                        frame[11] = section
+                        frame[12] = ops
+                        frame[18] = len(array)
+                        frame[19] = len(section)
+                        kind = command.kind
+                        kc = 0 if kind is READ else (
+                            1 if kind is PROGRAM else 2
+                        )
+                        if command.origin is GC_ORIGIN:
+                            kc += 3
+                        frame[20] = kc
+                        if rspan is not None:
+                            rspan((3, frame[1], frame[2],
+                                   meta[command.tag][0], now, command.tag,
+                                   kc))
+                        frame[13] = kind is READ
+                        frame[8] = 0
+                        if kind is PROGRAM:
+                            frame[14] = True
+                            pc = P_SECTION
+                            continue
+                        frame[14] = False
+                        frame[7] = 0
+                        if array:
+                            frame[0] = P_ARRAY
+                            nxt_t = now + array[0]
+                            break
+                        pc = P_ARRAY  # empty array: straight through
+                        continue
+                    elif pc == P_ARRAY:
+                        cursor = frame[7]
+                        if cursor < frame[18]:
+                            array = frame[10]
+                            die_busy[frame[1]] += array[cursor]
+                            if rspan is not None:
+                                rspan((0, frame[1], frame[2],
+                                       now - array[cursor], now,
+                                       frame[6].tag, frame[20]))
+                            cursor += 1
+                            frame[7] = cursor
+                            if cursor < frame[18]:
+                                frame[0] = P_ARRAY
+                                nxt_t = now + array[cursor]
+                                break
+                        # Array phases done.
+                        if not frame[13]:  # PROGRAM after section, or ERASE
+                            pc = P_FINISH
+                            continue
+                        if cache_mode and frame[12]:
+                            # Cache read: the page moves to the cache
+                            # register and streams out from there.
+                            cache = frame[17]
+                            if cache[0] >= cache_cap:
+                                # Full: park with the array cursor at
+                                # the end; the release re-runs this.
+                                frame[0] = P_ARRAY
+                                if cache[2] is frame:
+                                    lock_park(cache, frame)
+                                else:
+                                    cache[1].append(frame)
+                                parked += 1
+                                break
+                            cache[0] = cache[0] + 1
+                            frame[0] = P_TRCBSY
+                            trcbsy = frame[6].cache_busy_s
+                            if trcbsy > 0.0:
+                                nxt_t = now + trcbsy
+                                break
+                            pc = P_TRCBSY
+                            continue
+                        pc = P_SECTION
+                        continue
+                    elif pc == P_BUSREL:
+                        bus = frame[15]
+                        if san is not None:
+                            san.release_check(("bus", frame[3]), bus[0])
+                        bus[0] = False
+                        waiters = bus[1]
+                        if waiters:
+                            head = waiters.pop(0)
+                            bus[2] = head
+                            bus[3] = len(waiters)
+                            dws_append(head)
+                            parked -= 1
+                        cursor = frame[8]
+                        duration = frame[11][cursor][1]
+                        channel_busy[frame[3]] += duration
+                        if rspan is not None:
+                            rspan((1, frame[3], 0, now - duration, now,
+                                   frame[6].tag, frame[20]))
+                        # The page has left the cache register.
+                        cache = frame[9]
+                        if cache is not None:
+                            if san is not None:
+                                san.release_check(
+                                    ("cache", frame[1], frame[2]), cache[0]
+                                )
+                            cache[0] = cache[0] - 1
+                            waiters = cache[1]
+                            if waiters:
+                                head = waiters.pop(0)
+                                cache[2] = head
+                                cache[3] = len(waiters)
+                                dws_append(head)
+                                parked -= 1
+                            frame[9] = None
+                        frame[8] = cursor + 1
+                        pc = P_SECTION
+                        continue
+                    elif pc == P_FINISH:
                         command = frame[6]
                         tag = command.tag
                         rec = meta_pop(tag)
@@ -975,264 +1115,6 @@ class SchedulerCore:
                             break  # drain frames run once
                         pc = P_POP
                         continue
-                    elif pc == P_POP:
-                        cqueue = frame[4]
-                        if not cqueue:
-                            frame[0] = P_POP
-                            frame[5] = True  # park idle (daemon: uncounted)
-                            break
-                        command = cqueue.popleft()
-                        if host_prio and command.origin is GC_ORIGIN:
-                            # Host-priority pop: promote the first queued
-                            # host command past GC work; the GC command
-                            # returns to the head for the next pop.
-                            for index, candidate in enumerate(cqueue):
-                                if candidate.origin is not GC_ORIGIN:
-                                    del cqueue[index]
-                                    cqueue.appendleft(command)
-                                    command = candidate
-                                    break
-                        plan = command.phases
-                        if plan is None:
-                            plan = command.phase_plan()
-                        entry = memo_get(id(plan))
-                        if entry is not None and entry[0] is plan:
-                            array, ops, fused = entry[1]
-                        else:
-                            array, ops, fused = split(plan)
-                        frame[6] = command
-                        frame[10] = array
-                        frame[11] = ops
-                        frame[12] = fused
-                        frame[18] = len(array)
-                        frame[19] = len(ops)
-                        kind = command.kind
-                        kc = 0 if kind is READ else (
-                            1 if kind is PROGRAM else 2
-                        )
-                        if command.origin is GC_ORIGIN:
-                            kc += 3
-                        frame[20] = kc
-                        if rspan is not None:
-                            rspan((3, frame[1], frame[2],
-                                   meta[command.tag][0], now, command.tag,
-                                   kc))
-                        frame[13] = kind is READ
-                        if kind is PROGRAM:
-                            frame[14] = True
-                            frame[9] = None
-                            frame[8] = 0
-                            pc = P_SECTION
-                            continue
-                        frame[14] = False
-                        frame[7] = 0
-                        if array:
-                            frame[0] = P_ARRAY
-                            nxt_t = now + array[0]
-                            break
-                        pc = P_ARRAY  # empty array: straight through
-                        continue
-                    elif pc == P_ARRAY:
-                        array = frame[10]
-                        cursor = frame[7]
-                        if cursor < frame[18]:
-                            die_busy[frame[1]] += array[cursor]
-                            if rspan is not None:
-                                rspan((0, frame[1], frame[2],
-                                       now - array[cursor], now,
-                                       frame[6].tag, frame[20]))
-                            cursor += 1
-                            frame[7] = cursor
-                            if cursor < frame[18]:
-                                frame[0] = P_ARRAY
-                                nxt_t = now + array[cursor]
-                                break
-                        # Array phases done.
-                        if not frame[13]:  # PROGRAM after section, or ERASE
-                            # Finish the command (dispatch frames only:
-                            # drains never run array phases).
-                            command = frame[6]
-                            tag = command.tag
-                            rec = meta_pop(tag)
-                            completion = tuple_new(
-                                completion_cls,
-                                (tag, frame[1], frame[3], rec[0], now, rec[1]),
-                            )
-                            completions_append(completion)
-                            in_flight -= 1
-                            die_inflight[frame[1]] -= 1
-                            if admit_frame is not None and admit_frame[5]:
-                                admit_frame[5] = False
-                                dws_append(admit_frame)
-                                parked -= 1
-                            if completed_waiters:
-                                while dws:
-                                    push((now, seq, dws_popleft()))
-                                    seq += 1
-                                engine._seq = seq
-                                engine._parked = parked
-                                engine.now_s = now
-                                completed.fire()
-                                seq = engine._seq
-                                parked = engine._parked
-                            if on_finish:
-                                while dws:
-                                    push((now, seq, dws_popleft()))
-                                    seq += 1
-                                engine._seq = seq
-                                engine._parked = parked
-                                engine.now_s = now
-                                self.in_flight = in_flight
-                                for callback in on_finish:
-                                    callback(completion)
-                                seq = engine._seq
-                                parked = engine._parked
-                                in_flight = self.in_flight
-                                admit_frame = self._admit
-                            pc = P_POP
-                            continue
-                        ops = frame[11]
-                        if cache_mode and ops:
-                            cache = frame[17]
-                            if cache[0] >= cache_cap:
-                                frame[0] = P_CACHEQ
-                                if cache[2] is frame:
-                                    lock_park(cache, frame)
-                                else:
-                                    cache[1].append(frame)
-                                parked += 1
-                                break
-                            cache[0] = cache[0] + 1
-                            # acquired without waiting (no event, no seq)
-                            trcbsy = frame[6].cache_busy_s
-                            if trcbsy > 0.0:
-                                frame[0] = P_TRCBSY
-                                nxt_t = now + trcbsy
-                                break
-                            # no tRCBSY: spawn the drain and move on
-                            drain = [
-                                P_SECTION, frame[1], frame[2], frame[3],
-                                None, False, frame[6], 0, 0, cache,
-                                frame[10], frame[11], frame[12], True,
-                                False, frame[15], frame[16], None,
-                                frame[18], frame[19], frame[20],
-                            ]
-                            dws_append(drain)
-                            pc = P_POP
-                            continue
-                        frame[9] = None
-                        frame[8] = 0
-                        pc = P_SECTION
-                        continue
-                    elif pc == P_BUSREL:
-                        bus = frame[15]
-                        if san is not None:
-                            san.release_check(("bus", frame[3]), bus[0])
-                        bus[0] = False
-                        waiters = bus[1]
-                        if waiters:
-                            head = waiters.pop(0)
-                            bus[2] = head
-                            bus[3] = len(waiters)
-                            dws_append(head)
-                            parked -= 1
-                        if not pipelined_ecc:
-                            channel_busy[frame[3]] += frame[12]
-                            if rspan is not None:
-                                rspan((1, frame[3], 0, now - frame[12],
-                                       now, frame[6].tag, frame[20]))
-                            cache = frame[9]
-                            if cache is not None:
-                                if san is not None:
-                                    san.release_check(
-                                        ("cache", frame[1], frame[2]),
-                                        cache[0],
-                                    )
-                                cache[0] = cache[0] - 1
-                                cwaiters = cache[1]
-                                if cwaiters:
-                                    head = cwaiters.pop(0)
-                                    cache[2] = head
-                                    cache[3] = len(cwaiters)
-                                    dws_append(head)
-                                    parked -= 1
-                                frame[9] = None
-                            # Fused section complete.
-                            if frame[14]:
-                                array = frame[10]
-                                frame[7] = 0
-                                if array:
-                                    frame[0] = P_ARRAY
-                                    nxt_t = now + array[0]
-                                    break
-                                pc = P_ARRAY
-                                continue
-                            # Finish the command (fused read done).
-                            command = frame[6]
-                            tag = command.tag
-                            rec = meta_pop(tag)
-                            completion = tuple_new(
-                                completion_cls,
-                                (tag, frame[1], frame[3], rec[0], now, rec[1]),
-                            )
-                            completions_append(completion)
-                            in_flight -= 1
-                            die_inflight[frame[1]] -= 1
-                            if admit_frame is not None and admit_frame[5]:
-                                admit_frame[5] = False
-                                dws_append(admit_frame)
-                                parked -= 1
-                            if completed_waiters:
-                                while dws:
-                                    push((now, seq, dws_popleft()))
-                                    seq += 1
-                                engine._seq = seq
-                                engine._parked = parked
-                                engine.now_s = now
-                                completed.fire()
-                                seq = engine._seq
-                                parked = engine._parked
-                            if on_finish:
-                                while dws:
-                                    push((now, seq, dws_popleft()))
-                                    seq += 1
-                                engine._seq = seq
-                                engine._parked = parked
-                                engine.now_s = now
-                                self.in_flight = in_flight
-                                for callback in on_finish:
-                                    callback(completion)
-                                seq = engine._seq
-                                parked = engine._parked
-                                in_flight = self.in_flight
-                                admit_frame = self._admit
-                            if frame[4] is None:
-                                break
-                            pc = P_POP
-                            continue
-                        channel_busy[frame[3]] += frame[11][frame[8]][1]
-                        if rspan is not None:
-                            duration = frame[11][frame[8]][1]
-                            rspan((1, frame[3], 0, now - duration, now,
-                                   frame[6].tag, frame[20]))
-                        cache = frame[9]
-                        if cache is not None:
-                            if san is not None:
-                                san.release_check(
-                                    ("cache", frame[1], frame[2]), cache[0]
-                                )
-                            cache[0] = cache[0] - 1
-                            cwaiters = cache[1]
-                            if cwaiters:
-                                head = cwaiters.pop(0)
-                                cache[2] = head
-                                cache[3] = len(cwaiters)
-                                dws_append(head)
-                                parked -= 1
-                            frame[9] = None
-                        frame[8] += 1
-                        pc = P_SECTION
-                        continue
                     elif pc == P_ECCREL:
                         ecc = frame[16]
                         if san is not None:
@@ -1245,94 +1127,42 @@ class SchedulerCore:
                             ecc[3] = len(waiters)
                             dws_append(head)
                             parked -= 1
-                        phase = frame[11][frame[8]]
+                        cursor = frame[8]
+                        phase = frame[11][cursor]
                         ecc_busy[frame[3]] += phase[2]
                         if rspan is not None:
                             rspan((2, frame[3], 0, now - phase[2], now,
                                    frame[6].tag, frame[20]))
+                        frame[8] = cursor + 1
                         remainder = phase[1] - phase[2]
                         if remainder > 0:
-                            frame[0] = P_ECCDRAIN
+                            # The engine is free again; the page still
+                            # takes the rest of the phase's duration.
+                            frame[0] = P_SECTION
                             nxt_t = now + remainder
                             break
-                        frame[8] += 1
-                        pc = P_SECTION
-                        continue
-                    elif pc == P_BUSQ:
-                        bus = frame[15]
-                        if bus[0]:
-                            if bus[2] is frame:
-                                lock_park(bus, frame)
-                            else:
-                                bus[1].append(frame)
-                            parked += 1
-                            break
-                        bus[0] = True
-                        if not pipelined_ecc:
-                            duration = frame[12]
-                        else:
-                            duration = frame[11][frame[8]][1]
-                        frame[0] = P_BUSREL
-                        nxt_t = now + duration
-                        break
-                    elif pc == P_ECCDRAIN:
-                        frame[8] += 1
                         pc = P_SECTION
                         continue
                     elif pc == P_TRCBSY:
-                        die_busy[frame[1]] += frame[6].cache_busy_s
-                        if rspan is not None:
-                            rspan((0, frame[1], frame[2],
-                                   now - frame[6].cache_busy_s, now,
-                                   frame[6].tag, frame[20]))
-                        drain = [
+                        # The cache handoff is over (tRCBSY elapsed, or
+                        # was zero): a one-shot drain frame owns the
+                        # cache register and streams the page out while
+                        # this plane pops its next command.
+                        trcbsy = frame[6].cache_busy_s
+                        if trcbsy > 0.0:
+                            die_busy[frame[1]] += trcbsy
+                            if rspan is not None:
+                                rspan((0, frame[1], frame[2], now - trcbsy,
+                                       now, frame[6].tag, frame[20]))
+                        dws_append([
                             P_SECTION, frame[1], frame[2], frame[3],
                             None, False, frame[6], 0, 0, frame[17],
                             frame[10], frame[11], frame[12], True,
                             False, frame[15], frame[16], None,
                             frame[18], frame[19], frame[20],
-                        ]
-                        dws_append(drain)
+                        ])
                         pc = P_POP
                         continue
-                    elif pc == P_CACHEQ:
-                        cache = frame[17]
-                        if cache[0] >= cache_cap:
-                            if cache[2] is frame:
-                                lock_park(cache, frame)
-                            else:
-                                cache[1].append(frame)
-                            parked += 1
-                            break
-                        cache[0] = cache[0] + 1
-                        trcbsy = frame[6].cache_busy_s
-                        if trcbsy > 0.0:
-                            frame[0] = P_TRCBSY
-                            nxt_t = now + trcbsy
-                            break
-                        drain = [
-                            P_SECTION, frame[1], frame[2], frame[3],
-                            None, False, frame[6], 0, 0, cache,
-                            frame[10], frame[11], frame[12], True,
-                            False, frame[15], frame[16], None,
-                            frame[18], frame[19], frame[20],
-                        ]
-                        dws_append(drain)
-                        pc = P_POP
-                        continue
-                    elif pc == P_ECCQ:
-                        ecc = frame[16]
-                        if ecc[0]:
-                            if ecc[2] is frame:
-                                lock_park(ecc, frame)
-                            else:
-                                ecc[1].append(frame)
-                            parked += 1
-                            break
-                        ecc[0] = True
-                        frame[0] = P_ECCREL
-                        nxt_t = now + frame[11][frame[8]][2]
-                        break
                     else:
                         while dws:
                             push((now, seq, dws_popleft()))
