@@ -40,9 +40,9 @@ percentiles within a documented relative error bound of
 buckets/decade) against exact nearest-rank percentiles.
 :class:`~repro.obs.histogram.StreamingLatencyStats` is the drop-in
 :class:`~repro.sim.stats.LatencyStats` replacement built on it — the
-default percentile engine for open-loop runs
-(:func:`~repro.sim.host.run_open_loop_workload`; pass
-``exact_latencies=True`` to opt back into retained samples).
+percentile engine of open-loop runs
+(:func:`~repro.sim.host.run_open_loop_workload`, whose
+``on_completion`` hook sees every completion).
 Time-windowed utilization series (per-die/channel/ECC busy fraction
 and queue-depth occupancy per window) come from
 :meth:`~repro.obs.trace.TraceRecorder.utilization`.

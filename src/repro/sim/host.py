@@ -118,8 +118,8 @@ class WorkloadResult:
     time on the device.  The latency collectors are exact
     :class:`~repro.sim.stats.LatencyStats` for the closed-loop runners
     and streaming histograms
-    (:class:`~repro.obs.histogram.StreamingLatencyStats`) by default for
-    the open-loop runner — same reporting surface either way.
+    (:class:`~repro.obs.histogram.StreamingLatencyStats`) for the
+    open-loop runner — same reporting surface either way.
 
     The SSD runners also surface the scheduler's own accounting:
     ``die_busy_s`` / ``channel_busy_s`` / ``ecc_busy_s`` are the
@@ -438,7 +438,6 @@ def run_open_loop_workload(
     ftl: "DieStripedFtl",
     workload: OpenLoopWorkload,
     session: "SsdSession | None" = None,
-    exact_latencies: bool = False,
     on_completion=None,
 ) -> WorkloadResult:
     """Stream an arrival-stamped trace through the SSD's queue pair.
@@ -455,9 +454,9 @@ def run_open_loop_workload(
     Latencies stream into fixed-memory log-bucket histograms
     (:class:`~repro.obs.histogram.StreamingLatencyStats`) and
     completions are consumed as they land, so memory stays O(1) in the
-    trace length; ``exact_latencies=True`` opts back into retained
-    samples and exact percentiles.  To trace a run, pass a session built
-    with a :class:`~repro.obs.trace.TraceRecorder`.
+    trace length; a caller that needs every completion collects them
+    with ``on_completion``.  To trace a run, pass a session built with a
+    :class:`~repro.obs.trace.TraceRecorder`.
 
     An ERASE op is a host-side discard: every page the trace has named
     in that block is trimmed through :meth:`SsdSession.trim
@@ -506,21 +505,16 @@ def run_open_loop_workload(
     die_before = list(core.die_busy_s)
     channel_before = list(core.channel_busy_s)
     ecc_before = list(core.ecc_busy_s)
-    if exact_latencies:
-        result = WorkloadResult(
-            name=workload.name, elapsed_s=0.0, stats=ThroughputStats()
-        )
-    else:
-        result = WorkloadResult(
-            name=workload.name,
-            elapsed_s=0.0,
-            stats=ThroughputStats(
-                read_latency=StreamingLatencyStats(),
-                write_latency=StreamingLatencyStats(),
-            ),
-            queue_latency=StreamingLatencyStats(),
-            service_latency=StreamingLatencyStats(),
-        )
+    result = WorkloadResult(
+        name=workload.name,
+        elapsed_s=0.0,
+        stats=ThroughputStats(
+            read_latency=StreamingLatencyStats(),
+            write_latency=StreamingLatencyStats(),
+        ),
+        queue_latency=StreamingLatencyStats(),
+        service_latency=StreamingLatencyStats(),
+    )
 
     def observe(completion) -> None:
         # Last *completion*, not last engine event: an I/O-free tail of

@@ -250,13 +250,15 @@ class TestOpenLoopSession:
                 [TraceOp(TraceOpKind.READ, 0, lpn) for lpn in range(16)] * 2,
                 rate_ops_s=20_000,
             )
+            completions = []
             result = run_open_loop_workload(
                 ftl, OpenLoopWorkload("det", trace, queue_depth=4),
-                exact_latencies=True,
+                on_completion=completions.append,
             )
+            assert len(completions) == 32
             return (
                 result.elapsed_s,
-                result.stats.read_latency.samples,
+                completions,
                 result.latency_percentiles(),
             )
 
@@ -313,26 +315,26 @@ class TestOpenLoopSession:
 
         private_ftl = _build()
         private_ftl.write_many([(lpn, bytes(4096)) for lpn in range(8)])
+        private_done = []
         private = run_open_loop_workload(
             private_ftl, OpenLoopWorkload("p", trace(), queue_depth=2),
-            exact_latencies=True,
+            on_completion=private_done.append,
         )
 
         shared_ftl = _build()
         shared_ftl.write_many([(lpn, bytes(4096)) for lpn in range(8)])
         session = shared_ftl.session
         assert session.engine.now_s > 0.0  # clock left at the prewrite
+        shared_done = []
         shared = run_open_loop_workload(
             shared_ftl,
             OpenLoopWorkload("s", trace(), queue_depth=2),
             session=session,
-            exact_latencies=True,
+            on_completion=shared_done.append,
         )
         assert shared.elapsed_s == private.elapsed_s
-        assert (
-            shared.stats.read_latency.samples
-            == private.stats.read_latency.samples
-        )
+        assert len(shared_done) == 16
+        assert shared_done == private_done
         # The per-run queue-depth override must not outlive the run.
         assert session.queue_depth is None
 
