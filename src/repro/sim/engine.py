@@ -45,19 +45,13 @@ processes, so their events interleave in exactly the global
 bulk entry point for scheduling frames at absolute times;
 :meth:`SimEngine.run` remains the run-until-quiescent drain.
 
-Two features exist for *persistent* sessions (long-lived processes
-that outlive any one batch of work, e.g. a host process parked on the
-SSD session's completion doorbell):
-
-* a **daemon** signal (``engine.signal(daemon=True)``) marks an idle
-  park as intentional — a process parked on a daemon signal does not
-  count toward deadlock detection, so :meth:`SimEngine.run` can drain
-  to an idle state and return while the process stays resident;
-* :meth:`SimEngine.rebase` resets the clock of an *idle* engine to
-  zero.  Parked processes carry no scheduled times, so an idle engine's
-  clock is an arbitrary offset; rebasing lets a resident session replay
-  a closed batch with the exact float arithmetic of a fresh engine
-  (``t0 + a + b - t0`` and ``a + b`` differ in floating point).
+A *persistent* session (one that outlives any one batch of work, like
+the SSD session) keeps its engine between runs.
+:meth:`SimEngine.rebase` resets the clock of an *idle* engine to zero.
+Parked processes carry no scheduled times, so an idle engine's clock is
+an arbitrary offset; rebasing lets a resident session replay a closed
+batch with the exact float arithmetic of a fresh engine
+(``t0 + a + b - t0`` and ``a + b`` differ in floating point).
 """
 
 from __future__ import annotations
@@ -83,18 +77,14 @@ class Signal:
 
     A process that yields the signal is parked (no event scheduled) until
     some other process calls :meth:`fire`, which resumes parked processes
-    at the current simulation time in the order they parked.
-
-    ``daemon`` signals mark an *expected-idle* park: processes parked on
-    them are excluded from deadlock detection, so resident workers can
-    sit on their wake-up signal across :meth:`SimEngine.run` calls.
+    at the current simulation time in the order they parked.  A
+    process still parked when the event list drains is a deadlock.
     """
 
-    __slots__ = ("_engine", "_daemon", "_waiters")
+    __slots__ = ("_engine", "_waiters")
 
-    def __init__(self, engine: "SimEngine", daemon: bool = False):
+    def __init__(self, engine: "SimEngine"):
         self._engine = engine
-        self._daemon = daemon
         self._waiters: list[Process] = []
 
     def fire(self) -> int:
@@ -112,8 +102,7 @@ class Signal:
         now = engine.now_s
         seq = engine._seq
         woken = len(waiters)
-        if not self._daemon:
-            engine._parked -= woken
+        engine._parked -= woken
         engine._seq = seq + woken
         for process in waiters:
             push((now, seq, process))
@@ -123,8 +112,7 @@ class Signal:
 
     def _park(self, process: Process) -> None:
         self._waiters.append(process)
-        if not self._daemon:
-            self._engine._parked += 1
+        self._engine._parked += 1
 
 
 class HeapEventList:
@@ -216,13 +204,9 @@ class SimEngine:
             )
         self._flat = handler
 
-    def signal(self, daemon: bool = False) -> Signal:
-        """Create a :class:`Signal` bound to this engine.
-
-        ``daemon`` signals exempt their parked processes from deadlock
-        detection.
-        """
-        return Signal(self, daemon=daemon)
+    def signal(self) -> Signal:
+        """Create a :class:`Signal` bound to this engine."""
+        return Signal(self)
 
     @property
     def idle(self) -> bool:

@@ -21,8 +21,8 @@ the open-loop replacement — the software analogue of an NVMe submission
 * completions are delivered on the session's DES engine: each finished
   command appends an :class:`IoCompletion` (submit / dispatch /
   completion timestamps, so queueing and service time are separable)
-  and fires :attr:`SsdSession.completion` — the completion-queue
-  doorbell a host process parks on;
+  to the completion queue, which the host drains with
+  :meth:`SsdSession.take_completions`;
 * an optional ``queue_depth`` models the device-side in-flight window:
   submissions beyond it wait unstaged in the session's submission
   backlog and are staged, in submission order, as earlier commands
@@ -220,10 +220,6 @@ class SsdSession:
         # engine is idle (drained) before the first submission.
         self.engine.run()
         self.core.on_finish.append(self._on_command_finish)
-        #: Completion-queue doorbell: fired once per IoCompletion.  A
-        #: daemon signal — a host reaper parked on it between
-        #: completions is an expected-idle state, not a deadlock.
-        self.completion = self.engine.signal(daemon=True)
         #: Completion queue (append-only, completion order).
         self.completions: list[IoCompletion] = []
         self._io: dict[int, _IoRecord] = {}
@@ -269,8 +265,8 @@ class SsdSession:
         data path (mapping, allocation, ECC, error injection) runs when
         the in-flight window admits the I/O — at once if it is open and
         nothing is backlogged; the command's timing is played out on the
-        shared timeline and completes asynchronously via
-        :attr:`completion`.
+        shared timeline and its :class:`IoCompletion` lands in the
+        completion queue (:meth:`take_completions`).
         """
         ftl = self._ftl_for(ftl)
         if io.kind is not TraceOpKind.READ and io.kind is not TraceOpKind.WRITE:
@@ -458,7 +454,6 @@ class SsdSession:
                     dispatch_s=completion.admit_s,
                     done_s=completion.done_s,
                 ))
-                self.completion.fire()
         self._pump()
         if self.gc_mode == "background":
             self._maybe_background_collect()

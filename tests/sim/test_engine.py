@@ -187,53 +187,7 @@ class TestSignal:
         assert times == [pytest.approx(5.0), pytest.approx(7.0)]
 
 
-class TestDaemonSignalsAndRebase:
-    def test_daemon_parked_process_is_not_a_deadlock(self):
-        def worker(signal):
-            while True:
-                yield signal
-
-        engine = SimEngine()
-        signal = engine.signal(daemon=True)
-        engine.spawn(worker(signal))
-        assert engine.run() == 0.0  # drains with the worker still parked
-
-    def test_daemon_worker_survives_across_runs(self):
-        served = []
-
-        def worker(engine, signal, queue):
-            while True:
-                while not queue:
-                    yield signal
-                item = queue.pop(0)
-                yield 1.0
-                served.append((item, engine.now_s))
-
-        def submit(signal, queue, item):
-            queue.append(item)
-            signal.fire()
-            yield 0.0
-
-        engine = SimEngine()
-        signal = engine.signal(daemon=True)
-        queue = []
-        engine.spawn(worker(engine, signal, queue))
-        engine.run()
-        engine.spawn(submit(signal, queue, "a"))
-        engine.run()
-        engine.spawn(submit(signal, queue, "b"))
-        engine.run()
-        assert served == [("a", 1.0), ("b", 2.0)]
-
-    def test_non_daemon_park_still_detected(self):
-        def waiter(signal):
-            yield signal
-
-        engine = SimEngine()
-        engine.spawn(waiter(engine.signal()))
-        with pytest.raises(SimulationError, match="deadlock"):
-            engine.run()
-
+class TestRebaseAndRunGuard:
     def test_rebase_resets_idle_clock(self):
         def tick():
             yield 3.5

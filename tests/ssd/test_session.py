@@ -349,24 +349,6 @@ class TestOpenLoopSession:
             )
         session.drain()
 
-    def test_reaper_parked_on_doorbell_is_not_a_deadlock(self):
-        """The documented pattern: a host process parked on the doorbell."""
-        ftl = _build()
-        ftl.write_many([(lpn, bytes(4096)) for lpn in range(4)])
-        session = SsdSession(ftl)
-        seen = []
-
-        def reaper():
-            while True:
-                yield session.completion
-                seen.extend(session.take_completions())
-
-        session.engine.spawn(reaper())
-        for lpn in range(4):
-            session.submit(IoCommand(TraceOpKind.READ, lpn))
-        session.drain()  # the reaper stays parked on the daemon doorbell
-        assert len(seen) == 4
-
     def test_invalid_open_loop_queue_depth_rejected_up_front(self):
         with pytest.raises(SimulationError):
             OpenLoopWorkload("bad", [], queue_depth=0)
