@@ -30,7 +30,6 @@ or through pytest; ``--quick`` shrinks the stream and repeat count.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -39,6 +38,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from benchmarks.conftest import append_trajectory  # noqa: E402
 from repro.obs import TraceRecorder  # noqa: E402
 from repro.sim.engine import SimEngine  # noqa: E402
 from repro.ssd.scheduler import PipelineConfig, SchedulerCore  # noqa: E402
@@ -182,20 +182,12 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
 
 def _save(text: str, metrics: dict, quick: bool) -> None:
     """Append this run to the trajectory JSON and print the table."""
-    OUT_PATH.parent.mkdir(exist_ok=True)
-    trajectory = []
-    if OUT_PATH.exists():
-        trajectory = json.loads(OUT_PATH.read_text()).get("trajectory", [])
-    trajectory.append({
+    append_trajectory(OUT_PATH, {"benchmark": "observability"}, {
         "quick": quick,
         "python": sys.version.split()[0],
         "spans": metrics["spans"],
         "results": metrics["results"],
     })
-    OUT_PATH.write_text(json.dumps({
-        "benchmark": "observability",
-        "trajectory": trajectory,
-    }, indent=2) + "\n")
     print("\n" + text)
 
 

@@ -36,7 +36,6 @@ through pytest; ``--quick`` shrinks streams and skips the 8x8 point.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -45,6 +44,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from benchmarks.conftest import append_trajectory  # noqa: E402
 from repro.sim.engine import SimEngine  # noqa: E402
 from repro.ssd import SsdDevice, SsdSession  # noqa: E402
 from repro.ssd.scheduler import PipelineConfig, SchedulerCore  # noqa: E402
@@ -158,19 +158,11 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
 
 def _save(text: str, metrics: dict, quick: bool) -> None:
     """Append this run to the trajectory JSON and print the table."""
-    OUT_PATH.parent.mkdir(exist_ok=True)
-    trajectory = []
-    if OUT_PATH.exists():
-        trajectory = json.loads(OUT_PATH.read_text()).get("trajectory", [])
-    trajectory.append({
+    append_trajectory(OUT_PATH, {"benchmark": "sim_speed"}, {
         "quick": quick,
         "python": sys.version.split()[0],
         "results": metrics["results"],
     })
-    OUT_PATH.write_text(json.dumps({
-        "benchmark": "sim_speed",
-        "trajectory": trajectory,
-    }, indent=2) + "\n")
     print("\n" + text)
 
 

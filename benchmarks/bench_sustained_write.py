@@ -35,26 +35,35 @@ through pytest; ``--quick`` shrinks the drive and the stream.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.core.modes import OperatingMode
-from repro.core.policy import CrossLayerPolicy
-from repro.ftl.gc import GcConfig
-from repro.nand.geometry import NandGeometry
-from repro.sim.host import OpenLoopWorkload, run_open_loop_workload
-from repro.ssd import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks.conftest import append_trajectory  # noqa: E402
+from repro.core.modes import OperatingMode  # noqa: E402
+from repro.core.policy import CrossLayerPolicy  # noqa: E402
+from repro.ftl.gc import GcConfig  # noqa: E402
+from repro.nand.geometry import NandGeometry  # noqa: E402
+from repro.sim.host import (  # noqa: E402
+    OpenLoopWorkload,
+    run_open_loop_workload,
+)
+from repro.ssd import (  # noqa: E402
     DieStripedFtl,
     PipelineConfig,
     SsdDevice,
     SsdSession,
     SsdTopology,
 )
-from repro.workloads.traces import TraceOp, TraceOpKind, fixed_rate_arrivals
+from repro.workloads.traces import (  # noqa: E402
+    TraceOp,
+    TraceOpKind,
+    fixed_rate_arrivals,
+)
 
 #: Acceptance floor: background steady-state write throughput vs the
 #: foreground-stall (synchronous-GC) baseline on the mixed stream.
@@ -271,12 +280,16 @@ def run_benchmark(quick: bool = False) -> tuple[str, dict]:
 
 def _save(text: str, metrics: dict, quick: bool) -> None:
     """Append this run to the trajectory JSON and print the table."""
-    OUT_PATH.parent.mkdir(exist_ok=True)
-    trajectory = []
-    if OUT_PATH.exists():
-        trajectory = json.loads(OUT_PATH.read_text()).get("trajectory", [])
     fg, bg = metrics["fg"], metrics["bg"]
-    trajectory.append({
+    append_trajectory(OUT_PATH, {
+        "benchmark": "sustained_write",
+        "gate": {
+            "topology": "1x4",
+            "shape": "fill + mixed random overwrite",
+            "floor_bg_vs_fg": MIN_BG_VS_FG,
+            "ceiling_p99_ratio": MAX_BG_P99_RATIO,
+        },
+    }, {
         "quick": quick,
         "python": sys.version.split()[0],
         "bg_vs_fg_steady": round(metrics["bg_vs_fg_steady"], 3),
@@ -290,16 +303,6 @@ def _save(text: str, metrics: dict, quick: bool) -> None:
         "bg_collections": bg["collections"],
         "bg_background_collections": bg["background_collections"],
     })
-    OUT_PATH.write_text(json.dumps({
-        "benchmark": "sustained_write",
-        "gate": {
-            "topology": "1x4",
-            "shape": "fill + mixed random overwrite",
-            "floor_bg_vs_fg": MIN_BG_VS_FG,
-            "ceiling_p99_ratio": MAX_BG_P99_RATIO,
-        },
-        "trajectory": trajectory,
-    }, indent=2) + "\n")
     (OUT_PATH.parent / "sustained_write.txt").write_text(text)
     print("\n" + text)
 

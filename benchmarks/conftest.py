@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cProfile
 import io
+import json
 import pstats
 from pathlib import Path
 
@@ -75,6 +76,25 @@ def save_report(result: ExperimentResult) -> None:
     text = result.render() + "\n"
     (OUT_DIR / f"{result.exp_id}.txt").write_text(text)
     print("\n" + text)
+
+
+def append_trajectory(path: Path, header: dict, entry: dict) -> None:
+    """Append one run to the ``trajectory`` list of a ``BENCH_*.json``.
+
+    The file holds ``header`` (the benchmark's name and fixed settings)
+    followed by the trajectory.  An entry identical to the last one is
+    stored once, so rerunning a deterministic benchmark on unchanged
+    code adds nothing.
+    """
+    path.parent.mkdir(exist_ok=True)
+    trajectory = []
+    if path.exists():
+        trajectory = json.loads(path.read_text()).get("trajectory", [])
+    if not trajectory or trajectory[-1] != entry:
+        trajectory.append(entry)
+    path.write_text(
+        json.dumps({**header, "trajectory": trajectory}, indent=2) + "\n"
+    )
 
 
 def run_once(benchmark, runner, *args, **kwargs) -> ExperimentResult:
