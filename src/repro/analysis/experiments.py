@@ -30,6 +30,7 @@ from repro.core.modes import OperatingMode
 from repro.core.pareto import enumerate_operating_points, pareto_front
 from repro.core.policy import CrossLayerPolicy
 from repro.core.tradeoff import TradeoffAnalyzer
+from repro.errors import CodeDesignError
 from repro.hv.subsystem import HighVoltageSubsystem
 from repro.nand.distributions import distribution_report, level_statistics
 from repro.nand.ispp import IsppAlgorithm
@@ -510,7 +511,7 @@ class ExperimentSuite:
         for block_bytes in (512, 1024, 2048, 4096):
             k = block_bytes * 8
             blocks_per_page = 4096 // block_bytes
-            t = required_t(eol_rber, k=k, m=None or _min_m(k), t_max=200)
+            t = required_t(eol_rber, k=k, m=_min_m(k), t_max=200)
             spec = design_code(k, t)
             parity_page = spec.parity_bytes * blocks_per_page
             decode_page = latency.decode_latency_s(spec) * blocks_per_page
@@ -714,7 +715,7 @@ class ExperimentSuite:
                     try:
                         t = required_t(rber)
                         t_text = str(t)
-                    except Exception:
+                    except CodeDesignError:
                         t_text = ">65"
                     row.extend([rber, t_text])
                 rows.append(row)
