@@ -37,12 +37,9 @@ while earlier commands are still in flight — the substrate behind the
 open-loop :class:`~repro.ssd.session.SsdSession`.  The dispatchers are
 the **flat dispatch core**: coroutine-free state-machine frames
 scheduled directly on the engine's event list and advanced by one
-burst handler with one arm per mechanism — pop, array phases, cache
-handoff, section phase, bus release, ECC release, completion (see the
-"flat dispatch core" section below).  The fused section of the
-non-pipelined configuration runs as a one-phase section, so both
-configurations share those arms.  It is the only implementation; its
-timelines are pinned by golden digests in
+burst handler with one arm per mechanism, shared by every pipeline
+configuration (see the "flat dispatch core" section below).  It is the
+only implementation; its timelines are pinned by golden digests in
 ``tests/ssd/test_dispatch_golden.py``.  A closed batch runs on the
 same resident core: :meth:`~repro.ssd.session.SsdSession.execute`
 admits it through :func:`closed_admission` (a queue-depth-bounded
