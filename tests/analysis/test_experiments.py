@@ -90,6 +90,27 @@ class TestAblations:
             assert pipelined_wt >= serial_wt
             assert recovered >= 0
 
+    def test_retention_past_t_max_renders_overflow_cell(self, suite):
+        result = suite.run_ablation_retention(
+            pe_points=(1e3, 1e5), retention_hours=(0.0, 2e4), n_cells=2048,
+        )
+        rows = {(row[0], row[1]): row for row in result.data["rows"]}
+        fresh, worn = rows[(1e3, 0.0)], rows[(1e5, 2e4)]
+        assert fresh[3].isdigit() and fresh[5].isdigit()
+        assert worn[3] == worn[5] == ">65"  # CodeDesignError from required_t
+
+    def test_retention_propagates_other_faults(self, suite, monkeypatch):
+        import repro.analysis.experiments as experiments
+
+        def broken(rber):
+            raise ValueError("not a code-design limit")
+
+        monkeypatch.setattr(experiments, "required_t", broken)
+        with pytest.raises(ValueError, match="not a code-design limit"):
+            suite.run_ablation_retention(
+                pe_points=(1e3,), retention_hours=(0.0,), n_cells=1024,
+            )
+
     def test_pareto_includes_dv(self, suite):
         result = suite.run_ablation_pareto(ages=(1e5,))
         front = result.data[1e5]

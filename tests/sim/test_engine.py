@@ -186,6 +186,30 @@ class TestSignal:
         engine.run()
         assert times == [pytest.approx(5.0), pytest.approx(7.0)]
 
+    def test_parked_count_balances_across_runs(self):
+        """A woken park leaves no count behind for the engine's next run."""
+
+        def waiter(signal):
+            yield signal
+
+        def firer(signal):
+            yield 1.0
+            signal.fire()
+
+        def tick():
+            yield 1.0
+
+        engine = SimEngine()
+        signal = engine.signal()
+        engine.spawn(waiter(signal))
+        engine.spawn(firer(signal))
+        assert engine.run() == pytest.approx(1.0)
+        engine.spawn(tick())
+        assert engine.run() == pytest.approx(2.0)  # no stale deadlock
+        engine.spawn(waiter(signal))
+        with pytest.raises(SimulationError, match="deadlock"):
+            engine.run()
+
 
 class TestRebaseAndRunGuard:
     def test_rebase_resets_idle_clock(self):
