@@ -3,7 +3,9 @@
 import math
 
 import pytest
+from scipy import stats
 
+from repro import params
 from repro.bch.uber import (
     monte_carlo_uber,
     achieved_uber,
@@ -102,6 +104,12 @@ class TestMaxRber:
         assert max_rber_for_t(65) == pytest.approx(1e-3, rel=0.05)
 
 
+def _stress_point(t, stress):
+    """``run_uber_mc``'s (RBER, n, t): n = k + m t is the designed n at m = 16."""
+    n = params.MESSAGE_BITS + params.GF_DEGREE * t
+    return stress * (t + 1) / n, n, t
+
+
 class TestExactTail:
     def test_exact_upper_bounds_eq1_regime(self):
         # Where errors are rare, the (t+1)-term dominates but the exact
@@ -124,6 +132,22 @@ class TestExactTail:
 
     def test_zero_rber(self):
         assert uber_exact(0.0, 1000, 2) == 0.0
+
+    # The four ``run_uber_mc`` stress points, then the points above.
+    @pytest.mark.parametrize(("rber", "n", "t"), [
+        _stress_point(3, 1.6),
+        _stress_point(14, 1.0),
+        _stress_point(14, 1.3),
+        _stress_point(65, 1.1),
+        (1e-5, 32768 + 16 * 6, 6),
+        (1e-5, 32768 + 16 * 10, 10),
+        (1e-3, 32768 + 16 * 6, 6),
+        (0.0, 1000, 2),
+    ])
+    def test_is_binomial_survival_per_bit(self, rber, n, t):
+        # The reference comes from the installed scipy, so the pin holds
+        # bit for bit across scipy versions.
+        assert uber_exact(rber, n, t) == float(stats.binom.sf(t, n, rber)) / n
 
 
 class TestMonteCarloUber:
