@@ -7,14 +7,16 @@ Eq. (1) keeps only the dominant (t+1)-error pattern::
 which is accurate when n*RBER is small compared to t and is what the paper
 uses throughout (including its Fig. 7 t = 65 point, where the approximation
 is already optimistic).  ``uber_exact`` provides the full binomial tail
-P(errors > t)/n for comparison; EXPERIMENTS.md discusses the gap.
+P(errors > t)/n for comparison; EXPERIMENTS.md discusses the gap.  Only
+``uber_exact`` calls ``scipy.stats``, so scipy's statistics package loads
+on its first call, not with this module.
 
 :func:`monte_carlo_uber` cross-checks both models against the *real*
 codec: batches of random pages are encoded, corrupted at the target RBER
 and decoded through the vectorized datapath.  Batches are chunked and
-fanned out across a :class:`concurrent.futures.ProcessPoolExecutor`;
-every chunk draws its randomness from its own
-:class:`numpy.random.SeedSequence` spawn and the aggregation is
+fanned out across a :class:`concurrent.futures.ProcessPoolExecutor`,
+which only a pooled run imports; every chunk draws its randomness from
+its own :class:`numpy.random.SeedSequence` spawn and the aggregation is
 order-independent, so the result is bit-identical regardless of how many
 worker processes run the sweep (including none).
 """
@@ -22,12 +24,10 @@ worker processes run the sweep (including none).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from repro import params as default_params
 from repro.errors import CodeDesignError
@@ -75,6 +75,8 @@ def uber_exact(rber: float, n: int, t: int) -> float:
         raise ValueError(f"RBER must be in [0, 1), got {rber}")
     if rber == 0.0:
         return 0.0
+    from scipy import stats
+
     return float(stats.binom.sf(t, n, rber)) / n
 
 
@@ -238,6 +240,8 @@ def monte_carlo_uber(
     if workers is None or workers <= 1 or len(jobs) == 1:
         outcomes = [_mc_uber_chunk(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             outcomes = list(pool.map(_mc_uber_chunk, jobs))
     failed = sum(outcome[0] for outcome in outcomes)
