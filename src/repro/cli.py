@@ -39,6 +39,8 @@ def _runners(suite) -> dict[str, tuple[str, callable]]:
         "abl_tworound": ("two-round load mitigation", suite.run_ablation_tworound),
         "abl_pareto": ("operating-point Pareto analysis", suite.run_ablation_pareto),
         "abl_retention": ("retention x cycling ablation", suite.run_ablation_retention),
+        "abl_partition": ("boot-time SLC/MLC partitioning ablation",
+                          suite.run_ablation_partition),
         "sys_des": ("discrete-event system simulation", suite.run_system_des),
         "sys_services": ("differentiated storage services", suite.run_system_services),
         "sys_ssd": ("multi-die SSD scaling (command scheduler)", suite.run_system_ssd),

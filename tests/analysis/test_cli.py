@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.analysis.experiments import ExperimentSuite
+from repro.cli import _runners, main
 
 
 class TestCli:
@@ -22,6 +23,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tMIN=3" in out
         assert "regenerated in" in out
+
+    def test_runners_cover_every_experiment(self):
+        runners = _runners(ExperimentSuite(seed=2012)).values()
+        experiments = {
+            name for name in vars(ExperimentSuite)
+            if name.startswith("run_") and name != "run_all"
+        }
+        assert {runner.__name__ for _, runner in runners} == experiments
 
     def test_run_unknown(self, capsys):
         assert main(["run", "fig99"]) == 2
