@@ -184,7 +184,6 @@ def _save(text: str, metrics: dict, quick: bool) -> None:
     """Append this run to the trajectory JSON and print the table."""
     append_trajectory(OUT_PATH, {"benchmark": "observability"}, {
         "quick": quick,
-        "python": sys.version.split()[0],
         "spans": metrics["spans"],
         "results": metrics["results"],
     })

@@ -160,7 +160,6 @@ def _save(text: str, metrics: dict, quick: bool) -> None:
     """Append this run to the trajectory JSON and print the table."""
     append_trajectory(OUT_PATH, {"benchmark": "sim_speed"}, {
         "quick": quick,
-        "python": sys.version.split()[0],
         "results": metrics["results"],
     })
     print("\n" + text)

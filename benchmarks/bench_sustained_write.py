@@ -291,7 +291,6 @@ def _save(text: str, metrics: dict, quick: bool) -> None:
         },
     }, {
         "quick": quick,
-        "python": sys.version.split()[0],
         "bg_vs_fg_steady": round(metrics["bg_vs_fg_steady"], 3),
         "p99_ratio": round(metrics["p99_ratio"], 3),
         "fg_steady_ops_s": round(fg["steady_ops_s"], 1),

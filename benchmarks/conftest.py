@@ -17,9 +17,13 @@ from __future__ import annotations
 import cProfile
 import io
 import json
+import os
+import platform
 import pstats
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentResult, ExperimentSuite
@@ -78,14 +82,35 @@ def save_report(result: ExperimentResult) -> None:
     print("\n" + text)
 
 
+def _git_sha() -> str:
+    """The checked-out commit, or ``"unknown"`` outside a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            text=True, capture_output=True, timeout=30,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
 def append_trajectory(path: Path, header: dict, entry: dict) -> None:
     """Append one run to the ``trajectory`` list of a ``BENCH_*.json``.
 
     The file holds ``header`` (the benchmark's name and fixed settings)
-    followed by the trajectory.  An entry identical to the last one is
-    stored once, so rerunning a deterministic benchmark on unchanged
-    code adds nothing.
+    followed by the trajectory.  Each entry is stamped with the
+    ``git_sha``, ``python``, ``numpy`` and ``nproc`` fields the
+    end-to-end records carry, but not their ``utc`` or ``dirty``: an
+    entry identical to the last one is stored once, so rerunning a
+    deterministic benchmark on unchanged code adds nothing.
     """
+    entry = {
+        "git_sha": _git_sha(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        **entry,
+    }
     path.parent.mkdir(exist_ok=True)
     trajectory = []
     if path.exists():
