@@ -27,12 +27,15 @@ from repro.bch.uber import uber_exact
 #: Prefixes of the module names a cold import may not load.
 FORBIDDEN = ("scipy.stats", "concurrent.futures.process", "multiprocessing")
 
-CHILD = """\
+#: The (RBER, n, t) the child evaluates ``uber_exact`` at.
+POINT = (1e-3, 32768 + 16 * 6, 6)
+
+CHILD = f"""\
 import json, sys
 import repro, repro.ssd, repro.sim.host, repro.analysis.experiments
 loaded = sorted(sys.modules)
 from repro.bch.uber import uber_exact
-print(json.dumps({"loaded": loaded, "uber": uber_exact(1e-3, 32864, 6)}))
+print(json.dumps({{"loaded": loaded, "uber": uber_exact{POINT!r}}}))
 """
 
 
@@ -40,9 +43,10 @@ def test_cold_import_loads_no_stats_or_process_pool():
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
     child = subprocess.run(
         [sys.executable, "-c", CHILD], env=env, capture_output=True,
-        text=True, timeout=120, check=True,
+        text=True, timeout=120,
     )
+    assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout)
     loaded = [name for name in report["loaded"] if name.startswith(FORBIDDEN)]
     assert not loaded, f"a cold import loads {', '.join(loaded)}"
-    assert report["uber"] == uber_exact(1e-3, 32864, 6)
+    assert report["uber"] == uber_exact(*POINT)
