@@ -11,8 +11,9 @@ pins the sha256 of the report ``python -m repro run <id>`` prints (its
 CLI builds it.  The reports do not depend on ``PYTHONHASHSEED``.
 
 The other two open-loop experiments (``sys_openloop`` and
-``sys_sustained``, about 5 s each) are too slow to pin here and are
-left to the scheduler and end-to-end golden digests.
+``sys_sustained``, about 6 s each) are too slow for tier 1; their
+reports are pinned the same way by ``benchmarks/bench_system_openloop.py``
+and ``benchmarks/bench_system_sustained.py``.
 """
 
 import hashlib
