@@ -4,7 +4,8 @@ The core's timelines themselves (closed batches, resident sessions,
 open-loop streams, tie-heavy arrivals) are pinned by golden digests in
 ``tests/ssd/test_dispatch_golden.py``; these tests cover the contracts
 around them: one admission stream per core, argument checks before
-anything is installed, and the engine's flat-frame entry points.
+anything is installed, the engine's flat-frame entry points and its
+deadlock count of parked frames.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.nand.timing import NandTimingModel
 from repro.sim.engine import SimEngine
-from repro.ssd import PipelineConfig, SsdTopology
+from repro.ssd import PipelineConfig, SsdDevice, SsdSession, SsdTopology
 from repro.ssd.scheduler import CommandKind, DieCommand, SchedulerCore
 
 READ_PHASES = NandTimingModel.read_phases(
@@ -113,3 +114,31 @@ class TestEngineFlatSurface:
         engine.run()
         with pytest.raises(SimulationError, match="into the past"):
             engine.schedule_at(engine.now_s - 1e-6, [0])
+
+
+class TestDeadlockDetection:
+    def test_execute_counts_every_parked_waiter(self):
+        # 1 channel x 2 dies, four programs at QD 2: each program opens
+        # with its bus section, so the two dies contend for the bus.
+        topology = SsdTopology(channels=1, dies_per_channel=2)
+        session = SsdSession(ssd=SsdDevice(topology, seed=0))
+        commands = [
+            DieCommand.from_phases(
+                CommandKind.PROGRAM, die=tag % 2, tag=tag,
+                phases=PROGRAM_PHASES,
+            )
+            for tag in range(4)
+        ]
+        first = session.execute(commands, queue_depth=2)
+        done = {c.tag: c.done_s for c in first.completions}
+        section_s = sum(p.duration_s for p in PROGRAM_PHASES[:-1])
+        # Die 1 waited on the bus for die 0's section; that park, and the
+        # admission's parks on the full window, balanced.
+        assert done[1] - done[0] == pytest.approx(section_s)
+        assert len(done) == 4
+        # Hold the bus behind the core's back: both frames park on it,
+        # the admission parks on the full window, and nothing is left
+        # to run.
+        session.core._buses[0][0] = True
+        with pytest.raises(SimulationError, match=r"deadlock: 3 "):
+            session.execute(commands, queue_depth=2)
