@@ -22,7 +22,7 @@ Rule codes
     comprehension / call, ``frozenset``, ``dict.values/keys/items``)
     whose body feeds the event schedule (``schedule``, ``schedule_at``,
     ``spawn``, ``fire``, ``enqueue``, ``submit``, ``submit_stream``,
-    ``push``).  Set iteration order varies with hash seeding; feeding
+    ``submit_batch``, ``push``).  Set iteration order varies with hash seeding; feeding
     it into the event list reorders same-instant ties.
 ``DET105`` — ``==`` / ``!=`` between simulation timestamps (``now``,
     ``*_s`` names in the timestamp vocabulary).  Float timestamps are
@@ -135,7 +135,7 @@ _WALLCLOCK_TIME_FNS = frozenset({
 _WALLCLOCK_DT_FNS = frozenset({"now", "utcnow", "today"})
 _SCHEDULE_FEEDS = frozenset({
     "schedule", "schedule_at", "spawn", "fire", "enqueue", "submit",
-    "submit_stream", "push",
+    "submit_stream", "submit_batch", "push",
 })
 _UNORDERED_CALLS = frozenset({"set", "frozenset"})
 _UNORDERED_METHODS = frozenset({"values", "keys", "items"})

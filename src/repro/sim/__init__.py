@@ -2,7 +2,6 @@
 
 from repro.sim.engine import (
     HeapEventList,
-    Signal,
     SimEngine,
     Process,
 )
@@ -21,7 +20,6 @@ from repro.sim.host import (
 __all__ = [
     "SimEngine",
     "HeapEventList",
-    "Signal",
     "Process",
     "LatencyStats",
     "ThroughputStats",

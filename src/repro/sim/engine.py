@@ -5,12 +5,6 @@ engine interleaves them on a single virtual clock.  Small by design,
 but a real DES: multiple concurrent processes, event ordering,
 deterministic tie-breaking and a bounded run horizon.
 
-Besides a float delay, a process may yield a :class:`Signal` to park
-until another process fires it — the synchronisation primitive behind
-resource arbitration (channel buses, queue-depth admission) in the SSD
-command scheduler.  Parked processes resume at the firing instant in
-park order, so runs stay deterministic.
-
 Event list
 ----------
 
@@ -20,10 +14,6 @@ comes from a monotone counter, so the total order is *time-major, FIFO
 within a timestamp*.  Every run is therefore a deterministic function
 of its inputs: the scheduler timelines pinned in
 ``tests/ssd/test_dispatch_golden.py`` depend on exactly this order.
-
-Signals have one wake discipline: :meth:`Signal.fire` resumes every
-waiter.  The scheduler's serially-reusable locks are not signals; they
-live in its flat frames (see :mod:`repro.ssd.scheduler`).
 
 Flat dispatch (coroutine-free processes)
 ----------------------------------------
@@ -45,10 +35,20 @@ processes, so their events interleave in exactly the global
 bulk entry point for scheduling frames at absolute times;
 :meth:`SimEngine.run` remains the run-until-quiescent drain.
 
+Synchronisation lives in the flat frames too: a frame that waits (for a
+bus, an ECC engine, a cache register or room in an admission window) is
+*parked* — it has no scheduled event — until another frame's turn
+schedules it again.  The handler keeps the engine's park counter
+(``SimEngine._parked``) equal to the number of frames parked that way;
+a frame parked idle on an empty command queue is not counted.  If the
+event list drains while the counter is nonzero, nothing is left to wake
+those frames: :meth:`SimEngine.run` raises a deadlock
+:class:`~repro.errors.SimulationError` naming how many are parked.
+
 A *persistent* session (one that outlives any one batch of work, like
 the SSD session) keeps its engine between runs.
 :meth:`SimEngine.rebase` resets the clock of an *idle* engine to zero.
-Parked processes carry no scheduled times, so an idle engine's clock is
+Parked frames carry no scheduled times, so an idle engine's clock is
 an arbitrary offset; rebasing lets a resident session replay a closed
 batch with the exact float arithmetic of a fresh engine
 (``t0 + a + b - t0`` and ``a + b`` differ in floating point).
@@ -58,61 +58,18 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Generator, Union
+from typing import Generator
 
 from repro.errors import SimulationError
 from repro.sim.sanitizer import DesSanitizer
 
-#: A simulation process: a generator yielding delays (seconds) or Signals.
-Process = Generator[Union[float, "Signal"], None, None]
+#: A simulation process: a generator yielding delays (seconds).
+Process = Generator[float, None, None]
 
 #: Process-wide default for ``SimEngine(sanitize=None)``.  Flipped to
 #: True by ``pytest --sanitize`` (root conftest) so every engine a test
 #: constructs comes up armed without threading a flag through helpers.
 SANITIZE_DEFAULT = False
-
-
-class Signal:
-    """Wake-up channel between processes on one :class:`SimEngine`.
-
-    A process that yields the signal is parked (no event scheduled) until
-    some other process calls :meth:`fire`, which resumes parked processes
-    at the current simulation time in the order they parked.  A
-    process still parked when the event list drains is a deadlock.
-    """
-
-    __slots__ = ("_engine", "_waiters")
-
-    def __init__(self, engine: "SimEngine"):
-        self._engine = engine
-        self._waiters: list[Process] = []
-
-    def fire(self) -> int:
-        """Resume every parked process now; returns how many woke up.
-
-        Firing with no waiters is a no-op.
-        """
-        waiters = self._waiters
-        if not waiters:
-            return 0
-        # Inlined seq allocation + event push: skips the SimEngine
-        # helper frames on a call made once per completion.
-        engine = self._engine
-        push = engine._queue.push
-        now = engine.now_s
-        seq = engine._seq
-        woken = len(waiters)
-        engine._parked -= woken
-        engine._seq = seq + woken
-        for process in waiters:
-            push((now, seq, process))
-            seq += 1
-        waiters.clear()
-        return woken
-
-    def _park(self, process: Process) -> None:
-        self._waiters.append(process)
-        self._engine._parked += 1
 
 
 class HeapEventList:
@@ -204,19 +161,15 @@ class SimEngine:
             )
         self._flat = handler
 
-    def signal(self) -> Signal:
-        """Create a :class:`Signal` bound to this engine."""
-        return Signal(self)
-
     @property
     def idle(self) -> bool:
-        """True when no events are scheduled (parked processes may remain)."""
+        """True when no events are scheduled (parked frames may remain)."""
         return not self._queue
 
     def rebase(self) -> None:
         """Reset the clock of an idle engine to zero.
 
-        Only legal with no scheduled events — parked processes carry no
+        Only legal with no scheduled events — parked frames carry no
         times, so the reset cannot reorder anything.  Lets a resident
         session reproduce a fresh engine's float arithmetic exactly when
         it starts a new closed batch.
@@ -236,7 +189,9 @@ class SimEngine:
         may legitimately process far more over its lifetime, tracked in
         :attr:`events_processed`.  Exhausting the guard raises
         :class:`SimulationError` (a ``RuntimeError``) naming the number
-        of events still pending.
+        of events still pending.  Draining the event list with frames
+        still parked raises a deadlock :class:`SimulationError` naming
+        how many.
         """
         queue = self._queue
         queue_pop = queue.pop
@@ -303,9 +258,6 @@ class SimEngine:
                     self._seq = seq + 1
                     queue_push((time_s + delay, seq, process))
                     continue
-                if isinstance(delay, Signal):
-                    delay._park(process)
-                    continue
                 # Slow path: int / numpy scalar delays, or garbage.
                 try:
                     delay_f = float(delay)
@@ -322,7 +274,7 @@ class SimEngine:
             self.events_processed += processed
         if self._parked:
             raise SimulationError(
-                f"deadlock: {self._parked} process(es) parked on signals "
-                "with an empty event queue"
+                f"deadlock: {self._parked} frame(s) parked with an empty "
+                "event queue"
             )
         return self.now_s

@@ -40,11 +40,18 @@ scheduled directly on the engine's event list and advanced by one
 burst handler with one arm per mechanism, shared by every pipeline
 configuration (see the "flat dispatch core" section below).  It is the
 only implementation; its timelines are pinned by golden digests in
-``tests/ssd/test_dispatch_golden.py``.  A closed batch runs on the
-same resident core: :meth:`~repro.ssd.session.SsdSession.execute`
-admits it through :func:`closed_admission` (a queue-depth-bounded
-admission process, the NVMe-style host queue) and drains it to the
-batch makespan.  Everything is deterministic: the same command list,
+``tests/ssd/test_dispatch_golden.py``.
+
+Work reaches the dispatchers one way besides a single ``enqueue``: the
+**admission frame**, one more flat frame that admits a command list in
+order under an in-flight window.  :meth:`SchedulerCore.submit_stream`
+installs it as an open-loop stream (one arrival per turn, paced in
+simulated time); :meth:`SchedulerCore.submit_batch` installs it as a
+closed batch (everything submitted at once, as many admits per turn as
+the queue-depth window has room for — the NVMe-style host queue), which
+is how :meth:`~repro.ssd.session.SsdSession.execute` drains a batch to
+its makespan.  A window-full admission frame parks until a completion
+wakes it.  Everything is deterministic: the same command list,
 topology, pipeline config and queue depth produce the same completion
 order and the same final clock.
 """
@@ -60,7 +67,7 @@ from typing import NamedTuple
 
 from repro.errors import SimulationError
 from repro.nand.timing import CommandPhase, PhaseResource
-from repro.sim.engine import Process, SimEngine
+from repro.sim.engine import SimEngine
 from repro.ssd.topology import SsdTopology
 
 
@@ -374,32 +381,6 @@ def validate_batch(
         raise SimulationError("queue depth must be >= 1")
 
 
-def closed_admission(
-    core: "SchedulerCore",
-    commands: list[DieCommand],
-    queue_depth: int | None,
-) -> Process:
-    """Admit a closed batch into an idle core's parked frames.
-
-    ``queue_depth`` bounds how many commands are in flight at once
-    (``None`` admits everything immediately — an infinitely deep
-    queue).  Commands are admitted in list order.  The initial in-flight
-    window is queued with wake-ups suppressed, then
-    :meth:`SchedulerCore.wake_frames` resumes the frames that received
-    work in (die, plane) order, so the batch timeline does not depend
-    on which frame went idle last and no idle plane takes a no-op turn.
-    """
-    limit = len(commands) if queue_depth is None else queue_depth
-    submit_s = core.engine.now_s  # the whole batch is submitted up front
-    for command in commands[:limit]:
-        core.enqueue(command, submit_s=submit_s, wake=False)
-    core.wake_frames()
-    for command in commands[limit:]:
-        while core.in_flight >= limit:
-            yield core.completed
-        core.enqueue(command, submit_s=submit_s)
-
-
 # -- flat dispatch core ------------------------------------------------------
 #
 # The steady-state control flow per command is fixed: pop, array
@@ -409,9 +390,10 @@ def closed_admission(
 # (:meth:`SchedulerCore._flat_burst`) that the engine invokes for
 # list-type events and that keeps draining consecutive flat events with
 # its locals bound.  A cached read streams out through a one-shot drain
-# frame, so its plane senses the next page meanwhile.  Every scheduled
-# turn takes one sequence number from the engine's shared counter, so
-# flat frames and generator processes (the closed-batch admission)
+# frame, so its plane senses the next page meanwhile.  One admission
+# frame feeds the dispatchers, for an open-loop stream or a closed
+# batch alike.  Every scheduled turn takes one sequence number from the
+# engine's shared counter, so flat frames and any generator process
 # interleave in the engine's global ``(time, seq)`` order.
 #
 # Each mechanism has one arm.  A frame that finds a lock taken parks at
@@ -431,7 +413,7 @@ _P_SECTION = 3    # next section phase (drains start, bus/ECC waits resume)
 _P_BUSREL = 4     # the bus hold just elapsed: release and account
 _P_ECCREL = 5     # the ECC occupancy just elapsed: release and account
 _P_FINISH = 6     # complete the command (drain frames then end)
-_P_ADMIT = 7      # admission frame: admit the next command of a stream
+_P_ADMIT = 7      # admission frame: admit what the window has room for
 
 # Dispatcher/drain frame layout (plain lists):
 # [0] pc  [1] die  [2] slot  [3] channel  [4] queue (deque of
@@ -447,10 +429,11 @@ _P_ADMIT = 7      # admission frame: admit the next command of a stream
 # [20] span kind code (KIND_NAMES index, +3 for GC-origin commands;
 # refreshed per pop)
 #
-# Admission frame layout (an open-loop arrival process, flattened):
+# Admission frame layout (an open-loop stream or a closed batch):
 # [0] pc (_P_ADMIT)  [1] next command index  [2] command list  [3] list
-# length  [4] in-flight window limit  [5] parked-on-completed flag
-# [6] inter-arrival pacing (seconds)
+# length  [4] in-flight window limit  [5] parked-on-window flag
+# [6] inter-arrival pacing (seconds) of a stream, None for a batch
+# [7] install time (a batch's submit time)
 #
 # Lock layout (a bus, an ECC engine or a cache register):
 # [0] busy (an occupancy count for cache registers, which hold two
@@ -463,7 +446,9 @@ _P_ADMIT = 7      # admission frame: admit the next command of a stream
 # instant re-parks through :func:`_flat_lock_park`, which puts it back
 # where re-checking every waiter would have left it: behind frames that
 # parked since the release, ahead of the waiters that were behind it.
-# The caller accounts each park toward the engine's deadlock counter.
+# The caller accounts each park toward the engine's deadlock counter,
+# as the admission frame does for its window parks; idle dispatchers
+# are not counted.
 
 
 def _flat_lock_park(lock: list, frame: list) -> None:
@@ -498,9 +483,11 @@ class SchedulerCore:
     substrate of :class:`~repro.ssd.session.SsdSession`, for its
     open-loop submissions and its closed ``execute`` batches alike.
 
-    Completions are appended to :attr:`completions`; :attr:`completed`
-    fires once per completion, and synchronous ``on_finish`` callbacks
-    (called after the fire) let a session route completions without a
+    Commands arrive one at a time through :meth:`enqueue`, or through
+    the admission frame that :meth:`submit_stream` (an open-loop
+    stream) and :meth:`submit_batch` (a closed batch) install.
+    Completions are appended to :attr:`completions`, and synchronous
+    ``on_finish`` callbacks let a session route completions without a
     reaper process of its own.  The frames live on the engine's event
     list, advanced by the burst handler the core attaches via
     :meth:`SimEngine.attach_flat`.
@@ -524,7 +511,6 @@ class SchedulerCore:
         self.die_busy_s = [0.0] * topology.dies
         self.channel_busy_s = [0.0] * topology.channels
         self.ecc_busy_s = [0.0] * topology.channels
-        self.completed = engine.signal()
         self.on_finish: list = []
         self.in_flight = 0
         #: Per-die enqueued-but-incomplete command counts.  A die with
@@ -600,27 +586,6 @@ class SchedulerCore:
         """True when no command is queued or executing."""
         return self.in_flight == 0
 
-    def wake_frames(self) -> None:
-        """Wake every parked frame with queued work, (die, plane) order.
-
-        After a closed batch's initial window is queued, this puts the
-        frames' resume events in (die, plane) order, so batch timelines
-        are reproducible regardless of which frame went idle last.
-        Frames with empty queues stay parked — their wake would be a
-        no-op turn (find nothing, re-park) and cannot be observed by the
-        batch.
-        """
-        engine = self.engine
-        push = engine._queue.push
-        now = engine.now_s
-        for die_frames in self._frames:
-            for frame in die_frames:
-                if frame[4] and frame[5]:
-                    frame[5] = False
-                    seq = engine._seq
-                    engine._seq = seq + 1
-                    push((now, seq, frame))
-
     def reset_accounting(self) -> None:
         """Zero the busy accumulators (only legal while idle)."""
         if not self.idle:
@@ -634,10 +599,7 @@ class SchedulerCore:
     # -- submission --------------------------------------------------------------
 
     def enqueue(
-        self,
-        command: DieCommand,
-        submit_s: float | None = None,
-        wake: bool = True,
+        self, command: DieCommand, submit_s: float | None = None
     ) -> None:
         """Admit one command into the in-flight set at the current time.
 
@@ -645,9 +607,6 @@ class SchedulerCore:
         submitted the command (for queueing-time accounting); the admit
         (dispatch) time is always the current simulation time.  The tag
         must be unique among commands currently in flight.
-        ``wake=False`` leaves an idle frame parked — used by
-        :func:`closed_admission` to queue a resident batch's initial
-        window before waking the non-idle frames in one ordered pass.
         """
         if not 0 <= command.die < self.topology.dies:
             raise SimulationError(
@@ -666,7 +625,7 @@ class SchedulerCore:
         self._meta[command.tag] = (self.engine.now_s, submit_s)
         frame = self._frames[command.die][command.plane % self.planes]
         frame[4].append(command)
-        if wake and frame[5]:
+        if frame[5]:
             # The frame is parked idle: schedule its wake at the current
             # instant (one sequence number; a busy frame needs none).
             frame[5] = False
@@ -681,15 +640,12 @@ class SchedulerCore:
         window: int | None = None,
         arrival_s: float = 0.0,
     ) -> None:
-        """Install an open-loop arrival stream.
+        """Install an open-loop arrival stream on the admission frame.
 
         Admits ``commands`` in order, one every ``arrival_s`` simulated
         seconds, stalling while ``window`` commands are in flight
-        (``None`` leaves the stream unwindowed).  The stream is an
-        admission frame advanced inside the burst handler: no generator
-        resume and no ``Signal`` park/fire per arrival.  A core runs one
-        stream at a time (streams may be installed back to back once the
-        previous one has fully admitted).  A ``window`` below 1 or an
+        (``None`` leaves the stream unwindowed); each command is
+        submitted as it arrives.  A ``window`` below 1 or an
         ``arrival_s`` that is not ``>= 0`` (NaN included) raises
         :class:`SimulationError` before anything is installed.
         """
@@ -699,11 +655,44 @@ class SchedulerCore:
             raise SimulationError(
                 f"arrival spacing must be >= 0, not {arrival_s!r}"
             )
+        self._install_admission(commands, window, arrival_s)
+
+    def submit_batch(
+        self, commands: list[DieCommand], queue_depth: int | None = None
+    ) -> None:
+        """Install a closed batch on the admission frame.
+
+        Every command is submitted now and admitted in list order while
+        fewer than ``queue_depth`` are in flight (``None`` admits the
+        whole batch at once), as many per turn as the window has room
+        for.  The first turn queues the initial window before it wakes
+        the parked frames that received work, in (die, plane) order, so
+        the batch timeline does not depend on which frame went idle last
+        and no idle plane takes a no-op turn.  A ``queue_depth`` below 1
+        raises :class:`SimulationError` before anything is installed.
+        """
+        if queue_depth is not None and queue_depth < 1:
+            raise SimulationError("queue depth must be >= 1")
+        self._install_admission(commands, queue_depth, None)
+
+    def _install_admission(
+        self,
+        commands: list[DieCommand],
+        window: int | None,
+        arrival_s: float | None,
+    ) -> None:
+        """Schedule the admission frame now (``arrival_s`` None: a batch).
+
+        The frame is advanced inside the burst handler: no generator
+        resume per admission.  A core runs one admission at a time; the
+        next may be installed once the previous one has admitted
+        everything.
+        """
         admit = self._admit
         if admit is not None and admit[1] < admit[3]:
             raise SimulationError(
                 "a core admits one stream at a time: the previous "
-                "submit_stream is still admitting"
+                "stream or batch is still admitting"
             )
         if self._san is not None:
             # The admission frame inlines enqueue, so phase plans are
@@ -711,10 +700,13 @@ class SchedulerCore:
             for command in commands:
                 self._san.check_command(command)
         n = len(commands)
-        limit = n if window is None else window
-        frame = [_P_ADMIT, 0, list(commands), n, limit, False, arrival_s]
+        now = self.engine.now_s
+        frame = [
+            _P_ADMIT, 0, list(commands), n, n if window is None else window,
+            False, arrival_s, now,
+        ]
         self._admit = frame
-        self.engine.schedule_at(self.engine.now_s, frame)
+        self.engine.schedule_at(now, frame)
 
     # -- flat dispatch -----------------------------------------------------------
 
@@ -734,12 +726,13 @@ class SchedulerCore:
         and takes the cache register, ``P_TRCBSY`` spawns the drain
         frame, ``P_SECTION`` takes the bus or ECC engine for the next
         section phase, ``P_BUSREL`` / ``P_ECCREL`` release them and
-        ``P_FINISH`` completes every command.  See the layout comments
-        above :func:`_flat_lock_park`.  The engine's sequence counter,
+        ``P_FINISH`` completes every command; ``P_ADMIT`` runs the
+        admission frame.  See the layout comments above
+        :func:`_flat_lock_park`.  The engine's sequence counter,
         deadlock counter and clock live in locals (``seq`` / ``parked``
-        / ``now``) and are written back only around calls that re-enter
-        engine machinery — a ``completed.fire()`` with real generator
-        waiters, the ``on_finish`` callbacks — and at burst exit.
+        / ``now``) and are written back only around calls that leave the
+        burst — the ``on_finish`` callbacks, a rejected admission's
+        ``enqueue`` — and at burst exit.
 
         Two queue-elision paths keep the global ``(time, seq)`` order
         exact while skipping the event list, both resting on the same
@@ -780,8 +773,6 @@ class SchedulerCore:
         completions_append = self.completions.append
         completion_cls = CommandCompletion
         tuple_new = tuple.__new__
-        completed = self.completed
-        completed_waiters = completed._waiters
         on_finish = self.on_finish
         frames = self._frames
         planes = self.planes
@@ -831,42 +822,55 @@ class SchedulerCore:
             pc = frame[0]
             if pc == P_ADMIT:
                 index = frame[1]
-                if index < frame[3]:
+                length = frame[3]
+                arrival_s = frame[6]
+                # A batch's first turn holds its wakes back and then
+                # wakes the frames in (die, plane) order.
+                hold = arrival_s is None and index == 0
+                submit_s = frame[7] if arrival_s is None else now
+                while index < length:
                     if in_flight >= frame[4]:
                         # Window full: park until a completion wakes
                         # the frame (a re-park allocates nothing).
                         frame[5] = True
                         parked += 1
+                        break
+                    command = frame[2][index]
+                    die = command.die
+                    tag = command.tag
+                    if 0 <= die < dies and tag not in meta:
+                        # `enqueue(command, submit_s)` inlined.
+                        in_flight += 1
+                        die_inflight[die] += 1
+                        meta[tag] = (now, submit_s)
+                        target = frames[die][command.plane % planes]
+                        target[4].append(command)
+                        if target[5] and not hold:
+                            target[5] = False
+                            dws_append(target)
                     else:
-                        command = frame[2][index]
-                        die = command.die
-                        tag = command.tag
-                        if 0 <= die < dies and tag not in meta:
-                            # `enqueue(command, submit_s=now)` inlined.
-                            in_flight += 1
-                            die_inflight[die] += 1
-                            meta[tag] = (now, now)
-                            target = frames[die][command.plane % planes]
-                            target[4].append(command)
-                            if target[5]:
+                        while dws:
+                            push((now, seq, dws_popleft()))
+                            seq += 1
+                        engine._seq = seq
+                        engine._parked = parked
+                        engine.now_s = now
+                        self.in_flight = in_flight
+                        self.enqueue(command, submit_s)  # raises
+                    index += 1
+                    if arrival_s is not None:
+                        # A stream admits one command per turn; its next
+                        # arrival turn follows every admit, the last
+                        # included (that turn is where the stream ends).
+                        nxt_t = now + arrival_s
+                        break
+                frame[1] = index
+                if hold:
+                    for die_frames in frames:
+                        for target in die_frames:
+                            if target[4] and target[5]:
                                 target[5] = False
                                 dws_append(target)
-                        else:
-                            while dws:
-                                push((now, seq, dws_popleft()))
-                                seq += 1
-                            engine._seq = seq
-                            engine._parked = parked
-                            engine.now_s = now
-                            self.in_flight = in_flight
-                            self.enqueue(command, submit_s=now)  # raises
-                        frame[1] = index + 1
-                        # The next arrival turn, scheduled after every
-                        # admit, the last included (that turn is where
-                        # the stream ends).
-                        nxt_t = now + frame[6]
-                # index == length: the stream is done; the frame goes
-                # inert.
             else:
                 while True:
                     if pc == P_SECTION:
@@ -1079,21 +1083,11 @@ class SchedulerCore:
                         in_flight -= 1
                         die_inflight[frame[1]] -= 1
                         if admit_frame is not None and admit_frame[5]:
-                            # A window-parked stream wakes at this
-                            # completion, ahead of `completed` waiters.
+                            # A window-parked admission frame (a stream
+                            # or a batch) wakes at this completion.
                             admit_frame[5] = False
                             dws_append(admit_frame)
                             parked -= 1
-                        if completed_waiters:
-                            while dws:
-                                push((now, seq, dws_popleft()))
-                                seq += 1
-                            engine._seq = seq
-                            engine._parked = parked
-                            engine.now_s = now
-                            completed.fire()
-                            seq = engine._seq
-                            parked = engine._parked
                         if on_finish:
                             while dws:
                                 push((now, seq, dws_popleft()))

@@ -82,7 +82,6 @@ from repro.ssd.scheduler import (
     DieCommand,
     ScheduleResult,
     SchedulerCore,
-    closed_admission,
     validate_batch,
 )
 from repro.workloads.traces import TraceOpKind
@@ -335,12 +334,16 @@ class SsdSession:
 
         The closed-batch surface behind ``read_many``/``write_many``:
         requires an idle session (nothing in flight, empty backlog, no
-        scheduled events), re-bases the clock to zero, zeroes the busy
-        accumulators and admits the batch through
-        :func:`~repro.ssd.scheduler.closed_admission` at ``queue_depth``
-        (``None`` admits it all at once).  Returns the batch's
-        completions, makespan and busy lists; the timelines are pinned
-        in ``tests/ssd/test_dispatch_golden.py``.
+        scheduled events) and a valid batch, re-bases the clock to zero,
+        zeroes the busy accumulators, installs the batch on the core's
+        admission frame with
+        :meth:`~repro.ssd.scheduler.SchedulerCore.submit_batch` at
+        ``queue_depth`` (``None`` admits it all at once) and runs the
+        engine until the batch drains.  Returns the batch's completions,
+        makespan and busy lists; the timelines are pinned in
+        ``tests/ssd/test_dispatch_golden.py``.  A batch that cannot
+        drain (a frame parked on a lock nothing will release) raises the
+        engine's deadlock :class:`SimulationError`.
 
         The session's completion hook is detached for the batch: its
         completions route no I/O and start no background collection,
@@ -360,7 +363,7 @@ class SsdSession:
         self.engine.rebase()
         self.core.reset_accounting()
         self.core.completions.clear()
-        self.engine.spawn(closed_admission(self.core, commands, queue_depth))
+        self.core.submit_batch(commands, queue_depth)
         on_finish = self.core.on_finish
         slot = on_finish.index(self._on_command_finish)
         del on_finish[slot]

@@ -126,6 +126,14 @@ def test_det104_positive_comprehension():
     """) == ["DET104"]
 
 
+def test_det104_positive_submit_batch():
+    assert _codes("""
+        def replay(core, batches):
+            for batch in set(batches):
+                core.submit_batch(list(batch), 4)
+    """) == ["DET104"]
+
+
 def test_det104_negative_sorted():
     assert _codes("""
         def kick(engine, procs):

@@ -115,102 +115,6 @@ class TestEngine:
         assert engine.idle
 
 
-class TestSignal:
-    def test_fire_wakes_parked_processes_in_park_order(self):
-        log = []
-
-        def waiter(name, signal):
-            log.append((name, "park"))
-            yield signal
-            log.append((name, "woke"))
-
-        def firer(signal):
-            yield 3.0
-            signal.fire()
-
-        engine = SimEngine()
-        signal = engine.signal()
-        engine.spawn(waiter("a", signal))
-        engine.spawn(waiter("b", signal))
-        engine.spawn(firer(signal))
-        final = engine.run()
-        assert final == pytest.approx(3.0)
-        assert log == [
-            ("a", "park"), ("b", "park"), ("a", "woke"), ("b", "woke"),
-        ]
-
-    def test_fire_reports_woken_count_and_clears_waiters(self):
-        def waiter(signal):
-            yield signal
-
-        def firer(signal, counts):
-            yield 1.0
-            counts.append(signal.fire())
-            counts.append(signal.fire())
-
-        engine = SimEngine()
-        signal = engine.signal()
-        counts = []
-        engine.spawn(waiter(signal))
-        engine.spawn(firer(signal, counts))
-        engine.run()
-        assert counts == [1, 0]
-
-    def test_parked_process_without_firer_deadlocks(self):
-        def waiter(signal):
-            yield signal
-
-        engine = SimEngine()
-        signal = engine.signal()
-        engine.spawn(waiter(signal))
-        with pytest.raises(SimulationError, match="deadlock"):
-            engine.run()
-
-    def test_woken_process_resumes_at_fire_time(self):
-        times = []
-
-        def waiter(engine, signal):
-            yield signal
-            times.append(engine.now_s)
-            yield 2.0
-            times.append(engine.now_s)
-
-        def firer(signal):
-            yield 5.0
-            signal.fire()
-
-        engine = SimEngine()
-        signal = engine.signal()
-        engine.spawn(waiter(engine, signal))
-        engine.spawn(firer(signal))
-        engine.run()
-        assert times == [pytest.approx(5.0), pytest.approx(7.0)]
-
-    def test_parked_count_balances_across_runs(self):
-        """A woken park leaves no count behind for the engine's next run."""
-
-        def waiter(signal):
-            yield signal
-
-        def firer(signal):
-            yield 1.0
-            signal.fire()
-
-        def tick():
-            yield 1.0
-
-        engine = SimEngine()
-        signal = engine.signal()
-        engine.spawn(waiter(signal))
-        engine.spawn(firer(signal))
-        assert engine.run() == pytest.approx(1.0)
-        engine.spawn(tick())
-        assert engine.run() == pytest.approx(2.0)  # no stale deadlock
-        engine.spawn(waiter(signal))
-        with pytest.raises(SimulationError, match="deadlock"):
-            engine.run()
-
-
 class TestRebaseAndRunGuard:
     def test_rebase_resets_idle_clock(self):
         def tick():

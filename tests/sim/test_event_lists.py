@@ -5,7 +5,7 @@ The determinism contract (see ``sim/engine.py``): the event list pops in
 any schedule, including same-timestamp ties and interleaved push and
 pop.  These tests drive :class:`HeapEventList` against a reference
 ``heapq`` on randomized and hand-built schedules, and check the engine's
-pending-count ``max_events`` error and signal edge cases.
+pending-count ``max_events`` error.
 """
 
 import heapq
@@ -33,7 +33,7 @@ def _random_schedule(seed: int, steps: int = 500) -> list:
             schedule.append(POP)
         else:
             # Heavy tie mass: ~1/3 of pushes land exactly at `now`
-            # (signal wake-ups do), the rest spread over the phase
+            # (frame wake-ups do), the rest spread over the phase
             # spectrum from sub-microsecond offsets to
             # multi-millisecond erases.
             offset = rng.choice([0.0, 0.0, 1e-7, 5e-6, 64e-6, 3e-3])
@@ -106,12 +106,3 @@ class TestMaxEventsExhaustion:
             engine.run(max_events=10)
         engine.run()  # picks up exactly where the guard stopped it
         assert done and done[0] == pytest.approx(30e-6)
-
-
-class TestSignals:
-    def test_fire_with_no_waiters_is_noop(self):
-        engine = SimEngine()
-        signal = engine.signal()
-        assert signal.fire() == 0
-        assert engine.idle
-        assert engine.events_processed == 0

@@ -26,7 +26,6 @@ from repro.ssd.scheduler import (
     DieCommand,
     PipelineConfig,
     SchedulerCore,
-    closed_admission,
 )
 from repro.ssd.topology import SsdTopology
 
@@ -59,7 +58,7 @@ def _run(sanitize: bool, pipeline: PipelineConfig | None = None,
     """One closed-batch run; returns (makespan, completions, sanitizer)."""
     engine = SimEngine(sanitize=sanitize)
     core = SchedulerCore(engine, _topology(), pipeline)
-    engine.spawn(closed_admission(core, _mixed_batch(), queue_depth))
+    core.submit_batch(_mixed_batch(), queue_depth)
     core.start()
     makespan = engine.run()
     if engine.sanitizer is not None:
@@ -136,7 +135,7 @@ class TestLockDiscipline:
         # of waking a second waiter.
         engine = SimEngine(sanitize=True)
         core = SchedulerCore(engine, _topology())
-        engine.spawn(closed_admission(core, _mixed_batch(), 4))
+        core.submit_batch(_mixed_batch(), 4)
         core.start()
         engine.run(until_s=30e-6)  # programs hold their bus until 60 us
         held = [index for index, bus in enumerate(core._buses) if bus[0]]

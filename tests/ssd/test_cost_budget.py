@@ -76,9 +76,9 @@ BUDGETS = {
     "mixed-open-traced":
         {"events": 26558, "pushes": 16128, "pops": 16131, "calls": 4437},
     "reads-closed":
-        {"events": 27088, "pushes": 18678, "pops": 18681, "calls": 23538},
+        {"events": 27088, "pushes": 13678, "pops": 13681, "calls": 4328},
     "writes-closed":
-        {"events": 15516, "pushes": 12616, "pops": 12619, "calls": 20905},
+        {"events": 15516, "pushes": 8995, "pops": 8998, "calls": 3245},
 }
 
 

@@ -5,10 +5,15 @@ two-scalar scheduler (one die process per die, fused transfer+ECC bus
 section).  With every pipeline flag disabled, the phase scheduler must
 reproduce its timelines *exactly* — same completion order, same
 per-command completion times, same final clock — on arbitrary command
-mixes.  The pipelined modes are then checked against closed-form
-makespans and for run-to-run determinism.  Every batch drains through
-a fresh session's :meth:`~repro.ssd.session.SsdSession.execute`.
+mixes.  The oracle runs on a generator DES of its own
+(:class:`OracleEngine`), not on the engine under test.  The pipelined
+modes are then checked against closed-form makespans and for
+run-to-run determinism.  Every batch drains through a fresh session's
+:meth:`~repro.ssd.session.SsdSession.execute`.
 """
+
+import heapq
+from typing import Generator
 
 import numpy as np
 import pytest
@@ -17,7 +22,6 @@ from repro.errors import SimulationError
 from repro.controller.core import pipeline_elapsed_s
 from repro.nand.geometry import NandGeometry
 from repro.nand.timing import CommandPhase, NandTimingModel, PhaseResource
-from repro.sim.engine import Process, SimEngine, Signal
 from repro.ssd import SsdDevice, SsdSession
 from repro.ssd.scheduler import CommandKind, DieCommand, PipelineConfig
 from repro.ssd.topology import SsdTopology
@@ -27,9 +31,62 @@ from repro.ssd.topology import SsdTopology
 # Reference: the PR 3 scheduler, kept verbatim as the equivalence oracle.
 # ---------------------------------------------------------------------------
 
+#: An oracle process: a generator yielding delays or an OracleSignal.
+Process = Generator
+
+
+class OracleSignal:
+    """Wake-all signal: :meth:`fire` resumes every waiter, park order."""
+
+    def __init__(self, engine: "OracleEngine"):
+        self.engine = engine
+        self.waiters: list = []
+
+    def fire(self) -> None:
+        waiters, self.waiters = self.waiters, []
+        for process in waiters:
+            self.engine.spawn(process)
+
+
+class OracleEngine:
+    """The oracle's own generator DES.
+
+    Events are ``(time, seq)``-ordered on one heap (time-major, FIFO
+    within a timestamp); a process that yields a delay resumes at
+    ``now + delay``, and one that yields an :class:`OracleSignal` parks
+    on it until the signal fires.
+    """
+
+    def __init__(self):
+        self.now_s = 0.0
+        self._heap: list = []
+        self._seq = 0
+
+    def spawn(self, process: Process) -> None:
+        heapq.heappush(self._heap, (self.now_s, self._seq, process))
+        self._seq += 1
+
+    def signal(self) -> OracleSignal:
+        return OracleSignal(self)
+
+    def run(self) -> float:
+        heap = self._heap
+        while heap:
+            self.now_s, _, process = heapq.heappop(heap)
+            try:
+                delay = next(process)
+            except StopIteration:
+                continue
+            if isinstance(delay, OracleSignal):
+                delay.waiters.append(process)
+            else:
+                heapq.heappush(heap, (self.now_s + delay, self._seq, process))
+                self._seq += 1
+        return self.now_s
+
 
 class _Pr3Bus:
-    def __init__(self, engine: SimEngine):
+    def __init__(self, engine: OracleEngine):
         self.busy = False
         self.freed = engine.signal()
 
@@ -42,7 +99,7 @@ class Pr3Scheduler:
 
     def run(self, commands, queue_depth=None):
         topology = self.topology
-        engine = SimEngine()
+        engine = OracleEngine()
         completions = []
         buses = [_Pr3Bus(engine) for _ in range(topology.channels)]
         queues = [[] for _ in range(topology.dies)]
