@@ -18,9 +18,8 @@ encoder.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from repro.bch.berlekamp import berlekamp_massey
 from repro.bch.chien import ChienSearch
@@ -49,41 +48,6 @@ class DecodeResult:
     early_exit: bool = False
 
 
-@dataclass
-class DecoderStats:
-    """Aggregate statistics exposed to the reliability manager (section 3)."""
-
-    words_decoded: int = 0
-    words_clean: int = 0
-    words_failed: int = 0
-    bits_corrected: int = 0
-    bits_processed: int = 0
-    max_errors_in_word: int = 0
-    recent_error_counts: deque[int] = dataclass_field(
-        default_factory=lambda: deque(maxlen=1024)
-    )
-
-    def observe(self, corrected: int, n_bits: int, failed: bool) -> None:
-        """Record one decode outcome."""
-        self.words_decoded += 1
-        self.bits_processed += n_bits
-        if failed:
-            self.words_failed += 1
-            return
-        if corrected == 0:
-            self.words_clean += 1
-        self.bits_corrected += corrected
-        self.max_errors_in_word = max(self.max_errors_in_word, corrected)
-        self.recent_error_counts.append(corrected)
-
-    @property
-    def observed_rber(self) -> float:
-        """Pre-correction bit error rate estimated from corrected bits."""
-        if self.bits_processed == 0:
-            return 0.0
-        return self.bits_corrected / self.bits_processed
-
-
 class BCHDecoder:
     """Decoder for one fixed :class:`BCHCodeSpec`."""
 
@@ -91,7 +55,6 @@ class BCHDecoder:
         self.spec = spec
         self.syndrome_calculator = SyndromeCalculator(spec)
         self.chien = ChienSearch(spec)
-        self.stats = DecoderStats()
 
     def _check_length(self, codeword: bytes) -> None:
         expected = self.spec.k // 8 + self.spec.parity_bytes
@@ -133,7 +96,6 @@ class BCHDecoder:
         results: list[DecodeResult] = []
         for b, codeword in enumerate(codewords):
             if clean[b]:
-                self.stats.observe(0, self.spec.n, failed=False)
                 results.append(
                     DecodeResult(
                         data=bytes(codeword[:message_bytes]),
@@ -161,7 +123,6 @@ class BCHDecoder:
         )
 
         if positions is None or len(positions) != bm.degree:
-            self.stats.observe(0, spec.n, failed=True)
             roots = "" if positions is None else (
                 f", {len(positions)} roots in range"
             )
@@ -182,7 +143,6 @@ class BCHDecoder:
         for pos in positions:
             corrected[pos // 8] ^= 0x80 >> (pos % 8)
 
-        self.stats.observe(len(positions), spec.n, failed=False)
         return DecodeResult(
             data=bytes(corrected[:message_bytes]),
             corrected_bits=len(positions),

@@ -127,19 +127,6 @@ class TestDecoder:
         with pytest.raises(ValueError):
             decoder.decode(bytes(3))
 
-    def test_stats_accumulate(self, small_spec, rng):
-        encoder, decoder = BCHEncoder(small_spec), BCHDecoder(small_spec)
-        message = rng.bytes(small_spec.k // 8)
-        codeword = encoder.encode_codeword(message)
-        decoder.decode(codeword)
-        decoder.decode(flip_bits(codeword, [4, 40]))
-        stats = decoder.stats
-        assert stats.words_decoded == 2
-        assert stats.words_clean == 1
-        assert stats.bits_corrected == 2
-        assert stats.max_errors_in_word == 2
-        assert stats.observed_rber > 0
-
     def test_page_code_full_capability(self, rng):
         from repro.bch.params import design_code
 
