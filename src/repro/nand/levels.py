@@ -52,11 +52,6 @@ class MlcLevels:
         if self.over_program <= self.verify[2]:
             raise ConfigurationError("OP level must sit above VFY3")
 
-    @property
-    def n_levels(self) -> int:
-        """Number of threshold levels (4 for 2-bit MLC)."""
-        return 4
-
     def verify_target(self, level: int) -> float | None:
         """Verify voltage for a programmed level; None for L0 (stay erased)."""
         if level == 0:

@@ -225,11 +225,6 @@ class DeviceParams:
                 f"({spare_bits} bits); reduce t_max or enlarge the spare"
             )
 
-    @property
-    def message_bits(self) -> int:
-        """BCH message length (one full data page)."""
-        return self.page_data_bytes * units.BITS_PER_BYTE
-
 
 #: Default parameter bundle shared by the high-level API.
 DEFAULT_DEVICE = DeviceParams()

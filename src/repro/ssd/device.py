@@ -216,22 +216,6 @@ class SsdDevice:
         commands.sort(key=lambda command: command.tag)
         return rows, self.session.execute(commands, queue_depth)
 
-    def erase_blocks(
-        self, blocks: list[tuple[int, int]], queue_depth: int | None = None
-    ) -> ScheduleResult:
-        """Erase (die, block) pairs across the topology."""
-        commands = []
-        for index, (die, block) in enumerate(blocks):
-            report = self.controller(die).device.erase_block(block)
-            commands.append(DieCommand.from_phases(
-                CommandKind.ERASE,
-                die,
-                index,
-                NandTimingModel.erase_phases(report.latency_s),
-                plane=self.geometry.plane_of_block(block),
-            ))
-        return self.session.execute(commands, queue_depth)
-
     # -- helpers -------------------------------------------------------------------
 
     def _group_by_die(

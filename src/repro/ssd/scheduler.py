@@ -274,10 +274,6 @@ class ScheduleResult:
         """Per-command latency keyed by submission tag."""
         return {c.tag: c.latency_s for c in self.completions}
 
-    def queue_by_tag(self) -> dict[int, float]:
-        """Submission-to-dispatch wait keyed by submission tag."""
-        return {c.tag: c.queue_s for c in self.completions}
-
     def completion_order(self) -> list[int]:
         """Submission tags in completion order."""
         return [c.tag for c in self.completions]

@@ -7,9 +7,6 @@ hertz).  These helpers make call sites read like the paper text, e.g.
 
 from __future__ import annotations
 
-#: One kibibyte in bytes.
-KIB = 1024
-
 #: Bits per byte.
 BITS_PER_BYTE = 8
 
@@ -29,41 +26,11 @@ def ms(value: float) -> float:
     return value * 1e-3
 
 
-def to_us(seconds: float) -> float:
-    """Seconds to microseconds."""
-    return seconds * 1e6
-
-
-def to_ms(seconds: float) -> float:
-    """Seconds to milliseconds."""
-    return seconds * 1e3
-
-
 def mv(value: float) -> float:
     """Millivolts to volts."""
     return value * 1e-3
 
 
-def mw(value: float) -> float:
-    """Milliwatts to watts."""
-    return value * 1e-3
-
-
-def to_mw(watts: float) -> float:
-    """Watts to milliwatts."""
-    return watts * 1e3
-
-
 def mhz(value: float) -> float:
     """Megahertz to hertz."""
     return value * 1e6
-
-
-def mb_per_s(bytes_per_second: float) -> float:
-    """Bytes/second to megabytes/second (decimal MB, as in datasheets)."""
-    return bytes_per_second / 1e6
-
-
-def kib_page(n_kib: int) -> int:
-    """Page size in bytes for an ``n_kib`` KiB page."""
-    return n_kib * KIB
