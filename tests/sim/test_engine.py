@@ -87,6 +87,17 @@ class TestEngine:
         with pytest.raises(SimulationError):
             engine.run()
 
+    @pytest.mark.parametrize("value", (None, object()))
+    def test_non_numeric_yield_rejected(self, value):
+        # A process yields delays only; it has nothing else to park on.
+        def process():
+            yield value
+
+        engine = SimEngine()
+        engine.spawn(process())
+        with pytest.raises(SimulationError, match="invalid delay"):
+            engine.run()
+
     def test_negative_spawn_delay(self):
         engine = SimEngine()
         with pytest.raises(SimulationError):
