@@ -679,10 +679,8 @@ class SchedulerCore:
     ) -> None:
         """Schedule the admission frame now (``arrival_s`` None: a batch).
 
-        The frame is advanced inside the burst handler: no generator
-        resume per admission.  A core runs one admission at a time; the
-        next may be installed once the previous one has admitted
-        everything.
+        A core runs one admission at a time; the next may be installed
+        once the previous one has admitted everything.
         """
         admit = self._admit
         if admit is not None and admit[1] < admit[3]:
