@@ -1,11 +1,11 @@
-"""Flat dispatch core: the stream surface and the engine hooks it uses.
+"""Flat dispatch core: the admission surface and the engine hooks it uses.
 
 The core's timelines themselves (closed batches, resident sessions,
 open-loop streams, tie-heavy arrivals) are pinned by golden digests in
 ``tests/ssd/test_dispatch_golden.py``; these tests cover the contracts
-around them: one admission stream per core, argument checks before
-anything is installed, the engine's flat-frame entry points and its
-deadlock count of parked frames.
+around them: one admission (stream or batch) per core, argument checks
+before anything is installed, the engine's flat-frame entry points and
+its deadlock count of parked frames.
 """
 
 import random
@@ -93,6 +93,33 @@ class TestSubmitStreamValidation:
         core.submit_stream(commands, window=4, arrival_s=1e-6)
         core.engine.run()
         assert len(core.completions) == len(commands)
+
+
+class TestSubmitBatchValidation:
+    @pytest.mark.parametrize("queue_depth", [0, -3])
+    def test_bad_queue_depth_rejected_before_install(self, queue_depth):
+        core = _stream_core(PipelineConfig.full())
+        commands = _mixed_stream(10, core.topology.dies, seed=4)
+        with pytest.raises(SimulationError, match="queue depth"):
+            core.submit_batch(commands, queue_depth)
+        assert core.engine.idle
+        core.submit_batch(commands, 4)
+        core.engine.run()
+        assert len(core.completions) == len(commands)
+
+    def test_batch_waits_for_the_stream_to_admit(self):
+        core = _stream_core(PipelineConfig.full())
+        core.submit_stream(
+            _mixed_stream(24, core.topology.dies, seed=59),
+            window=2, arrival_s=1e-6,
+        )
+        batch = _mixed_stream(8, core.topology.dies, seed=61, first_tag=100)
+        with pytest.raises(SimulationError, match="one stream at a time"):
+            core.submit_batch(batch, 4)
+        core.engine.run()
+        core.submit_batch(batch, 4)
+        core.engine.run()
+        assert len(core.completions) == 32
 
 
 class TestEngineFlatSurface:
