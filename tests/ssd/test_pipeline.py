@@ -28,7 +28,7 @@ from repro.ssd.topology import SsdTopology
 
 
 # ---------------------------------------------------------------------------
-# Reference: the PR 3 scheduler, kept verbatim as the equivalence oracle.
+# The oracle's DES, independent of repro.sim.engine.
 # ---------------------------------------------------------------------------
 
 #: An oracle process: a generator yielding delays or an OracleSignal.
@@ -83,6 +83,11 @@ class OracleEngine:
                 heapq.heappush(heap, (self.now_s + delay, self._seq, process))
                 self._seq += 1
         return self.now_s
+
+
+# ---------------------------------------------------------------------------
+# Reference: the PR 3 scheduler, kept verbatim as the equivalence oracle.
+# ---------------------------------------------------------------------------
 
 
 class _Pr3Bus:
