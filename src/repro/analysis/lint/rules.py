@@ -22,8 +22,8 @@ Rule codes
     comprehension / call, ``frozenset``, ``dict.values/keys/items``)
     whose body feeds the event schedule (``schedule``, ``schedule_at``,
     ``spawn``, ``fire``, ``enqueue``, ``submit``, ``submit_stream``,
-    ``submit_batch``, ``push``).  Set iteration order varies with hash seeding; feeding
-    it into the event list reorders same-instant ties.
+    ``submit_batch``, ``push``).  Set iteration order varies with hash
+    seeding; feeding it into the event list reorders same-instant ties.
 ``DET105`` — ``==`` / ``!=`` between simulation timestamps (``now``,
     ``*_s`` names in the timestamp vocabulary).  Float timestamps are
     sums of phase durations; exact equality is only correct when both
