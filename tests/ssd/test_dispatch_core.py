@@ -169,3 +169,37 @@ class TestDeadlockDetection:
         session.core._buses[0][0] = True
         with pytest.raises(SimulationError, match=r"deadlock: 3 "):
             session.execute(commands, queue_depth=2)
+
+    def test_parks_balance_across_runs(self):
+        """A resumed park leaves no count behind for the engine's next run."""
+        topology = SsdTopology(channels=1, dies_per_channel=2)
+        session = SsdSession(ssd=SsdDevice(topology, seed=0))
+        core, engine = session.core, session.core.engine
+
+        def programs(first_tag):
+            return [
+                DieCommand.from_phases(
+                    CommandKind.PROGRAM, die=tag % 2, tag=first_tag + tag,
+                    phases=PROGRAM_PHASES,
+                )
+                for tag in range(4)
+            ]
+
+        def tick():
+            yield 1.0
+
+        # A stream at window 1 parks its admission on the window after
+        # every admit; a batch at QD 2 parks a frame on the bus too.
+        core.submit_stream(programs(0), window=1, arrival_s=1e-6)
+        engine.run()
+        assert engine._parked == 0
+        session.execute(programs(10), queue_depth=2)
+        assert engine._parked == 0
+        start_s = engine.now_s
+        engine.spawn(tick())
+        assert engine.run() == pytest.approx(start_s + 1.0)  # no stale deadlock
+        # The stream form counts its window park like the batch form.
+        core._buses[0][0] = True
+        core.submit_stream(programs(20), window=2, arrival_s=1e-6)
+        with pytest.raises(SimulationError, match=r"deadlock: 3 "):
+            engine.run()
