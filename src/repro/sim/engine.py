@@ -258,12 +258,17 @@ class SimEngine:
                     self._seq = seq + 1
                     queue_push((time_s + delay, seq, process))
                     continue
-                # Slow path: int / numpy scalar delays, or garbage.
+                # Slow path: int / numpy scalar delays, or garbage.  Text
+                # that ``float`` would parse is garbage too.
                 try:
                     delay_f = float(delay)
                 except (TypeError, ValueError):
                     delay_f = -1.0
-                if delay is None or not delay_f >= 0.0:
+                if (
+                    delay is None
+                    or isinstance(delay, (str, bytes, bytearray))
+                    or not delay_f >= 0.0
+                ):
                     raise SimulationError(
                         f"process yielded invalid delay {delay!r}"
                     )

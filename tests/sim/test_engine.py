@@ -87,7 +87,7 @@ class TestEngine:
         with pytest.raises(SimulationError):
             engine.run()
 
-    @pytest.mark.parametrize("value", (None, object()))
+    @pytest.mark.parametrize("value", (None, object(), "1.0"))
     def test_non_numeric_yield_rejected(self, value):
         # A process yields delays only; it has nothing else to park on.
         def process():
