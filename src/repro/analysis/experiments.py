@@ -2,9 +2,9 @@
 
 Each ``run_figNN`` regenerates the corresponding figure's data — same axes,
 same sweep, same configurations — and returns an :class:`ExperimentResult`
-with a printable table/chart and the raw arrays.  The benchmark harness
-(`benchmarks/`) and EXPERIMENTS.md generation both consume this module, so
-the reproduction has a single source of truth.
+with a printable table/chart and the raw arrays.  The CLI
+(``python -m repro run``) and the benchmark harness (`benchmarks/`) both
+consume this module, so the reproduction has a single source of truth.
 
 Fast defaults keep a full-suite run to tens of seconds; every runner takes
 explicit grids/sizes for higher fidelity.
@@ -1447,22 +1447,6 @@ class ExperimentSuite:
                 "the sweep reproducible for any process count"
             ),
         )
-
-    # -- orchestration -----------------------------------------------------------------
-
-    def run_all(self) -> dict[str, ExperimentResult]:
-        """Run every figure and ablation (EXPERIMENTS.md generator)."""
-        runners = [
-            self.run_fig03, self.run_fig04, self.run_fig05, self.run_fig06,
-            self.run_fig07, self.run_fig08, self.run_fig09, self.run_fig10,
-            self.run_fig11, self.run_ablation_blocksize, self.run_ablation_chien,
-            self.run_ablation_tworound, self.run_ablation_pareto,
-            self.run_ablation_retention, self.run_ablation_partition,
-            self.run_system_des, self.run_system_services, self.run_system_ssd,
-            self.run_system_pipeline, self.run_system_observe,
-            self.run_uber_mc,
-        ]
-        return {result.exp_id: result for result in (r() for r in runners)}
 
 
 def _min_m(k: int) -> int:

@@ -7,7 +7,8 @@ Eq. (1) keeps only the dominant (t+1)-error pattern::
 which is accurate when n*RBER is small compared to t and is what the paper
 uses throughout (including its Fig. 7 t = 65 point, where the approximation
 is already optimistic).  ``uber_exact`` provides the full binomial tail
-P(errors > t)/n for comparison; EXPERIMENTS.md discusses the gap.  Only
+P(errors > t)/n for comparison: close to Eq. (1) where errors are rare,
+orders of magnitude above it once n*RBER exceeds t.  Only
 ``uber_exact`` calls ``scipy.stats``, so scipy's statistics package loads
 on its first call, not with this module.
 

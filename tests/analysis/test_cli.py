@@ -28,7 +28,7 @@ class TestCli:
         runners = _runners(ExperimentSuite(seed=2012)).values()
         experiments = {
             name for name in vars(ExperimentSuite)
-            if name.startswith("run_") and name != "run_all"
+            if name.startswith("run_")
         }
         assert {runner.__name__ for _, runner in runners} == experiments
 

@@ -116,6 +116,32 @@ class TestAblations:
         front = result.data[1e5]
         assert any(p.algorithm.value == "ispp-dv" for p in front)
 
+    def test_partition_slc_halves_capacity(self, suite):
+        result = suite.run_ablation_partition(ages=(1e5,))
+        rows = {row[1]: row for row in result.data["rows"]}
+        slc, sv = rows["static slc"], rows["static mlc-sv"]
+        # Static SLC buys a lower RBER and t with half the capacity.
+        assert slc[2] == sv[2] / 2
+        assert slc[3] < sv[3] and slc[4] < sv[4]
+        # The runtime modes reach the static MLC points at full capacity.
+        assert rows["runtime baseline"][2:] == sv[2:]
+        assert rows["runtime max-read-throughput"][2:] == (
+            rows["static mlc-dv"][2:]
+        )
+
+
+class TestUberMonteCarlo:
+    def test_in_process_sweep_tracks_exact_tail(self, suite):
+        result = suite.run_uber_mc(pages=8, chunk_pages=8, workers=None)
+        rows = result.data["rows"]
+        assert [row[0] for row in rows] == [3, 14, 14, 65]
+        for _, _, pages, _, failed, rate, exact in rows:
+            assert pages == 8
+            assert rate == failed / pages
+            assert 0.0 < exact < 1.0
+            # Eight pages: the rate's binomial sd is at most about 0.18.
+            assert abs(rate - exact) < 0.5
+
     def test_render_produces_report(self, suite):
         result = suite.run_fig07()
         text = result.render()
