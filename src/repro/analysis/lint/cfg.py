@@ -10,7 +10,7 @@ verifies executions):
 * **handoff** — ownership leaves the function without a release on its
   own lines.  Two forms are recognised: the lock variable passed on (a
   bare name in call arguments or a list/tuple literal — e.g.
-  ``engine.spawn(drain(cache))``, or the flat drain-frame literal that
+  ``start(drain(cache))``, or the flat drain-frame literal that
   carries ``cache``), and the flat burst's *release
   continuation* — assigning a ``P_*REL`` / ``P_TRCBSY`` program-counter
   constant (``frame[0] = P_BUSREL``) parks the release in a later state

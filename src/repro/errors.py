@@ -48,9 +48,10 @@ class ControllerError(ReproError):
 
 
 class SimulationError(ReproError, RuntimeError):
-    """Discrete-event simulation engine misuse.
+    """Discrete-event simulation misuse or failure.
 
-    Also a :class:`RuntimeError` so generic runtime guards (e.g. the
-    ``max_events`` exhaustion check) surface to callers that only catch
-    the builtin hierarchy.
+    Raised for bad scheduling input (a time in the past, an invalid
+    host-frame delay, a duplicate tag) and for runs that cannot finish
+    (a deadlock of parked frames).  Also a :class:`RuntimeError`, so
+    callers that only catch the builtin hierarchy still see it.
     """

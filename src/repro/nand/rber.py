@@ -30,6 +30,7 @@ from repro.errors import ConfigurationError
 from repro.nand.ispp import IsppAlgorithm
 from repro.nand.levels import GRAY_MAP, MlcLevels
 from repro.nand.program import PageProgrammer
+from repro.nand.retention import RetentionModel
 
 
 class LifetimeRberModel:
@@ -155,8 +156,6 @@ class MonteCarloRber:
         retention_mean = 0.0
         retention_sigma = 0.0
         if retention_h > 0.0:
-            from repro.nand.retention import RetentionModel
-
             retention = RetentionModel()
             retention_mean = retention.mean_shift(retention_h, pe_cycles)
             retention_sigma = retention.sigma(retention_h, pe_cycles)

@@ -1,10 +1,6 @@
 """Discrete-event simulation substrate for system-level experiments."""
 
-from repro.sim.engine import (
-    HeapEventList,
-    SimEngine,
-    Process,
-)
+from repro.sim.engine import HeapEventList, SimEngine
 from repro.sim.stats import LatencyStats, ThroughputStats
 from repro.sim.host import (
     HostWorkload,
@@ -20,7 +16,6 @@ from repro.sim.host import (
 __all__ = [
     "SimEngine",
     "HeapEventList",
-    "Process",
     "LatencyStats",
     "ThroughputStats",
     "HostWorkload",

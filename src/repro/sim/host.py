@@ -4,7 +4,7 @@ A closed-loop host issues page operations from a workload trace one
 batched group at a time; operation service times come from the
 controller's latency accounting, so the simulated throughput is the
 end-to-end figure including OCP transfer, ECC and flash-array time.  A
-closed loop has one process and nothing to interleave, so its runners
+closed loop has one host and nothing to interleave, so its runners
 are plain loops: the host clock is the running sum of every group's
 latency (or makespan) plus think time, and no DES runs.
 
@@ -24,7 +24,9 @@ channel-arbitrated, rather than a serial latency sum), and
 their trace ``issue_s`` timestamps regardless of what is in flight, so
 the measured behaviour is the *steady state* — sustained throughput at
 the offered rate, and end-to-end latency percentiles that include
-host-side queueing.
+host-side queueing.  Its arrivals are a host frame on the session's
+scheduler core, so they share the DES event list with the commands
+they submit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING
 from repro.controller.controller import NandController
 from repro.errors import SimulationError
 from repro.ftl.ftl import FlashTranslationLayer
-from repro.sim.engine import Process
+from repro.obs.histogram import StreamingLatencyStats
 from repro.sim.stats import LatencyStats, ThroughputStats
 from repro.workloads.traces import QueuedTrace, TraceOp, TraceOpKind
 
@@ -442,10 +444,11 @@ def run_open_loop_workload(
 ) -> WorkloadResult:
     """Stream an arrival-stamped trace through the SSD's queue pair.
 
-    An arrival process submits each operation at its ``issue_s`` time —
-    no batch drains, no waiting for earlier completions — so reads and
-    writes from anywhere in the trace overlap on the device exactly as
-    far as planes, buses and ECC engines allow, and the run measures
+    A host frame (:meth:`~repro.ssd.scheduler.SchedulerCore.spawn`)
+    submits each operation at its ``issue_s`` time — no batch drains,
+    no waiting for earlier completions — so reads and writes from
+    anywhere in the trace overlap on the device exactly as far as
+    planes, buses and ECC engines allow, and the run measures
     steady-state behaviour: sustained MB/s at the offered rate, plus
     end-to-end latency percentiles whose queueing component
     (``queue_p*`` keys, submit→dispatch) is separated from device
@@ -479,7 +482,6 @@ def run_open_loop_workload(
     sustained-write benchmark uses to window throughput over time
     without retaining every completion.
     """
-    from repro.obs.histogram import StreamingLatencyStats
     from repro.ssd.session import IoCommand, SsdSession
 
     if session is None:
@@ -518,8 +520,8 @@ def run_open_loop_workload(
 
     def observe(completion) -> None:
         # Last *completion*, not last engine event: an I/O-free tail of
-        # the arrival process (e.g. a late-stamped ERASE) must not
-        # deflate the completed rate.
+        # the arrivals (e.g. a late-stamped ERASE) must not deflate the
+        # completed rate.
         if completion.done_s > result.elapsed_s:
             result.elapsed_s = completion.done_s
         if completion.kind is TraceOpKind.READ:
@@ -531,7 +533,7 @@ def run_open_loop_workload(
         if on_completion is not None:
             on_completion(completion)
 
-    def arrivals() -> Process:
+    def arrivals():
         for op in workload.operations:
             wait = op.issue_s - engine.now_s
             if wait > 0:
@@ -555,7 +557,7 @@ def run_open_loop_workload(
     restore_depth = session.queue_depth
     session.queue_depth = workload.queue_depth
     try:
-        engine.spawn(arrivals())
+        core.spawn(arrivals())
         session.drain()
     finally:
         session.queue_depth = restore_depth

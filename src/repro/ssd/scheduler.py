@@ -51,9 +51,13 @@ closed batch (everything submitted at once, as many admits per turn as
 the queue-depth window has room for — the NVMe-style host queue), which
 is how :meth:`~repro.ssd.session.SsdSession.execute` drains a batch to
 its makespan.  A window-full admission frame parks until a completion
-wakes it.  Everything is deterministic: the same command list,
-topology, pipeline config and queue depth produce the same completion
-order and the same final clock.
+wakes it.  Host code that must act at simulated instants — the
+open-loop runner submitting I/O at trace timestamps — runs as a **host
+frame** (:meth:`SchedulerCore.spawn`): an iterator of delays that the
+same burst handler advances, so the core's handler is the only code
+that runs an engine event.  Everything is deterministic: the same
+command list, topology, pipeline config and queue depth produce the
+same completion order and the same final clock.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf
+from numbers import Real
 from typing import NamedTuple
 
 from repro.errors import SimulationError
@@ -106,12 +111,6 @@ class PipelineConfig:
     cache_read: bool = False
     multi_plane: bool = False
     pipelined_ecc: bool = False
-    #: Tiered read-ahead: give each plane's cache register a second
-    #: buffer, so a plane may sense two pages ahead of the bus across
-    #: sequential same-plane reads (requires ``cache_read``).  Opt-in
-    #: — deliberately *not* part of :meth:`full`, whose timelines are
-    #: equivalence-locked across the benchmark trajectory.
-    read_ahead: bool = False
 
     @classmethod
     def serial(cls) -> "PipelineConfig":
@@ -120,7 +119,7 @@ class PipelineConfig:
 
     @classmethod
     def full(cls) -> "PipelineConfig":
-        """Every modelled overlap enabled (read-ahead stays opt-in)."""
+        """Every modelled overlap enabled."""
         return cls(cache_read=True, multi_plane=True, pipelined_ecc=True)
 
     def describe(self) -> str:
@@ -131,7 +130,6 @@ class PipelineConfig:
                 ("cache", self.cache_read),
                 ("mplane", self.multi_plane),
                 ("ecc", self.pipelined_ecc),
-                ("ra", self.read_ahead),
             )
             if on
         ]
@@ -383,14 +381,14 @@ def validate_batch(
 # phases, channel section, finish.  Each (die, plane) dispatcher is a
 # plain-list frame with an integer program counter, scheduled directly
 # on the engine's shared event list and advanced by one burst handler
-# (:meth:`SchedulerCore._flat_burst`) that the engine invokes for
-# list-type events and that keeps draining consecutive flat events with
-# its locals bound.  A cached read streams out through a one-shot drain
-# frame, so its plane senses the next page meanwhile.  One admission
-# frame feeds the dispatchers, for an open-loop stream or a closed
-# batch alike.  Every scheduled turn takes one sequence number from the
-# engine's shared counter, so flat frames and any generator process
-# interleave in the engine's global ``(time, seq)`` order.
+# (:meth:`SchedulerCore._flat_burst`), which the engine calls once per
+# run and which drains the event list with its locals bound.  A cached
+# read streams out through a one-shot drain frame, so its plane senses
+# the next page meanwhile.  One admission frame feeds the dispatchers,
+# for an open-loop stream or a closed batch alike, and host frames run
+# host code between them.  Every scheduled turn takes one sequence
+# number from the engine's shared counter, so all frames interleave in
+# the engine's global ``(time, seq)`` order.
 #
 # Each mechanism has one arm.  A frame that finds a lock taken parks at
 # the arm that tried to take it and re-runs that arm when a release
@@ -410,6 +408,7 @@ _P_BUSREL = 4     # the bus hold just elapsed: release and account
 _P_ECCREL = 5     # the ECC occupancy just elapsed: release and account
 _P_FINISH = 6     # complete the command (drain frames then end)
 _P_ADMIT = 7      # admission frame: admit what the window has room for
+_P_HOST = 8       # host frame: advance its delay iterator one step
 
 # Dispatcher/drain frame layout (plain lists):
 # [0] pc  [1] die  [2] slot  [3] channel  [4] queue (deque of
@@ -431,10 +430,12 @@ _P_ADMIT = 7      # admission frame: admit what the window has room for
 # [6] inter-arrival pacing (seconds) of a stream, None for a batch
 # [7] install time (a batch's submit time)
 #
-# Lock layout (a bus, an ECC engine or a cache register):
-# [0] busy (an occupancy count for cache registers, which hold two
-# pages under ``read_ahead``)  [1] waiters (frames, park order)
-# [2] the woken head, until it runs  [3] waiters left behind that head
+# Host frame layout: [0] pc (_P_HOST)  [1] the delay iterator
+#
+# Lock layout (a bus, an ECC engine or a cache register, which holds
+# one page):
+# [0] busy  [1] waiters (frames, park order)  [2] the woken head, until
+# it runs  [3] waiters left behind that head
 #
 # A release wakes the head waiter only, and an uncontended release
 # allocates no sequence number; releases are inlined in the burst
@@ -445,6 +446,24 @@ _P_ADMIT = 7      # admission frame: admit what the window has room for
 # The caller accounts each park toward the engine's deadlock counter,
 # as the admission frame does for its window parks; idle dispatchers
 # are not counted.
+
+
+#: What a host frame's exhausted delay iterator returns from ``next``.
+_HOST_DONE = object()
+
+
+def _host_delay(delay) -> float:
+    """A host frame's delay as a ``float``; SimulationError if invalid.
+
+    The burst calls this only off its fast path (a ``float >= 0``): an
+    ``int`` or numpy scalar becomes a Python float, so no numpy scalar
+    reaches the clock, and anything that is not a real number ``>= 0``
+    (NaN, ``None`` and text included) is rejected by name.
+    """
+    value = float(delay) if isinstance(delay, Real) else -1.0
+    if not value >= 0.0:  # NaN included
+        raise SimulationError(f"host frame yielded invalid delay {delay!r}")
+    return value
 
 
 def _flat_lock_park(lock: list, frame: list) -> None:
@@ -484,9 +503,10 @@ class SchedulerCore:
     stream) and :meth:`submit_batch` (a closed batch) install.
     Completions are appended to :attr:`completions`, and synchronous
     ``on_finish`` callbacks let a session route completions without a
-    reaper process of its own.  The frames live on the engine's event
-    list, advanced by the burst handler the core attaches via
-    :meth:`SimEngine.attach_flat`.
+    reaper of its own.  Host code runs at simulated instants as a host
+    frame started by :meth:`spawn`.  The frames live on the engine's
+    event list, advanced by the burst handler the core attaches via
+    :meth:`SimEngine.attach_flat`, which runs every event of the engine.
     """
 
     def __init__(
@@ -702,18 +722,32 @@ class SchedulerCore:
         self._admit = frame
         self.engine.schedule_at(now, frame)
 
+    def spawn(self, process) -> None:
+        """Start a host frame that runs ``process`` at the current instant.
+
+        ``process`` is an iterator of delays in seconds, usually a
+        generator.  The burst handler advances it one step per turn:
+        now, then each time the delay it yielded has elapsed, until it
+        is exhausted.  Each step runs with the engine state written
+        back, so it may read ``engine.now_s`` and call :meth:`enqueue`
+        or :meth:`SsdSession.submit <repro.ssd.session.SsdSession.submit>`.
+        An ``int`` or numpy scalar delay becomes a Python ``float``;
+        anything that is not a real number ``>= 0`` (NaN, ``None`` and
+        text included) raises :class:`SimulationError` naming it.
+        """
+        self.engine.schedule_at(self.engine.now_s, [_P_HOST, process])
+
     # -- flat dispatch -----------------------------------------------------------
 
     def _flat_burst(self, event, until_s):
-        """Advance flat frames; the engine's list-event handler.
+        """Run the engine's events; the handler every run calls once.
 
-        Runs the state machine for ``event``'s frame, then keeps running
-        consecutive flat events with all hot state bound as locals — one
-        handler call can retire thousands of events without touching the
-        engine loop.  Returns ``(leftover, count)`` where ``leftover``
-        is the first event the burst must hand back (a generator event,
-        or any event beyond ``until_s``) and ``count`` is the number of
-        flat events consumed.
+        Runs the state machine for ``event``'s frame, then keeps popping
+        and running events with all hot state bound as locals — one
+        handler call retires a whole run.  Returns ``(leftover, count)``
+        where ``leftover`` is the first event beyond ``until_s`` (None
+        once the event list drains) and ``count`` is the number of turns
+        run.
 
         The frames run on integer program counters, one arm per
         mechanism: ``P_POP`` pops, ``P_ARRAY`` accounts the array phases
@@ -721,12 +755,13 @@ class SchedulerCore:
         frame, ``P_SECTION`` takes the bus or ECC engine for the next
         section phase, ``P_BUSREL`` / ``P_ECCREL`` release them and
         ``P_FINISH`` completes every command; ``P_ADMIT`` runs the
-        admission frame.  See the layout comments above
+        admission frame, and the last arm, ``P_HOST``, advances a host
+        frame's delay iterator.  See the layout comments above
         :func:`_flat_lock_park`.  The engine's sequence counter,
         deadlock counter and clock live in locals (``seq`` / ``parked``
         / ``now``) and are written back only around calls that leave the
-        burst — the ``on_finish`` callbacks, a rejected admission's
-        ``enqueue`` — and at burst exit.
+        burst — the ``on_finish`` callbacks, a host frame's step, a
+        rejected admission's ``enqueue`` — and at burst exit.
 
         Two queue-elision paths keep the global ``(time, seq)`` order
         exact while skipping the event list, both resting on the same
@@ -772,7 +807,6 @@ class SchedulerCore:
         planes = self.planes
         dies = self.topology.dies
         cache_mode = self.pipeline.cache_read
-        cache_cap = 2 if (cache_mode and self.pipeline.read_ahead) else 1
         pipelined_ecc = self.pipeline.pipelined_ecc
         host_prio = self.host_priority
         die_inflight = self.die_inflight
@@ -907,7 +941,7 @@ class SchedulerCore:
                                 san.release_check(
                                     ("cache", frame[1], frame[2]), cache[0]
                                 )
-                            cache[0] = cache[0] - 1
+                            cache[0] = False
                             waiters = cache[1]
                             if waiters:
                                 head = waiters.pop(0)
@@ -1008,7 +1042,7 @@ class SchedulerCore:
                             # Cache read: the page moves to the cache
                             # register and streams out from there.
                             cache = frame[17]
-                            if cache[0] >= cache_cap:
+                            if cache[0]:
                                 # Full: park with the array cursor at
                                 # the end; the release re-runs this.
                                 frame[0] = P_ARRAY
@@ -1018,7 +1052,7 @@ class SchedulerCore:
                                     cache[1].append(frame)
                                 parked += 1
                                 break
-                            cache[0] = cache[0] + 1
+                            cache[0] = True
                             frame[0] = P_TRCBSY
                             trcbsy = frame[6].cache_busy_s
                             if trcbsy > 0.0:
@@ -1053,7 +1087,7 @@ class SchedulerCore:
                                 san.release_check(
                                     ("cache", frame[1], frame[2]), cache[0]
                                 )
-                            cache[0] = cache[0] - 1
+                            cache[0] = False
                             waiters = cache[1]
                             if waiters:
                                 head = waiters.pop(0)
@@ -1149,6 +1183,9 @@ class SchedulerCore:
                         pc = P_POP
                         continue
                     else:
+                        # P_HOST: run the host code up to its next delay,
+                        # with the engine state written back around the
+                        # call as for the on_finish callbacks.
                         while dws:
                             push((now, seq, dws_popleft()))
                             seq += 1
@@ -1156,9 +1193,17 @@ class SchedulerCore:
                         engine._parked = parked
                         engine.now_s = now
                         self.in_flight = in_flight
-                        raise SimulationError(
-                            f"flat dispatch: invalid state {pc}"
-                        )
+                        delay = next(frame[1], _HOST_DONE)
+                        seq = engine._seq
+                        parked = engine._parked
+                        in_flight = self.in_flight
+                        admit_frame = self._admit
+                        if delay is _HOST_DONE:
+                            break  # the iterator is exhausted
+                        if type(delay) is not float or not delay >= 0.0:
+                            delay = _host_delay(delay)
+                        nxt_t = now + delay
+                        break
             # ---- tail: pick the next turn's (now, frame) ----
             # Resolve the deferred timed self-transition first: it was
             # the turn's last allocation, so its sequence number is
@@ -1205,7 +1250,7 @@ class SchedulerCore:
                 engine.now_s = now
                 self.in_flight = in_flight
                 return None, count
-            if type(event[2]) is not list or event[0] > horizon:
+            if event[0] > horizon:
                 while dws:
                     push((now, seq, dws_popleft()))
                     seq += 1

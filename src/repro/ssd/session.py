@@ -100,7 +100,7 @@ class IoCommand:
     """One host I/O against a logical page.
 
     ``issue_s`` is the op's arrival timestamp in an open-loop stream —
-    informational here (arrival processes use it to pace submissions);
+    informational here (an arrival loop uses it to pace submissions);
     the session stamps the actual submit time when :meth:`SsdSession.submit`
     is called.  Only reads and writes travel through the queue pair;
     trims go through :meth:`SsdSession.trim`.
@@ -257,15 +257,17 @@ class SsdSession:
     ) -> int:
         """Post one I/O to the submission queue; returns its tag.
 
-        Callable from host code between engine runs or from a DES
-        process on the session engine (an open-loop arrival generator).
-        The kind, the LPN range and the write length are checked before
-        a tag is allocated, so a rejected I/O leaves no trace.  The FTL
-        data path (mapping, allocation, ECC, error injection) runs when
-        the in-flight window admits the I/O — at once if it is open and
-        nothing is backlogged; the command's timing is played out on the
-        shared timeline and its :class:`IoCompletion` lands in the
-        completion queue (:meth:`take_completions`).
+        Callable from host code between engine runs or from a host
+        frame on the session's core (:meth:`SchedulerCore.spawn
+        <repro.ssd.scheduler.SchedulerCore.spawn>`, as the open-loop
+        runner's arrivals do).  The kind, the LPN range and the write
+        length are checked before a tag is allocated, so a rejected I/O
+        leaves no trace.  The FTL data path (mapping, allocation, ECC,
+        error injection) runs when the in-flight window admits the I/O
+        — at once if it is open and nothing is backlogged; the command's
+        timing is played out on the shared timeline and its
+        :class:`IoCompletion` lands in the completion queue
+        (:meth:`take_completions`).
         """
         ftl = self._ftl_for(ftl)
         if io.kind is not TraceOpKind.READ and io.kind is not TraceOpKind.WRITE:

@@ -1,10 +1,38 @@
-"""Discrete-event engine tests."""
+"""Discrete-event engine tests, driven through host frames.
+
+The engine runs no event itself: a scheduler core attaches the handler
+that runs every event, and :meth:`SchedulerCore.spawn` starts a host
+frame — an iterator of delays — on the engine's clock.
+"""
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimEngine
+from repro.ssd.scheduler import SchedulerCore
+from repro.ssd.topology import SsdTopology
+
+
+def _core(engine: SimEngine) -> SchedulerCore:
+    """A scheduler core (1 channel x 1 die) to run host frames on."""
+    return SchedulerCore(engine, SsdTopology(channels=1, dies_per_channel=1))
+
+
+#: Host-frame delays: (value, whether a host frame may yield it).
+DELAYS = {
+    "negative": (-1.0, False),
+    "none": (None, False),
+    "object": (object(), False),
+    "text": ("1.0", False),
+    "nan": (float("nan"), False),
+    "numpy-nan": (np.float64("nan"), False),
+    "int": (2, True),
+    "numpy-int": (np.int64(2), True),
+    "numpy-float": (np.float64(2.0), True),
+}
 
 
 class TestEngine:
@@ -19,7 +47,7 @@ class TestEngine:
             log.append("c")
 
         engine = SimEngine()
-        engine.spawn(process())
+        _core(engine).spawn(process())
         final = engine.run()
         assert log == ["a", "b", "c"]
         assert final == pytest.approx(7.0)
@@ -35,8 +63,9 @@ class TestEngine:
             return process()
 
         engine = SimEngine()
-        engine.spawn(make("fast", 1.0))
-        engine.spawn(make("slow", 2.5))
+        core = _core(engine)
+        core.spawn(make("fast", 1.0))
+        core.spawn(make("slow", 2.5))
         engine.run()
         # fast's second step (t=1) precedes slow's second step (t=2.5).
         assert log.index(("fast", 1)) < log.index(("slow", 1))
@@ -47,10 +76,11 @@ class TestEngine:
                 yield 1.0
 
         engine = SimEngine()
-        engine.spawn(process())
-        final = engine.run(until_s=10.0, max_events=1000)
+        _core(engine).spawn(process())
+        final = engine.run(until_s=10.0)
         assert final == pytest.approx(10.0)
         assert engine.events_processed <= 11
+        assert not engine.idle  # the next step stays scheduled
 
     def test_deterministic_tie_breaking(self):
         log = []
@@ -63,61 +93,30 @@ class TestEngine:
             return process()
 
         engine = SimEngine()
-        engine.spawn(make("first"))
-        engine.spawn(make("second"))
+        core = _core(engine)
+        core.spawn(make("first"))
+        core.spawn(make("second"))
         engine.run()
         assert log == ["first", "second", "first", "second"]
 
-    def test_runaway_guard(self):
+    @pytest.mark.parametrize("name", sorted(DELAYS))
+    def test_host_frame_delays(self, name):
+        # A numpy scalar in the clock would leak into every timestamp
+        # and change its repr, so valid delays leave a Python float.
+        delay, valid = DELAYS[name]
+
         def process():
-            while True:
-                yield 0.0
+            yield delay
 
         engine = SimEngine()
-        engine.spawn(process())
-        with pytest.raises(SimulationError):
-            engine.run(max_events=100)
-
-    def test_invalid_yield(self):
-        def process():
-            yield -1.0
-
-        engine = SimEngine()
-        engine.spawn(process())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    @pytest.mark.parametrize("value", (None, object(), "1.0"))
-    def test_non_numeric_yield_rejected(self, value):
-        # A process yields delays only; it has nothing else to park on.
-        def process():
-            yield value
-
-        engine = SimEngine()
-        engine.spawn(process())
-        with pytest.raises(SimulationError, match="invalid delay"):
-            engine.run()
-
-    def test_negative_spawn_delay(self):
-        engine = SimEngine()
-        with pytest.raises(SimulationError):
-            engine.spawn(iter(()), delay_s=-1.0)
-
-    @pytest.mark.parametrize("nan", (float("nan"), np.float64("nan")))
-    def test_nan_yield_rejected(self, nan):
-        def process():
-            yield nan
-
-        engine = SimEngine()
-        engine.spawn(process())
-        with pytest.raises(SimulationError, match="invalid delay"):
-            engine.run()
-
-    def test_nan_spawn_delay_rejected(self):
-        engine = SimEngine()
-        with pytest.raises(SimulationError):
-            engine.spawn(iter(()), delay_s=float("nan"))
-        assert engine.idle
+        _core(engine).spawn(process())
+        if valid:
+            assert engine.run() == 2.0
+            assert type(engine.now_s) is float
+        else:
+            named = "invalid delay " + re.escape(repr(delay))
+            with pytest.raises(SimulationError, match=named):
+                engine.run()
 
     def test_nan_schedule_time_rejected(self):
         engine = SimEngine()
@@ -126,37 +125,24 @@ class TestEngine:
         assert engine.idle
 
 
-class TestRebaseAndRunGuard:
+class TestRebase:
     def test_rebase_resets_idle_clock(self):
         def tick():
             yield 3.5
 
         engine = SimEngine()
-        engine.spawn(tick())
+        core = _core(engine)
+        core.spawn(tick())
         assert engine.run() == 3.5
         assert engine.idle
         engine.rebase()
         assert engine.now_s == 0.0
-        engine.spawn(tick())
+        core.spawn(tick())
         assert engine.run() == 3.5  # fresh-engine float arithmetic
 
     def test_rebase_with_pending_events_rejected(self):
         engine = SimEngine()
-        engine.spawn(iter([]), delay_s=1.0)
+        _core(engine).spawn(iter(()))
         assert not engine.idle
         with pytest.raises(SimulationError, match="rebase"):
             engine.rebase()
-
-    def test_max_events_guard_is_per_run_not_lifetime(self):
-        def tick(n):
-            for _ in range(n):
-                yield 1.0
-
-        engine = SimEngine()
-        for _ in range(4):  # 4 runs x 60 events: fine at max_events=100
-            engine.spawn(tick(59))
-            engine.run(max_events=100)
-        assert engine.events_processed == 4 * 60
-        engine.spawn(tick(150))
-        with pytest.raises(SimulationError, match="exceeded"):
-            engine.run(max_events=100)

@@ -1,11 +1,10 @@
-"""The event list and the engine contracts around it.
+"""The event list's ordering contract.
 
 The determinism contract (see ``sim/engine.py``): the event list pops in
 ``(time, sequence)`` order — time-major, FIFO within a timestamp — on
 any schedule, including same-timestamp ties and interleaved push and
 pop.  These tests drive :class:`HeapEventList` against a reference
-``heapq`` on randomized and hand-built schedules, and check the engine's
-pending-count ``max_events`` error.
+``heapq`` on randomized and hand-built schedules.
 """
 
 import heapq
@@ -13,8 +12,7 @@ import random
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.engine import HeapEventList, SimEngine
+from repro.sim.engine import HeapEventList
 
 #: A schedule step: an event tuple to push, or ``POP``.
 POP = None
@@ -74,35 +72,3 @@ class TestOrdering:
         assert not events
         assert len(events) == 0
 
-
-class TestMaxEventsExhaustion:
-    def test_error_names_pending_count_and_is_runtime_error(self):
-        engine = SimEngine()
-
-        def ticker():
-            while True:
-                yield 1e-6
-
-        for _ in range(3):
-            engine.spawn(ticker())
-        with pytest.raises(RuntimeError, match=r"exceeded 10 events") as err:
-            engine.run(max_events=10)
-        # The interrupted event goes back in the queue: all 3 tickers
-        # still pending, named in the message.
-        assert "3 event(s) still pending" in str(err.value)
-        assert isinstance(err.value, SimulationError)
-
-    def test_exhausted_run_can_resume(self):
-        engine = SimEngine()
-        done = []
-
-        def ticker():
-            for _ in range(30):
-                yield 1e-6
-            done.append(engine.now_s)
-
-        engine.spawn(ticker())
-        with pytest.raises(SimulationError):
-            engine.run(max_events=10)
-        engine.run()  # picks up exactly where the guard stopped it
-        assert done and done[0] == pytest.approx(30e-6)

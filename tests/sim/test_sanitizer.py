@@ -95,18 +95,28 @@ class TestArming:
 # -- backwards time ------------------------------------------------------------------
 
 
+def _host_frame_behind_clock(sanitize: bool) -> SimEngine:
+    """An engine whose clock is already past its one host frame.
+
+    A healthy event list can never produce this — pops are
+    (time, seq)-ordered — so the state is corrupted by hand: the host
+    frame is scheduled at 2.0, then the clock is moved to 5.0.
+    """
+    engine = SimEngine(sanitize=sanitize)
+    core = SchedulerCore(engine, _topology())
+    engine.now_s = 2.0
+
+    def proc():
+        yield 1.0
+
+    core.spawn(proc())
+    engine.now_s = 5.0
+    return engine
+
+
 class TestBackwardsTime:
     def test_event_behind_clock_names_both_timestamps(self):
-        engine = SimEngine(sanitize=True)
-
-        def proc():
-            yield 1.0
-
-        # Corrupt the state by hand: the clock already past an event
-        # still sitting in the list (a healthy event list can never
-        # produce this — pops are (time, seq)-ordered).
-        engine.now_s = 5.0
-        engine._queue.push((2.0, engine._next_seq(), proc()))
+        engine = _host_frame_behind_clock(sanitize=True)
         with pytest.raises(SanitizerError, match="backwards time") as exc:
             engine.run()
         assert "2.0" in str(exc.value)
@@ -115,13 +125,7 @@ class TestBackwardsTime:
     def test_disarmed_engine_does_not_police_order(self):
         # The disarmed engine trusts its event list (zero-cost-off);
         # only the armed one pays for the monotonicity check.
-        engine = SimEngine(sanitize=False)
-
-        def proc():
-            yield 1.0
-
-        engine.now_s = 5.0
-        engine._queue.push((2.0, engine._next_seq(), proc()))
+        engine = _host_frame_behind_clock(sanitize=False)
         engine.run()  # no error
 
 
@@ -267,11 +271,7 @@ class TestDrainAudit:
 
 PIPELINES = [
     pytest.param(None, id="default"),
-    pytest.param(
-        PipelineConfig(cache_read=True, multi_plane=True,
-                       pipelined_ecc=True, read_ahead=True),
-        id="cached",
-    ),
+    pytest.param(PipelineConfig.full(), id="cached"),
 ]
 
 

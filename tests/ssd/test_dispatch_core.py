@@ -143,6 +143,36 @@ class TestEngineFlatSurface:
             engine.schedule_at(engine.now_s - 1e-6, [0])
 
 
+class TestHostFrames:
+    def test_zero_delay_step_runs_behind_the_wakes_it_caused(self):
+        # A host step's enqueues wake two parked dispatchers at the
+        # current instant; the step after a zero delay was allocated
+        # later at the same instant, so both dispatchers pop first.
+        engine = SimEngine()
+        core = SchedulerCore(
+            engine, SsdTopology(channels=1, dies_per_channel=2),
+            PipelineConfig.full(),
+        )
+        core.start()
+        engine.run()
+        queues = [die_frames[0][4] for die_frames in core._frames]
+        seen = []
+
+        def host():
+            for die in (0, 1):
+                core.enqueue(DieCommand.from_phases(
+                    CommandKind.ERASE, die=die, tag=die, phases=ERASE_PHASES,
+                ))
+            seen.append([len(queue) for queue in queues])
+            yield 0.0
+            seen.append([len(queue) for queue in queues])
+
+        core.spawn(host())
+        engine.run()
+        assert seen == [[1, 1], [0, 0]]
+        assert sorted(c.tag for c in core.completions) == [0, 1]
+
+
 class TestDeadlockDetection:
     def test_execute_counts_every_parked_waiter(self):
         # 1 channel x 2 dies, four programs at QD 2: each program opens
@@ -196,7 +226,7 @@ class TestDeadlockDetection:
         session.execute(programs(10), queue_depth=2)
         assert engine._parked == 0
         start_s = engine.now_s
-        engine.spawn(tick())
+        core.spawn(tick())
         assert engine.run() == pytest.approx(start_s + 1.0)  # no stale deadlock
         # The stream form counts its window park like the batch form.
         core._buses[0][0] = True

@@ -11,8 +11,9 @@ here, over the grid of surfaces that drive it:
 * open-loop :meth:`SchedulerCore.submit_stream` streams: each pipeline,
   mid-flight ``enqueue``, window backpressure, tie-heavy same-instant
   arrivals and the window-1 zero-arrival serialisation;
-* full sessions with the FTL data path: each GC mode, the tiered
-  read-ahead pipeline and a plain open-loop session.
+* full sessions with the FTL data path: each GC mode and a plain
+  open-loop session whose arrivals run as a host frame
+  (:meth:`SchedulerCore.spawn`).
 
 A schedule digest hashes the ``repr`` of every completion tuple in
 completion order, the makespan, the engine's ``events_processed`` (a
@@ -239,12 +240,10 @@ def _gc_session(gc_mode, pipeline, dies, plane_interleave, sanitize,
         topology, policy=CrossLayerPolicy(), seed=2012, pipeline=pipeline,
     )
     ssd.set_mode(OperatingMode.BASELINE)
-    kwargs = {} if gc_mode is None else {
-        "gc_mode": gc_mode, "gc_config": GcConfig(policy="cost_benefit"),
-    }
     session = SsdSession(
         ssd=ssd, engine=SimEngine(sanitize=sanitize), queue_depth=4,
-        recorder=recorder, **kwargs,
+        recorder=recorder, gc_mode=gc_mode,
+        gc_config=GcConfig(policy="cost_benefit"),
     )
     ftl = DieStripedFtl(
         ssd, plane_interleave=plane_interleave, session=session
@@ -269,14 +268,6 @@ def _churn(capacity: int, seed: int = 11) -> list[TraceOp]:
                 _page(96 + index),
             ))
     return ops
-
-
-def _sequential_reads(capacity: int) -> list[TraceOp]:
-    ops = [
-        TraceOp(TraceOpKind.WRITE, 0, lpn, _page(lpn))
-        for lpn in range(capacity)
-    ]
-    return ops + [TraceOp(TraceOpKind.READ, 0, lpn) for lpn in range(capacity)]
 
 
 def _workload_case(gc_mode, pipeline, dies, plane_interleave, trace):
@@ -332,7 +323,7 @@ def _open_session(sanitize, recorder):
             session.submit(io)
             yield 15e-6
 
-    session.engine.spawn(arrivals())
+    session.core.spawn(arrivals())
     session.drain()
     done = session.take_completions()
     assert len(done) == len(ops)
@@ -353,10 +344,6 @@ def _execute_case(pipeline, kinds):
         return _execute(pipeline, kinds, sanitize, recorder)
     return run
 
-
-READ_AHEAD = PipelineConfig(
-    cache_read=True, multi_plane=True, pipelined_ecc=True, read_ahead=True
-)
 
 CASES = {}
 for _p, _pipeline in PIPELINES.items():
@@ -381,9 +368,6 @@ for _mode in ("sync", "foreground", "background"):
     CASES[f"gc-{_mode}"] = _workload_case(
         _mode, PIPELINES["full"], 2, True, _churn
     )
-CASES["read-ahead"] = _workload_case(
-    None, READ_AHEAD, 1, False, _sequential_reads
-)
 CASES["open-session"] = _open_session
 
 #: Schedule digests (sha256), one per case.
@@ -524,8 +508,6 @@ PINNED = {
         "d48eae8dfee7a67eb80415970486372b2a33e9639026e9acce6914c774b1ab41",
     "open-session":
         "18956829923130d9009fd2b8587121fab2ce5b9e47abd71874bf95ca8c15aff1",
-    "read-ahead":
-        "c2e5457536ed50a9250b8bf7d58531e6a7686c25c77f74eced05b205032f1488",
     "stream-backpressure":
         "5dcf49ff02d3932090a0da28d1e5a697364c67fa35bb81baf0bd48f9803b67d9",
     "stream-cache":

@@ -11,15 +11,15 @@ The contract under test, per mode:
   foreground on the same churn, observable via GC-origin trace spans
   and SMART counters.
 
-Each mode's timeline (and the read-ahead one) is pinned by a golden
-digest in ``tests/ssd/test_dispatch_golden.py``.
+Each mode's timeline is pinned by a golden digest in
+``tests/ssd/test_dispatch_golden.py``.
 
 Every mode shares one submission path, so two invariants hold in all
 three: a trim never overtakes an earlier submission still in the
 backlog, and ``submit`` rejects a bad I/O before it takes a tag.
 
 Plus the watermark hysteresis state machine (unit-tested against a stub
-FTL) and the opt-in ``read_ahead`` pipeline tier.
+FTL).
 """
 
 import random
@@ -58,8 +58,6 @@ def _build(
     recorder=None,
     gc_config=None,
     plain=False,
-    pipeline=None,
-    plane_interleave=True,
 ):
     """1ch x ``dies``-die SSD with a session in the requested GC mode.
 
@@ -73,7 +71,7 @@ def _build(
     )
     ssd = SsdDevice(
         topology, policy=CrossLayerPolicy(), seed=2012,
-        pipeline=PipelineConfig.full() if pipeline is None else pipeline,
+        pipeline=PipelineConfig.full(),
     )
     ssd.set_mode(OperatingMode.BASELINE)
     kwargs = {} if plain else {
@@ -89,9 +87,7 @@ def _build(
         recorder=recorder,
         **kwargs,
     )
-    ftl = DieStripedFtl(
-        ssd, plane_interleave=plane_interleave, session=session
-    )
+    ftl = DieStripedFtl(ssd, plane_interleave=True, session=session)
     session.ftl = ftl
     return ftl, session
 
@@ -494,44 +490,3 @@ class TestObservability:
         assert registry.get("gc_scheduled_busy_s") > 0.0
         assert registry.get("write_amplification") > 1.0
 
-
-# ---------------------------------------------------------------------------
-# Tiered read-ahead (opt-in pipeline flag)
-# ---------------------------------------------------------------------------
-
-
-def _read_ahead_config(on: bool) -> PipelineConfig:
-    return PipelineConfig(
-        cache_read=True, multi_plane=True, pipelined_ecc=True,
-        read_ahead=on,
-    )
-
-
-def _sequential_reads(capacity: int):
-    ops = [
-        TraceOp(TraceOpKind.WRITE, 0, lpn, _page(lpn))
-        for lpn in range(capacity)
-    ]
-    ops += [TraceOp(TraceOpKind.READ, 0, lpn) for lpn in range(capacity)]
-    return ops
-
-
-class TestReadAhead:
-    def test_full_pipeline_keeps_read_ahead_off(self):
-        """``full()`` is equivalence-locked: read-ahead stays opt-in."""
-        assert PipelineConfig.full().read_ahead is False
-        assert "ra" not in PipelineConfig.full().describe()
-        assert _read_ahead_config(True).describe().endswith("+ra")
-
-    def test_read_ahead_never_slower_on_sequential_reads(self):
-        def makespan(on: bool) -> float:
-            ftl, session = _build(
-                plain=True, dies=1, pipeline=_read_ahead_config(on),
-                plane_interleave=False,
-            )
-            result, _ = _run(
-                ftl, session, _sequential_reads(ftl.logical_capacity)
-            )
-            return result.elapsed_s
-
-        assert makespan(True) <= makespan(False)
