@@ -82,6 +82,108 @@ class TestEngine:
         assert engine.events_processed <= 11
         assert not engine.idle  # the next step stays scheduled
 
+    def test_horizon_is_inclusive(self):
+        # A step due exactly at the horizon runs, whether its frame
+        # reruns inline (alone) or its event is popped behind another's.
+        log = []
+
+        def ticker(name, delay):
+            while True:
+                log.append((name, engine.now_s))
+                yield delay
+
+        engine = SimEngine()
+        core = _core(engine)
+        core.spawn(ticker("a", 1.0))
+        assert engine.run(until_s=3.0) == 3.0
+        assert log == [("a", 0.0), ("a", 1.0), ("a", 2.0), ("a", 3.0)]
+        core.spawn(ticker("b", 2.0))
+        assert engine.run(until_s=5.0) == 5.0
+        assert log[4:] == [("b", 3.0), ("a", 4.0), ("b", 5.0), ("a", 5.0)]
+        assert engine.events_processed == 8
+
+    def test_run_stopped_at_horizon_resumes(self):
+        # Splitting a run at a horizon loses and repeats no step, and
+        # the resumed steps keep the unsplit run's float arithmetic.
+        def ticker(engine, done):
+            for _ in range(30):
+                yield 1e-6
+            done.append(engine.now_s)
+
+        whole, whole_done = SimEngine(), []
+        _core(whole).spawn(ticker(whole, whole_done))
+        whole.run()
+
+        split, split_done = SimEngine(), []
+        _core(split).spawn(ticker(split, split_done))
+        assert split.run(until_s=10.5e-6) == 10.5e-6
+        assert not split_done and not split.idle
+        split.run()
+        assert split_done == whole_done
+        assert split_done[0] == pytest.approx(30e-6)
+        assert split.events_processed == whole.events_processed == 31
+
+    def test_events_processed_accumulates_across_runs(self):
+        def tick(n):
+            for _ in range(n):
+                yield 1.0
+
+        engine = SimEngine()
+        core = _core(engine)
+        for runs in range(1, 5):
+            core.spawn(tick(59))  # 59 delays, then the exhausting step
+            engine.run()
+            assert engine.events_processed == runs * 60
+
+    def test_spawn_starts_at_the_current_instant(self):
+        log = []
+        engine = SimEngine()
+        core = _core(engine)
+
+        def child(name):
+            log.append((name, engine.now_s))
+            yield 1.0
+            log.append((name, engine.now_s))
+
+        def parent():
+            yield 2.0
+            core.spawn(child("nested"))  # from inside a host step
+            log.append(("parent", engine.now_s))
+
+        core.spawn(parent())
+        assert engine.run() == 3.0
+        core.spawn(child("after"))  # on an idle engine
+        assert engine.run() == 4.0
+        assert log == [
+            ("parent", 2.0), ("nested", 2.0), ("nested", 3.0),
+            ("after", 3.0), ("after", 4.0),
+        ]
+
+    def test_failed_host_step_leaves_the_engine_resumable(self):
+        # A step that raises stops the run with the engine state written
+        # back; the other frames stay scheduled and a later run ends them.
+        done = []
+        engine = SimEngine()
+        core = _core(engine)
+
+        def failing():
+            yield 1.0
+            raise ValueError("host step failed")
+
+        def ticker():
+            for _ in range(3):
+                yield 1.0
+            done.append(engine.now_s)
+
+        core.spawn(failing())
+        core.spawn(ticker())
+        with pytest.raises(ValueError, match="host step failed"):
+            engine.run()
+        assert engine.now_s == 1.0
+        assert not engine.idle
+        assert engine.run() == 3.0
+        assert done == [3.0]
+
     def test_deterministic_tie_breaking(self):
         log = []
 

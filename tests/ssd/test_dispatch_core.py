@@ -200,6 +200,34 @@ class TestDeadlockDetection:
         with pytest.raises(SimulationError, match=r"deadlock: 3 "):
             session.execute(commands, queue_depth=2)
 
+    def test_parks_around_host_steps_count_toward_deadlock(self):
+        # Host steps enqueue one program per step on a channel whose bus
+        # is held behind the core's back: the die-0 park made between
+        # the steps survives the second step, and the deadlock error is
+        # also a RuntimeError.
+        engine = SimEngine()
+        core = SchedulerCore(
+            engine, SsdTopology(channels=1, dies_per_channel=2),
+            PipelineConfig.full(),
+        )
+        core.start()
+        engine.run()
+        core._buses[0][0] = True
+
+        def host():
+            for die in (0, 1):
+                core.enqueue(DieCommand.from_phases(
+                    CommandKind.PROGRAM, die=die, tag=die,
+                    phases=PROGRAM_PHASES,
+                ))
+                yield 1e-6
+
+        core.spawn(host())
+        with pytest.raises(RuntimeError, match=r"deadlock: 2 ") as err:
+            engine.run()
+        assert isinstance(err.value, SimulationError)
+        assert engine._parked == 2
+
     def test_parks_balance_across_runs(self):
         """A resumed park leaves no count behind for the engine's next run."""
         topology = SsdTopology(channels=1, dies_per_channel=2)
