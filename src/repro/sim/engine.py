@@ -171,10 +171,14 @@ class SimEngine:
         """Drain the event list; returns the final simulation time.
 
         ``until_s`` bounds virtual time: events beyond it stay scheduled
-        and the clock stops at ``until_s``.  :attr:`events_processed`
-        accumulates over the engine's lifetime.  Draining the event list
-        with frames still parked raises a deadlock
-        :class:`SimulationError` naming how many.
+        and the clock stops at ``until_s``.  Stopping at a horizon behind
+        the clock (or at NaN) would move it backwards, so with an event
+        pending such a horizon raises :class:`SimulationError` and
+        leaves the clock and the event as they were; with nothing
+        scheduled the run returns the clock unchanged.
+        :attr:`events_processed` accumulates over the engine's lifetime.
+        Draining the event list with frames still parked raises a
+        deadlock :class:`SimulationError` naming how many.
         """
         queue = self._queue
         try:
@@ -188,6 +192,11 @@ class SimEngine:
             if event is not None:
                 # Beyond the horizon: back on the list, sequence intact.
                 queue.push(event)
+                if not until_s >= self.now_s:  # NaN included
+                    raise SimulationError(
+                        f"run(until_s={until_s!r}) lies behind the clock "
+                        f"at {self.now_s!r}"
+                    )
                 self.now_s = until_s
                 return until_s
         if self._parked:

@@ -82,6 +82,25 @@ class TestEngine:
         assert engine.events_processed <= 11
         assert not engine.idle  # the next step stays scheduled
 
+    @pytest.mark.parametrize("horizon", (3.0, float("nan")))
+    def test_horizon_behind_the_clock_rejected(self, horizon):
+        steps = []
+
+        def process():
+            yield 10.0
+            steps.append(engine.now_s)
+
+        engine = SimEngine()
+        _core(engine).spawn(process())
+        assert engine.run(until_s=5.0) == 5.0
+        with pytest.raises(SimulationError, match=r"until_s=(3\.0|nan)"):
+            engine.run(until_s=horizon)
+        assert engine.now_s == 5.0
+        assert len(engine._queue) == 1 and steps == []
+        # The step due at 10.0 is still scheduled and runs there.
+        assert engine.run() == 10.0
+        assert steps == [10.0]
+
     def test_horizon_is_inclusive(self):
         # A step due exactly at the horizon runs, whether its frame
         # reruns inline (alone) or its event is popped behind another's.
