@@ -66,20 +66,18 @@ class GcConfig:
     * ``low_water_blocks`` / ``high_water_blocks`` — free-block
       hysteresis band: background collection turns on when a shard's
       free pool drops to the low watermark and keeps running until it
-      refills to the high one (no on/off thrash at a single boundary);
-    * ``idle_collect`` — eagerly collect a shard below the high
-      watermark whenever its die is idle, even before the low
-      watermark trips (free work on an idle plane);
-    * ``superblock`` — when several shards need collection at once,
-      pick one block id by summed victim score across them and collect
-      it in every shard, so one logical collection runs die-parallel.
+      refills to the high one (no on/off thrash at a single boundary).
+
+    A shard below the high watermark whose die is idle also collects,
+    before the low watermark trips (free work on an idle plane), and
+    the shards that collect at once share one superblock victim: the
+    block id with the best summed victim score, collected in each, so
+    one logical collection runs die-parallel.
     """
 
     policy: str = "greedy"
     low_water_blocks: int = 2
     high_water_blocks: int = 4
-    idle_collect: bool = True
-    superblock: bool = True
 
     def __post_init__(self) -> None:
         if self.policy not in GC_POLICIES:

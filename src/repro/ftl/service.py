@@ -12,37 +12,21 @@ before touching the device, so pages of different classes coexist on one
 chip with per-class reliability/performance — the "differentiated storage
 services" of the paper's conclusion, made concrete.
 
-The manager runs over either a single :class:`NandController` (namespaces
-are block partitions of one die) or a multi-die
-:class:`~repro.ssd.device.SsdDevice` (namespaces are die-striped spans:
-the same block range on every die behind a
-:class:`~repro.ssd.striped.DieStripedFtl`, so each service class
-additionally gets channel/die parallelism).  On an SSD backend every
-namespace routes its commands through the device-wide
-:class:`~repro.ssd.session.SsdSession` — one shared submission/
-completion queue pair with one resident scheduler core.  Closed-loop
-batch calls drain between batches (timings match a private scheduler
-exactly); the shared queue matters for *open-loop* traffic, where
-``session.submit(..., ftl=namespace.ftl)`` streams from several
-namespaces genuinely contend for planes, buses and ECC engines on one
-timeline.
+The manager runs over one :class:`NandController`: namespaces are
+block partitions of one die, each behind its own
+:class:`FlashTranslationLayer`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
 from repro.controller.controller import NandController
 from repro.core.config import CrossLayerConfig
 from repro.core.modes import OperatingMode
 from repro.errors import ControllerError
 from repro.ftl.ftl import FlashTranslationLayer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (ssd uses ftl)
-    from repro.ssd.device import SsdDevice
-    from repro.ssd.striped import DieStripedFtl
 
 
 class ServiceClass(enum.Enum):
@@ -64,17 +48,11 @@ class ServiceClass(enum.Enum):
 
 @dataclass
 class Namespace:
-    """One application namespace: a service class over a block partition.
-
-    The backing translation layer is a single-die
-    :class:`FlashTranslationLayer` partition or a die-striped
-    :class:`~repro.ssd.striped.DieStripedFtl` span — both expose the same
-    host surface.
-    """
+    """One application namespace: a service class over a block partition."""
 
     name: str
     service_class: ServiceClass
-    ftl: Union[FlashTranslationLayer, "DieStripedFtl"]
+    ftl: FlashTranslationLayer
     config: CrossLayerConfig
 
     @property
@@ -86,40 +64,18 @@ class Namespace:
 class DifferentiatedStorage:
     """Namespace manager multiplexing service classes onto one device."""
 
-    def __init__(
-        self,
-        controller: NandController | None = None,
-        *,
-        ssd: "SsdDevice | None" = None,
-    ):
-        if (controller is None) == (ssd is None):
-            raise ControllerError(
-                "provide exactly one backend: a controller or an ssd"
-            )
-        self.ssd = ssd
-        self.controller = controller if ssd is None else ssd.controllers[0]
-        #: Device-wide queue pair shared by every namespace (SSD backend).
-        self.session = None if ssd is None else ssd.session
+    def __init__(self, controller: NandController):
+        self.controller = controller
         self._namespaces: dict[str, Namespace] = {}
         self._allocated_blocks: set[int] = set()
         self._next_block = 0
 
     # -- provisioning -----------------------------------------------------------
 
-    def _max_wear(self) -> int:
-        if self.ssd is not None:
-            return self.ssd.max_wear()
-        return self.controller.device.array.max_wear()
-
     def create_namespace(
         self, name: str, service_class: ServiceClass, blocks: int
     ) -> Namespace:
-        """Carve a block partition and bind it to a service class.
-
-        On an SSD backend, ``blocks`` is carved *per die*: the namespace
-        owns that block range on every die, striped through a
-        :class:`~repro.ssd.striped.DieStripedFtl`.
-        """
+        """Carve a block partition and bind it to a service class."""
         if name in self._namespaces:
             raise ControllerError(f"namespace {name!r} already exists")
         if blocks < 2:
@@ -134,23 +90,14 @@ class DifferentiatedStorage:
         self._next_block += blocks
         self._allocated_blocks.update(partition)
 
-        age = float(self._max_wear())
+        age = float(self.controller.device.array.max_wear())
         config = self.controller.policy.config_for(
             service_class.operating_mode, age
         )
-        if self.ssd is not None:
-            from repro.ssd.striped import DieStripedFtl
-
-            # Striped FTLs default to the device-wide queue pair, so
-            # every namespace shares one resident scheduler core and
-            # open-loop streams contend on one timeline.
-            ftl = DieStripedFtl(self.ssd, partition)
-        else:
-            ftl = FlashTranslationLayer(self.controller, partition)
         namespace = Namespace(
             name=name,
             service_class=service_class,
-            ftl=ftl,
+            ftl=FlashTranslationLayer(self.controller, partition),
             config=config,
         )
         self._namespaces[name] = namespace
@@ -170,8 +117,6 @@ class DifferentiatedStorage:
     # -- data path ------------------------------------------------------------------
 
     def _activate(self, namespace: Namespace) -> None:
-        # Configure every controller the namespace writes through (one
-        # for a partition FTL, one per die for a striped span).
         namespace.ftl.apply_config(
             namespace.config.algorithm, namespace.config.ecc_t
         )
@@ -213,7 +158,7 @@ class DifferentiatedStorage:
     def refresh_configs(self, pe_reference: float | None = None) -> None:
         """Re-derive every namespace's configuration as the device ages."""
         age = (
-            float(self._max_wear())
+            float(self.controller.device.array.max_wear())
             if pe_reference is None
             else pe_reference
         )

@@ -340,7 +340,7 @@ def run_ssd_workload(
     """Simulate a closed-loop host stream against a die-striped SSD.
 
     Trace pages become LPNs exactly as in :func:`run_ftl_workload`, but
-    every batched group drains through the device session's
+    every batched group drains through the FTL session's
     :meth:`~repro.ssd.session.SsdSession.execute` at the workload's
     ``queue_depth``: per-operation latencies include queueing behind
     dies and channel buses, and the group advances the clock by its
@@ -472,10 +472,11 @@ def run_open_loop_workload(
     is the throughput-saturation knee the open-loop model exists to
     expose.
 
-    A shared ``session`` (e.g. the device-wide queue pair) must be idle
-    — ``issue_s`` timestamps are absolute, so its clock is re-based to
-    zero for the run; a workload ``queue_depth`` applies for this run
-    only.
+    A passed ``session`` must route for ``ftl`` (``session.ftl is
+    ftl``) and be idle — ``issue_s`` timestamps are absolute, so its
+    clock is re-based to zero for the run; a workload ``queue_depth``
+    applies for this run only.  Both are checked before anything is
+    submitted.
 
     ``on_completion`` is an optional per-IoCompletion callback invoked
     as each completion is consumed (completion order) — the hook the
@@ -488,6 +489,11 @@ def run_open_loop_workload(
         # A private session starts with a fresh clock already.
         session = SsdSession(ftl, queue_depth=workload.queue_depth)
     else:
+        if session.ftl is not ftl:
+            raise SimulationError(
+                "open-loop runner needs a session that routes for its FTL "
+                "(session.ftl is ftl)"
+            )
         if (
             session.in_flight
             or session.backlog
@@ -546,11 +552,9 @@ def run_open_loop_workload(
                 observe(completion)
             if op.kind is TraceOpKind.ERASE:
                 for lpn in names.block_lpns(op.block):
-                    session.trim(lpn, ftl)
+                    session.trim(lpn)
                 continue
-            session.submit(
-                IoCommand(op.kind, names.lpn_of(op), op.data), ftl=ftl
-            )
+            session.submit(IoCommand(op.kind, names.lpn_of(op), op.data))
 
     # The workload's window applies for this run only — including
     # ``None``, the documented unbounded pure open loop.

@@ -16,13 +16,14 @@ role:
   :class:`~repro.controller.NandController` per die under a single
   cross-layer policy, so the section-6 operating modes (baseline /
   min-UBER / max-read-throughput) reconfigure the whole SSD at once;
-* :class:`~repro.ssd.session.SsdSession` — the device's queue pair
-  over one resident :class:`~repro.ssd.scheduler.SchedulerCore`, a
+* :class:`~repro.ssd.session.SsdSession` — a queue pair over one
+  resident :class:`~repro.ssd.scheduler.SchedulerCore`, a
   discrete-event command timeline on :class:`~repro.sim.engine.SimEngine`
   over explicit :class:`~repro.nand.timing.CommandPhase` sequences:
   array planes, channel buses, per-channel ECC engines and per-plane
   cache registers are independent serially-reusable resources.  It
-  takes open-loop submissions and drains closed batches
+  takes open-loop submissions routed through one striped FTL and
+  drains closed batches
   (:meth:`~repro.ssd.session.SsdSession.execute`).  The default
   :class:`~repro.ssd.scheduler.PipelineConfig` reproduces the paper's
   non-pipelined page-buffer FSM hazard exactly; enabling ``cache_read``
@@ -32,7 +33,8 @@ role:
   striped over the dies (channel-first), one FTL shard per die, so
   ``read_many``/``write_many`` and the host workload runner exploit die
   parallelism transparently while every page still pays the paper's
-  per-page ECC and ISPP costs.
+  per-page ECC and ISPP costs.  Each striped FTL builds its own
+  session unless one is passed in.
 
 Throughput therefore scales the way the paper's section-6 trade-offs
 predict at system level: read batches are channel-bound once the
@@ -42,7 +44,7 @@ scale nearly linearly with dies because the ISPP program phase dwarfs
 the channel section.
 """
 
-from repro.ssd.device import DiePageAddress, SsdDevice
+from repro.ssd.device import SsdDevice
 from repro.ssd.scheduler import (
     CommandCompletion,
     CommandKind,
@@ -74,7 +76,6 @@ __all__ = [
     "CommandOrigin",
     "DieAddress",
     "DieCommand",
-    "DiePageAddress",
     "DieStripedFtl",
     "IoCommand",
     "IoCompletion",

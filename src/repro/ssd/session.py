@@ -35,11 +35,14 @@ the open-loop replacement — the software analogue of an NVMe submission
 scheduled: it drains one pre-built command batch on the resident core,
 re-based to a zero clock while idle, so a batch's timeline (per-command
 latencies, completion order, makespan) does not depend on what the
-session ran before.  ``DieStripedFtl.read_many``/``write_many`` and raw
-:class:`~repro.ssd.device.SsdDevice` batch I/O route through it, which
-is what lets every namespace of a
-:class:`~repro.ftl.service.DifferentiatedStorage` share one device-wide
-queue.
+session ran before.  ``DieStripedFtl.read_many``/``write_many`` route
+through it.
+
+A session routes logical I/O for one striped FTL, :attr:`SsdSession.ftl`,
+and each :class:`~repro.ssd.striped.DieStripedFtl` builds its own
+session on first use; a session may also be built over the bare
+:class:`~repro.ssd.device.SsdDevice` for command streams and closed
+batches that carry no logical I/O.
 
 Every session drives the scheduler's one dispatch core on its engine's
 one event list; no knob selects another implementation.  The golden
@@ -159,16 +162,18 @@ class _IoRecord:
 class SsdSession:
     """A persistent submission/completion queue pair over one SSD.
 
-    One session per device: every striped FTL (and therefore every
-    namespace) routed through it shares the same resident scheduler
-    core, so their commands genuinely contend for planes, buses and ECC
-    engines on one timeline.
+    The session routes :meth:`submit` and :meth:`trim` through one
+    striped FTL, :attr:`ftl`, given at construction or assigned before
+    the first submission; ``ssd`` defaults to that FTL's device.  In a
+    scheduled GC mode the FTL's collectors are pointed at the session
+    at construction, or by the first submit or trim after ``ftl`` is
+    assigned.  Host commands and GC commands share the resident
+    scheduler core, so they contend for planes, buses and ECC engines
+    on one timeline.
 
     ``queue_depth`` bounds the device-side in-flight window for
     :meth:`submit` traffic (``None`` = unbounded, pure open loop);
-    overflow waits in the session's submission backlog.  ``ftl`` is the
-    default router for logical I/O — :meth:`submit` accepts an explicit
-    ``ftl=`` for multi-namespace use.
+    overflow waits in the session's submission backlog.
 
     ``gc_mode`` selects where collections run (see the module
     docstring); ``gc_config`` tunes the victim policy and the background
@@ -222,21 +227,22 @@ class SsdSession:
         #: Completion queue (append-only, completion order).
         self.completions: list[IoCompletion] = []
         self._io: dict[int, _IoRecord] = {}
-        # Unstaged submissions in order, as (ftl, io, tag, submit_s); a
-        # trim waits among them as (ftl, lpn, None, None).
+        # Unstaged submissions in order, as (io, tag, submit_s); a trim
+        # waits among them as (lpn, None, None).
         self._backlog: deque[tuple] = deque()
         self._next_tag = 0
         # Scheduled-GC state: tag -> (shard GcStats, die) for in-flight
         # GC commands, per-die in-flight counts, per-die watermark
-        # hysteresis flags, and the capture gate that routes sink calls
+        # hysteresis flags, the capture gate that routes sink calls
         # onto the timeline (only while a submission stages or a
-        # background collection runs — never inside execute()).
+        # background collection runs — never inside execute()), and
+        # the FTL whose collectors the session installed.
         self._gc_tags: dict[int, tuple] = {}
         self._gc_inflight = 0
         self._gc_die_inflight = [0] * ssd.topology.dies
         self._gc_active = [False] * ssd.topology.dies
         self._gc_capture = False
-        self._gc_ftls: list = []
+        self._gc_ftl: "DieStripedFtl | None" = None
         if ftl is not None:
             self._install_gc(ftl)
 
@@ -252,24 +258,25 @@ class SsdSession:
         """Submissions (and trims behind them) waiting for the window."""
         return len(self._backlog)
 
-    def submit(
-        self, io: IoCommand, ftl: "DieStripedFtl | None" = None
-    ) -> int:
+    def submit(self, io: IoCommand) -> int:
         """Post one I/O to the submission queue; returns its tag.
 
         Callable from host code between engine runs or from a host
         frame on the session's core (:meth:`SchedulerCore.spawn
         <repro.ssd.scheduler.SchedulerCore.spawn>`, as the open-loop
-        runner's arrivals do).  The kind, the LPN range and the write
-        length are checked before a tag is allocated, so a rejected I/O
-        leaves no trace.  The FTL data path (mapping, allocation, ECC,
-        error injection) runs when the in-flight window admits the I/O
-        — at once if it is open and nothing is backlogged; the command's
-        timing is played out on the shared timeline and its
-        :class:`IoCompletion` lands in the completion queue
-        (:meth:`take_completions`).
+        runner's arrivals do).  The routed :attr:`ftl` (a session with
+        none raises), the kind, the LPN range and the write length are
+        checked before a tag is allocated, so a rejected I/O takes no
+        tag and joins no backlog.  The FTL data path (mapping,
+        allocation, ECC, error injection) runs when the in-flight window
+        admits the I/O — at once if it is open and nothing is
+        backlogged; the command's timing is played out on the session's
+        timeline and its :class:`IoCompletion` lands in the completion
+        queue (:meth:`take_completions`).
         """
-        ftl = self._ftl_for(ftl)
+        ftl = self.ftl
+        if ftl is not self._gc_ftl or ftl is None:
+            self._install_gc(ftl)
         if io.kind is not TraceOpKind.READ and io.kind is not TraceOpKind.WRITE:
             raise SimulationError(
                 f"sessions carry reads and writes only, not {io.kind}"
@@ -277,14 +284,13 @@ class SsdSession:
         ftl.route(io.lpn)
         if io.kind is TraceOpKind.WRITE:
             check_page_data(io.data, ftl.geometry.page_data_bytes)
-        self._install_gc(ftl)
         tag = self._next_tag
         self._next_tag += 1
-        self._backlog.append((ftl, io, tag, self.engine.now_s))
+        self._backlog.append((io, tag, self.engine.now_s))
         self._pump()
         return tag
 
-    def trim(self, lpn: int, ftl: "DieStripedFtl | None" = None) -> None:
+    def trim(self, lpn: int) -> None:
         """Discard a logical page once every earlier submission is staged.
 
         Applies at once when the backlog is empty; otherwise it waits
@@ -292,9 +298,11 @@ class SsdSession:
         write.  An unmapped page is left alone.  A trim takes no tag and
         produces no completion.
         """
-        ftl = self._ftl_for(ftl)
+        ftl = self.ftl
+        if ftl is not self._gc_ftl or ftl is None:
+            self._install_gc(ftl)
         ftl.route(lpn)
-        self._backlog.append((ftl, lpn, None, None))
+        self._backlog.append((lpn, None, None))
         self._pump()
 
     def take_completions(self) -> list[IoCompletion]:
@@ -463,15 +471,6 @@ class SsdSession:
         if self.gc_mode == "background":
             self._maybe_background_collect()
 
-    def _ftl_for(self, ftl: "DieStripedFtl | None") -> "DieStripedFtl":
-        """The explicit FTL, else the session's default router."""
-        ftl = self.ftl if ftl is None else ftl
-        if ftl is None:
-            raise SimulationError(
-                "session has no FTL: pass one at construction or per submit"
-            )
-        return ftl
-
     def _window_open(self) -> bool:
         """Whether the in-flight window admits one more host I/O.
 
@@ -493,26 +492,26 @@ class SsdSession:
         """
         backlog = self._backlog
         while backlog:
-            ftl, item, tag, submit_s = backlog[0]
+            item, tag, submit_s = backlog[0]
             if tag is None:  # a trim: item is its LPN
                 backlog.popleft()
+                ftl = self.ftl
                 if ftl.is_mapped(item):
                     ftl.trim(item)
             elif self._window_open():
                 backlog.popleft()
-                self._stage(ftl, item, tag, submit_s)
+                self._stage(item, tag, submit_s)
             else:
                 break
 
-    def _stage(
-        self, ftl: "DieStripedFtl", io: IoCommand, tag: int, submit_s: float
-    ) -> None:
+    def _stage(self, io: IoCommand, tag: int, submit_s: float) -> None:
         """Run one I/O's data path and enqueue its command.
 
         Runs with GC capture on, so in a scheduled mode any collection
         ``_provision`` triggers is replayed as GC-origin commands
         enqueued *before* the host command that needed the space.
         """
+        ftl = self.ftl
         self._gc_capture = True
         try:
             if io.kind is TraceOpKind.READ:
@@ -530,24 +529,26 @@ class SsdSession:
 
     # -- scheduled-GC machinery ------------------------------------------------------
 
-    def _install_gc(self, ftl: "DieStripedFtl") -> None:
-        """Point every shard's collector at this session's timeline.
+    def _install_gc(self, ftl: "DieStripedFtl | None") -> None:
+        """Route through ``ftl``: point its collectors at this timeline.
 
-        A no-op in sync mode, whose collections stay off the timeline.
+        Runs on the first submit or trim (or at construction with an
+        FTL).  In sync mode, whose collections stay off the timeline,
+        it installs nothing.
         """
+        if ftl is None:
+            raise SimulationError(
+                "session has no FTL: pass one at construction or set "
+                "session.ftl"
+            )
+        self._gc_ftl = ftl
         if self.gc_mode == "sync":
             return
-        for installed in self._gc_ftls:
-            if installed is ftl:
-                return
-        self._gc_ftls.append(ftl)
         for die, shard in enumerate(ftl.shards):
             shard.gc.policy = self.gc_config.policy
-            shard.gc.sink = partial(self._on_gc_migration, ftl, die)
+            shard.gc.sink = partial(self._on_gc_migration, die)
 
-    def _on_gc_migration(
-        self, ftl: "DieStripedFtl", die: int, migration: GcMigration
-    ) -> bool:
+    def _on_gc_migration(self, die: int, migration: GcMigration) -> bool:
         """Shard-collector sink: replay a migration on the timeline.
 
         Returns False (sync accounting) outside a capture window — a
@@ -555,6 +556,7 @@ class SsdSession:
         """
         if not self._gc_capture:
             return False
+        ftl = self._gc_ftl
         count = len(migration.reads) + len(migration.writes) + 1
         tags = range(self._next_tag, self._next_tag + count)
         commands = ftl.gc_commands(die, migration, tags)
@@ -572,54 +574,48 @@ class SsdSession:
         return True
 
     def _maybe_background_collect(self) -> None:
-        """Watermark- and idle-triggered collection, one pass per die.
+        """Watermark- and idle-triggered collection, one stripe per pass.
 
         Hysteresis: a die turns *active* when its free-block pool drops
         to the low watermark and stays active until the pool refills to
         the high one — no thrash at the boundary.  An idle die (no
-        commands in flight) may additionally collect eagerly below the
-        high watermark when ``idle_collect`` is on.  At most one
-        collection is in flight per die.
+        commands in flight) also collects eagerly below the high
+        watermark.  The eligible dies collect one superblock stripe, the
+        same block on each (:meth:`DieStripedFtl.pick_striped_victim
+        <repro.ssd.striped.DieStripedFtl.pick_striped_victim>`), so the
+        collection runs die-parallel.  At most one collection is in
+        flight per die.
         """
+        ftl = self._gc_ftl
+        if ftl is None:
+            return
         config = self.gc_config
         active = self._gc_active
         die_gc = self._gc_die_inflight
         die_host = self.core.die_inflight
-        for ftl in self._gc_ftls:
-            eligible = []
-            for die, shard in enumerate(ftl.shards):
-                free = shard.allocator.free_block_count
-                if free <= config.low_water_blocks:
-                    active[die] = True
-                elif free >= config.high_water_blocks:
-                    active[die] = False
-                if die_gc[die]:
-                    continue  # one collection in flight per die
-                if active[die] or (
-                    config.idle_collect
-                    and free < config.high_water_blocks
-                    and die_host[die] == 0
-                ):
-                    eligible.append(die)
-            if not eligible:
-                continue
-            self._gc_capture = True
-            try:
-                if config.superblock:
-                    stripe = ftl.pick_striped_victim(eligible)
-                    if stripe is None:
-                        continue
-                    for die, victim in zip(eligible, stripe):
-                        gc = ftl.shards[die].gc
-                        if gc.collect_block(victim) is not None:
-                            gc.stats.background_collections += 1
-                else:
-                    for die in eligible:
-                        gc = ftl.shards[die].gc
-                        victim = gc.pick_victim()
-                        if victim is None:
-                            continue
-                        if gc.collect_block(victim) is not None:
-                            gc.stats.background_collections += 1
-            finally:
-                self._gc_capture = False
+        eligible = []
+        for die, shard in enumerate(ftl.shards):
+            free = shard.allocator.free_block_count
+            if free <= config.low_water_blocks:
+                active[die] = True
+            elif free >= config.high_water_blocks:
+                active[die] = False
+            if die_gc[die]:
+                continue  # one collection in flight per die
+            if active[die] or (
+                free < config.high_water_blocks and die_host[die] == 0
+            ):
+                eligible.append(die)
+        if not eligible:
+            return
+        stripe = ftl.pick_striped_victim(eligible)
+        if stripe is None:
+            return
+        self._gc_capture = True
+        try:
+            for die, victim in zip(eligible, stripe):
+                gc = ftl.shards[die].gc
+                if gc.collect_block(victim) is not None:
+                    gc.stats.background_collections += 1
+        finally:
+            self._gc_capture = False

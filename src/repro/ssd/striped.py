@@ -22,33 +22,24 @@ further: cache reads hide sensing, multi-plane placement (see
 ``plane_interleave``) overlaps ISPP programs, and the pipelined ECC
 engine decodes page i while page i+1 streams.
 
-The surface mirrors :class:`~repro.ftl.ftl.FlashTranslationLayer`
-(write/read/trim/write_many/read_many/stats/apply_config), so namespaces
-in :class:`~repro.ftl.service.DifferentiatedStorage` can be backed by
-either a single-die partition or a striped SSD span.
-
-Timing is executed by the device's persistent
-:class:`~repro.ssd.session.SsdSession`: ``read_many``/``write_many``
-drain a closed batch through
+Timing is executed by the FTL's own
+:class:`~repro.ssd.session.SsdSession` (built on first use, or passed
+in): ``read_many``/``write_many`` drain a closed batch through
 :meth:`~repro.ssd.session.SsdSession.execute`, while
 :meth:`stage_reads`/:meth:`stage_writes` expose the same data-path +
 command-building step per submission so the session's open-loop
-``submit()`` stream reuses one code path.  Every
-striped FTL over one :class:`~repro.ssd.device.SsdDevice` shares that
-device's session by default, so namespaces contend in one device-wide
-queue.
+``submit()`` stream reuses one code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.controller.controller import ReadReport, WriteReport
 from repro.errors import ControllerError
 from repro.ftl.ftl import FlashTranslationLayer, FtlStats
 from repro.ftl.gc import GcMigration, GcStats
-from repro.nand.ispp import IsppAlgorithm
 from repro.nand.timing import NandTimingModel
 from repro.ssd.device import SsdDevice
 from repro.ssd.scheduler import (
@@ -57,10 +48,8 @@ from repro.ssd.scheduler import (
     DieCommand,
     ScheduleResult,
 )
+from repro.ssd.session import SsdSession
 from repro.ssd.topology import group_indices_by_die
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session uses striped)
-    from repro.ssd.session import SsdSession
 
 
 @dataclass(frozen=True)
@@ -78,28 +67,23 @@ class DieStripedFtl:
         self,
         ssd: SsdDevice,
         blocks: list[int] | None = None,
-        queue_depth: int | None = None,
         plane_interleave: bool = False,
-        session: "SsdSession | None" = None,
+        session: SsdSession | None = None,
     ):
         """Stripe over ``blocks`` of every die (the whole die by default).
 
-        ``queue_depth`` is the default host-queue window for batch calls
-        (``None`` keeps the queue as deep as the batch).
         ``plane_interleave`` makes each shard's allocator rotate open
         blocks across the die's array planes, so consecutive writes land
         on alternating planes — the placement policy that lets the
         scheduler's ``multi_plane`` pipeline overlap ISPP phases.
-        ``session`` overrides the queue pair batches execute on; by
-        default the device-wide :attr:`SsdDevice.session` is shared, so
-        every span over one SSD queues on one timeline.
+        ``session`` is the queue pair batches execute on; by default the
+        FTL builds its own on first use.
         """
         self.ssd = ssd
         self._session = session
         if blocks is None:
             blocks = list(range(ssd.geometry.blocks))
         self.blocks = list(blocks)
-        self.queue_depth = queue_depth
         self.shards = [
             FlashTranslationLayer(
                 controller, list(blocks), plane_interleave=plane_interleave
@@ -112,14 +96,14 @@ class DieStripedFtl:
         self.last_schedule: ScheduleResult | None = None
 
     @property
-    def session(self) -> "SsdSession":
+    def session(self) -> SsdSession:
         """The queue pair this FTL's commands execute on.
 
-        Defaults to the device-wide session so independent spans (e.g.
-        service-class namespaces) share one queue and one timeline.
+        Unless one was passed in, a sync-mode session routed for this
+        FTL, built on first use.
         """
         if self._session is None:
-            self._session = self.ssd.session
+            self._session = SsdSession(self)
         return self._session
 
     @property
@@ -144,14 +128,6 @@ class DieStripedFtl:
 
     # -- host interface --------------------------------------------------------------
 
-    def write(self, lpn: int, data: bytes) -> float:
-        """Write (or update) a logical page; returns the latency."""
-        return self.write_many([(lpn, data)])[0]
-
-    def read(self, lpn: int) -> tuple[bytes, float]:
-        """Read a logical page; returns (data, latency)."""
-        return self.read_many([lpn])[0]
-
     def write_many(
         self, items: list[tuple[int, bytes]], queue_depth: int | None = None
     ) -> list[float]:
@@ -162,7 +138,8 @@ class DieStripedFtl:
         then scheduled as PROGRAM commands — channel transfer + encode,
         then die program — and the returned latency of each page is its
         scheduled completion minus admission (queueing included).  The
-        full timeline is kept in :attr:`last_schedule`.
+        full timeline is kept in :attr:`last_schedule`.  ``queue_depth``
+        bounds the batch's in-flight window (``None``: the whole batch).
         """
         commands = self.stage_writes(items)
         return self._schedule(commands, len(items), queue_depth)
@@ -245,12 +222,7 @@ class DieStripedFtl:
         location = self.route(lpn)
         return self.shards[location.die].is_mapped(location.shard_lpn)
 
-    # -- configuration / telemetry ---------------------------------------------------
-
-    def apply_config(self, algorithm: IsppAlgorithm, ecc_t: int) -> None:
-        """Program the cross-layer knobs on every die's controller."""
-        for shard in self.shards:
-            shard.apply_config(algorithm, ecc_t)
+    # -- telemetry -------------------------------------------------------------------
 
     @property
     def stats(self) -> FtlStats:
@@ -449,15 +421,12 @@ class DieStripedFtl:
         count: int,
         queue_depth: int | None,
     ) -> list[float]:
-        """Drain the batch on the device session; per-tag latencies.
+        """Drain the batch on the FTL's session; per-tag latencies.
 
         Uses :meth:`~repro.ssd.session.SsdSession.execute`, which
         re-bases the session's resident core to a zero clock, so the
-        batch's timeline does not depend on earlier batches or on
-        sibling namespaces sharing the session.
+        batch's timeline does not depend on earlier batches.
         """
-        if queue_depth is None:
-            queue_depth = self.queue_depth
         self.last_schedule = self.session.execute(commands, queue_depth)
         by_tag = self.last_schedule.latency_by_tag()
         return [by_tag[tag] for tag in range(count)]

@@ -215,8 +215,9 @@ class TestCrossModeEquivalence:
             ssd = SsdDevice(topology, seed=1)
             session = SsdSession(ssd=ssd, gc_mode=gc_mode)
             ftl = DieStripedFtl(ssd, session=session)
+            session.ftl = ftl
             # A submission hands the FTL's collectors to the session.
-            session.submit(IoCommand(TraceOpKind.WRITE, 0, _page(0)), ftl=ftl)
+            session.submit(IoCommand(TraceOpKind.WRITE, 0, _page(0)))
             session.drain()
             latencies = [
                 ftl.write_many([
@@ -353,12 +354,11 @@ class TestSubmitChecks:
 # ---------------------------------------------------------------------------
 
 
-def _stub_shard(free_blocks: int, victim: int = 3):
+def _stub_shard(free_blocks: int):
     calls = []
     shard = SimpleNamespace(
         allocator=SimpleNamespace(free_block_count=free_blocks),
         gc=SimpleNamespace(
-            pick_victim=lambda: victim,
             collect_block=lambda block: (calls.append(block), block)[1],
             stats=GcStats(),
         ),
@@ -367,21 +367,31 @@ def _stub_shard(free_blocks: int, victim: int = 3):
 
 
 class TestWatermarkHysteresis:
-    def _session(self, shards, **config):
-        config.setdefault("policy", "greedy")
-        config.setdefault("low_water_blocks", 2)
-        config.setdefault("high_water_blocks", 4)
+    def _session(self, shards, victim=3):
+        """A background session routed for a stub FTL over ``shards``.
+
+        The stub's superblock pick names ``victim`` on every eligible
+        die and records which dies it was offered.
+        """
         _, session = _build(
             "background",
             dies=len(shards),
-            gc_config=GcConfig(**config),
+            gc_config=GcConfig(
+                policy="greedy", low_water_blocks=2, high_water_blocks=4
+            ),
         )
-        session._gc_ftls.append(SimpleNamespace(shards=shards))
-        return session
+        picks = []
+        session._gc_ftl = SimpleNamespace(
+            shards=shards,
+            pick_striped_victim=lambda dies: (
+                picks.append(list(dies)), [victim] * len(dies)
+            )[1],
+        )
+        return session, picks
 
     def test_band_does_not_thrash_and_low_water_latches(self):
         shard, calls = _stub_shard(free_blocks=5)
-        session = self._session([shard], superblock=False)
+        session, picks = self._session([shard])
         free = shard.allocator
 
         # Above the high watermark: nothing to do, idle or not.
@@ -416,28 +426,15 @@ class TestWatermarkHysteresis:
         session._maybe_background_collect()
         assert calls == [3, 3, 3] and not session._gc_active[0]
         assert shard.gc.stats.background_collections == 3
-
-    def test_idle_collect_off_waits_for_the_low_watermark(self):
-        shard, calls = _stub_shard(free_blocks=3)
-        session = self._session(
-            [shard], superblock=False, idle_collect=False
-        )
-        session._maybe_background_collect()  # idle die, band: no trigger
-        assert calls == []
-        shard.allocator.free_block_count = 2
-        session._maybe_background_collect()
-        assert calls == [3]
+        # A pass with no eligible die asks for no victim.
+        assert picks == [[0], [0], [0]]
 
     def test_superblock_collects_one_stripe_across_dies(self):
         shard_a, calls_a = _stub_shard(free_blocks=1)
         shard_b, calls_b = _stub_shard(free_blocks=1)
-        stub = SimpleNamespace(
-            shards=[shard_a, shard_b],
-            pick_striped_victim=lambda dies: [7] * len(dies),
-        )
-        session = self._session([shard_a, shard_b], superblock=True)
-        session._gc_ftls[-1] = stub
+        session, picks = self._session([shard_a, shard_b], victim=7)
         session._maybe_background_collect()
+        assert picks == [[0, 1]]
         assert calls_a == [7] and calls_b == [7]
         assert shard_a.gc.stats.background_collections == 1
         assert shard_b.gc.stats.background_collections == 1

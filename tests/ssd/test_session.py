@@ -306,7 +306,7 @@ class TestOpenLoopSession:
         )
 
     def test_runner_on_shared_session_rebases_and_restores_depth(self):
-        """A used device-wide session paces arrivals like a fresh one."""
+        """The FTL's used session paces arrivals like a fresh one."""
         def trace():
             return fixed_rate_arrivals(
                 [TraceOp(TraceOpKind.READ, 0, lpn) for lpn in range(8)] * 2,
@@ -342,12 +342,37 @@ class TestOpenLoopSession:
         ftl = _build()
         ftl.write_many([(0, bytes(4096))])
         session = ftl.session
-        session.submit(IoCommand(TraceOpKind.READ, 0), ftl=ftl)
+        session.submit(IoCommand(TraceOpKind.READ, 0))
         with pytest.raises(SimulationError):
             run_open_loop_workload(
                 ftl, OpenLoopWorkload("busy", []), session=session
             )
         session.drain()
+
+    @pytest.mark.parametrize("routed", ("other", "none"))
+    def test_runner_rejects_session_routed_elsewhere(self, routed):
+        """Checked before the clock is rebased or anything submitted."""
+        ftl = _build()
+        ftl.write_many([(0, bytes(4096))])
+        if routed == "other":
+            other = _build()
+            other.write_many([(0, bytes(4096))])
+            session = other.session
+        else:
+            session = SsdSession(ssd=ftl.ssd)
+            session.execute(ftl.stage_reads([0])[1])
+        clock = session.engine.now_s
+        assert clock > 0.0
+        reads = ftl.stats.host_reads
+        ops = [TraceOp(TraceOpKind.READ, 0, 0)]
+        with pytest.raises(SimulationError, match="session.ftl is ftl"):
+            run_open_loop_workload(
+                ftl, OpenLoopWorkload("elsewhere", ops), session=session
+            )
+        assert session.engine.now_s == clock
+        assert session.metrics().get("session_submissions") == 0
+        assert session.backlog == 0 and session.completions == []
+        assert ftl.stats.host_reads == reads
 
     def test_invalid_open_loop_queue_depth_rejected_up_front(self):
         with pytest.raises(SimulationError):
@@ -386,24 +411,37 @@ class TestOpenLoopSession:
         with pytest.raises(SimulationError):
             session.submit(IoCommand(TraceOpKind.ERASE, 0))
 
+    def test_session_without_ftl_rejects_io_before_a_tag(self):
+        ftl = _build()
+        ftl.write_many([(0, bytes(4096))])
+        session = SsdSession(ssd=ftl.ssd)
+        with pytest.raises(SimulationError, match="no FTL"):
+            session.submit(IoCommand(TraceOpKind.READ, 0))
+        with pytest.raises(SimulationError, match="no FTL"):
+            session.trim(0)
+        assert session.backlog == 0
+        assert ftl.is_mapped(0)
+        session.ftl = ftl
+        # The rejected calls took no tag: the first I/O gets tag 0.
+        assert session.submit(IoCommand(TraceOpKind.READ, 0)) == 0
+        session.drain()
+        (done,) = session.take_completions()
+        assert (done.tag, done.data) == (0, bytes(4096))
+
+    def test_ftl_builds_its_own_session(self):
+        ftl = _build()
+        session = ftl.session
+        assert session.ftl is ftl and session.ssd is ftl.ssd
+        assert session.gc_mode == "sync"
+        assert ftl.session is session
+        assert _build().session is not session
+
     def test_execute_requires_idle_session(self):
         ftl = _build()
         ftl.write_many([(0, bytes(4096))])
-        session = ftl.session  # device-wide: routes I/O per explicit FTL
-        session.submit(IoCommand(TraceOpKind.READ, 0), ftl=ftl)
+        session = ftl.session
+        session.submit(IoCommand(TraceOpKind.READ, 0))
         with pytest.raises(SimulationError):
             ftl.read_many([0])
         session.drain()
         assert ftl.read_many([0])[0][0] == bytes(4096)
-
-    def test_namespaces_share_device_session(self):
-        from repro.ftl.service import DifferentiatedStorage, ServiceClass
-
-        ssd = _build(1, 2).ssd
-        storage = DifferentiatedStorage(ssd=ssd)
-        media = storage.create_namespace("media", ServiceClass.STREAMING, 3)
-        logs = storage.create_namespace(
-            "logs", ServiceClass.MISSION_CRITICAL, 3
-        )
-        assert media.ftl.session is logs.ftl.session is ssd.session
-        assert storage.session is ssd.session

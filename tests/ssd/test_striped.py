@@ -14,7 +14,6 @@ from repro.core.modes import OperatingMode
 from repro.core.policy import CrossLayerPolicy
 from repro.errors import ControllerError
 from repro.ftl.ftl import FlashTranslationLayer
-from repro.ftl.service import DifferentiatedStorage, ServiceClass
 from repro.nand.geometry import NandGeometry
 from repro.nand.ispp import IsppAlgorithm
 from repro.sim.host import HostWorkload, run_ssd_workload
@@ -102,9 +101,9 @@ class TestSingleDieEquivalence:
         striped = DieStripedFtl(_ssd(seed=seed))
         reference = self._reference_ftl(seed)
         payload = _payloads(1, seed=5)[0]
-        striped.write(0, payload)
+        striped.write_many([(0, payload)])
         reference.write(0, payload)
-        assert striped.read(0)[0] == reference.read(0)[0] == payload
+        assert striped.read_many([0])[0][0] == reference.read(0)[0] == payload
         striped.trim(0)
         assert not striped.is_mapped(0)
 
@@ -170,33 +169,6 @@ class TestDeterminism:
         ]
 
 
-class TestServiceIntegration:
-    def test_namespaces_stripe_over_the_ssd(self):
-        storage = DifferentiatedStorage(ssd=_ssd(channels=2, dies_per_channel=2))
-        vault = storage.create_namespace("vault", ServiceClass.MISSION_CRITICAL, 3)
-        media = storage.create_namespace("media", ServiceClass.STREAMING, 3)
-        assert isinstance(vault.ftl, DieStripedFtl)
-        assert vault.logical_capacity == 4 * (3 * 8 - 8)
-        payloads = _payloads(8)
-        storage.write_many("vault", list(enumerate(payloads)))
-        storage.write_many("media", list(enumerate(payloads)))
-        for (data, _), payload in zip(
-            storage.read_many("vault", list(range(8))), payloads
-        ):
-            assert data == payload
-        report = {row["namespace"]: row for row in storage.report()}
-        assert report["vault"]["host_writes"] == 8
-        assert media.config.algorithm.name == "DV"
-
-    def test_backend_must_be_exactly_one(self):
-        with pytest.raises(ControllerError):
-            DifferentiatedStorage()
-        with pytest.raises(ControllerError):
-            DifferentiatedStorage(
-                NandController(GEOMETRY), ssd=_ssd()
-            )
-
-
 class TestHostRunner:
     def test_run_ssd_workload_scales_with_topology(self):
         trace = queued_playback_trace(
@@ -218,11 +190,12 @@ class TestStoredCapability:
         """A page written at t = 4 and read after a switch to t = 65
         holds the ECC engine for the t = 4 decode interval."""
         ftl = DieStripedFtl(_ssd(wear=0))
-        ftl.apply_config(IsppAlgorithm.SV, 4)
+        (shard,) = ftl.shards
+        shard.apply_config(IsppAlgorithm.SV, 4)
         ftl.stage_writes([(0, _payloads(1)[0])])
-        ftl.apply_config(IsppAlgorithm.SV, 65)
+        shard.apply_config(IsppAlgorithm.SV, 65)
         _, (command,) = ftl.stage_reads([0])
-        codec = ftl.shards[0].controller.codec
+        codec = shard.controller.codec
         decode = command.phases[-1]
         assert decode.hold_s == codec.decode_interval_s(4)
         assert decode.hold_s < codec.decode_interval_s(65)

@@ -95,9 +95,9 @@ def _run(gc_mode: str):
     backlog_at_submit = []
     submit = session.submit
 
-    def spy(io, ftl=None):
+    def spy(io):
         backlog_at_submit.append(session.backlog)
-        return submit(io, ftl)
+        return submit(io)
 
     session.submit = spy
     done = []
