@@ -18,7 +18,6 @@ import numpy as np
 
 from repro import params as canon
 from repro.analysis.ascii_plot import ascii_chart, format_table
-from repro.analysis.fitting import fit_cell_model
 from repro.analysis.series import LifetimeSeries
 from repro.bch.codec import AdaptiveBCHCodec
 from repro.bch.hardware import EccLatencyModel
@@ -68,9 +67,17 @@ class ExperimentResult:
 
 
 class ExperimentSuite:
-    """Shared models + all figure runners."""
+    """Shared models + all figure runners.
+
+    Building the suite loads scipy (``scipy.optimize`` for the Fig. 4
+    fit, ``scipy.special`` in :class:`MonteCarloRber`), so a runner
+    imports nothing while it runs and importing this module loads none.
+    """
 
     def __init__(self, seed: int = 2012):
+        from repro.analysis.fitting import fit_cell_model
+
+        self._fit_cell_model = fit_cell_model
         self.rng = np.random.default_rng(seed)
         self.rber_model = LifetimeRberModel()
         self.policy = CrossLayerPolicy(rber_model=self.rber_model)
@@ -173,7 +180,7 @@ class ExperimentSuite:
 
     def run_fig04(self) -> ExperimentResult:
         """Compact-model fit of the experimental ISPP staircase."""
-        fit = fit_cell_model()
+        fit = self._fit_cell_model()
         rows = [
             [float(v), float(e), float(p), float(p - e)]
             for v, e, p in zip(fit.dataset.vcg, fit.dataset.vth, fit.predicted)

@@ -8,6 +8,10 @@ equivalent measurement: a sub-threshold plateau followed by the linear
 staircase, produced by a *different* functional form than the compact
 model plus seeded measurement noise — so the fit below is a genuine
 cross-model regression, not an identity.
+
+The package imports this module only when an ``ExperimentSuite`` is
+built, so ``scipy.optimize`` loads with the figure suite, not on
+``import repro``.
 """
 
 from __future__ import annotations

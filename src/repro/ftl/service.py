@@ -67,7 +67,6 @@ class DifferentiatedStorage:
     def __init__(self, controller: NandController):
         self.controller = controller
         self._namespaces: dict[str, Namespace] = {}
-        self._allocated_blocks: set[int] = set()
         self._next_block = 0
 
     # -- provisioning -----------------------------------------------------------
@@ -88,7 +87,6 @@ class DifferentiatedStorage:
             )
         partition = list(range(self._next_block, self._next_block + blocks))
         self._next_block += blocks
-        self._allocated_blocks.update(partition)
 
         age = float(self.controller.device.array.max_wear())
         config = self.controller.policy.config_for(

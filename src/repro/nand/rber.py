@@ -14,6 +14,8 @@ Two tiers:
   Monte-Carlo: programs sample pages, fits per-level Gaussians (with the
   aging read-instability added) and integrates the sensing-margin tails.
   Validates the analytic curve; see ``tests/nand/test_rber_calibration.py``.
+  It is the package's one user of ``scipy.special`` (``ndtr``), which it
+  imports when it is built, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro import params as canon
 from repro.bch.uber import max_rber_for_t, required_t
@@ -134,7 +135,10 @@ class MonteCarloRber:
     """
 
     def __init__(self, programmer: PageProgrammer | None = None):
+        from scipy.special import ndtr
+
         self.programmer = programmer or PageProgrammer()
+        self._ndtr = ndtr
 
     def estimate(
         self,
@@ -200,7 +204,7 @@ class MonteCarloRber:
                 for threshold, direction, bad_bits in boundaries[level]:
                     z = direction * (threshold - mean) / sigma
                     # Upper Gaussian tail, norm.sf(z) == ndtr(-z).
-                    tail_err_bits += clean.size * bad_bits * float(ndtr(-z))
+                    tail_err_bits += clean.size * bad_bits * float(self._ndtr(-z))
                 # Empirical contribution of gross outliers.
                 outliers = values[~inliers]
                 if outliers.size:

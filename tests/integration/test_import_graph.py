@@ -2,17 +2,24 @@
 
 Every end-to-end run starts in a fresh process that imports ``repro``,
 ``repro.ssd``, ``repro.sim.host`` and ``repro.analysis.experiments``,
-so every module they pull in is set-up time on every run.  Two heavy
-imports serve one rarely run path each and are made where they are
-called: ``scipy.stats`` in ``uber_exact`` (the exact binomial tail) and
-the process pool in the pooled branch of ``monte_carlo_uber``.
+and ``python -m repro lint`` imports ``repro.cli`` and
+``repro.analysis.lint``, so every module they pull in is set-up time.
+The mechanism and the SSD stack need only numpy.  scipy serves the
+paper figures and rarely run paths, and is imported where the code that
+calls it is built or run: ``scipy.special`` in ``MonteCarloRber`` and
+``scipy.optimize`` (through ``repro.analysis.fitting``) in
+``ExperimentSuite`` when they are built, ``scipy.stats`` in
+``uber_exact`` (the exact binomial tail), and the process pool in the
+pooled branch of ``monte_carlo_uber``.
 
-Like ``tests/ssd/test_cost_budget.py``, this guard counts instead of
-timing: in a fresh interpreter it imports the four packages, fails
+Like ``tests/ssd/test_cost_budget.py``, these guards count instead of
+timing, each in a fresh interpreter.  The first imports the set, fails
 naming every forbidden module found in ``sys.modules``, then calls
-``uber_exact`` once to check that the deferred import works.
-``scipy.special`` and ``scipy.optimize`` stay eager: the figures call
-them inside their timed run, where a deferred import would be paid.
+``uber_exact`` once to check that the deferred import works.  The
+second checks that a bare ``MonteCarloRber`` loads ``scipy.special``
+and a built ``ExperimentSuite`` ``scipy.optimize`` too, and then that
+the runners calling ``ndtr`` and ``least_squares`` import nothing: the
+figures pay for scipy in set-up, never inside a timed run.
 """
 
 import json
@@ -25,7 +32,7 @@ import repro
 from repro.bch.uber import uber_exact
 
 #: Prefixes of the module names a cold import may not load.
-FORBIDDEN = ("scipy.stats", "concurrent.futures.process", "multiprocessing")
+FORBIDDEN = ("scipy", "concurrent.futures.process", "multiprocessing")
 
 #: The (RBER, n, t) the child evaluates ``uber_exact`` at.
 POINT = (1e-3, 32768 + 16 * 6, 6)
@@ -33,20 +40,54 @@ POINT = (1e-3, 32768 + 16 * 6, 6)
 CHILD = f"""\
 import json, sys
 import repro, repro.ssd, repro.sim.host, repro.analysis.experiments
+import repro.cli, repro.analysis.lint
 loaded = sorted(sys.modules)
 from repro.bch.uber import uber_exact
 print(json.dumps({{"loaded": loaded, "uber": uber_exact{POINT!r}}}))
 """
 
+#: Builds a bare estimator (``scipy.optimize`` loads ``scipy.special``
+#: too, so only a bare one shows where ``ndtr`` is imported), then the
+#: figure suite, then runs the runners that call ``ndtr``
+#: (``MonteCarloRber.estimate``) and ``least_squares`` (``fit_cell_model``).
+SUITE_CHILD = """\
+import json, sys
+from repro.nand.rber import MonteCarloRber
+MonteCarloRber()
+special = "scipy.special" in sys.modules
+from repro.analysis.experiments import ExperimentSuite
+suite = ExperimentSuite(seed=2012)
+optimize = "scipy.optimize" in sys.modules
+built = set(sys.modules)
+suite.run_fig04()
+suite.run_fig05()
+suite.run_ablation_retention()
+print(json.dumps({"special": special, "optimize": optimize,
+                  "added": sorted(set(sys.modules) - built)}))
+"""
 
-def test_cold_import_loads_no_stats_or_process_pool():
+
+def _run_child(source: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
     child = subprocess.run(
-        [sys.executable, "-c", CHILD], env=env, capture_output=True,
+        [sys.executable, "-c", source], env=env, capture_output=True,
         text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    report = json.loads(child.stdout)
+    return json.loads(child.stdout)
+
+
+def test_cold_import_loads_no_scipy_or_process_pool():
+    report = _run_child(CHILD)
     loaded = [name for name in report["loaded"] if name.startswith(FORBIDDEN)]
     assert not loaded, f"a cold import loads {', '.join(loaded)}"
     assert report["uber"] == uber_exact(*POINT)
+
+
+def test_built_suite_runs_figures_without_importing():
+    report = _run_child(SUITE_CHILD)
+    assert report["special"], "MonteCarloRber() leaves scipy.special unloaded"
+    assert report["optimize"], "ExperimentSuite() leaves scipy.optimize unloaded"
+    assert not report["added"], (
+        f"the figure runners import {', '.join(report['added'])}"
+    )
