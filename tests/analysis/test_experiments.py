@@ -1,11 +1,21 @@
 """Experiment registry tests — every figure runner produces sound output."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentSuite
 
 GRID = np.logspace(0, 5, 5)
+
+#: sha256 of ``run_uber_mc()``'s table at its defaults (four stress
+#: points, 96 pages each in chunks of 24, seed 2012), recorded with the
+#: chunks fanned out over two worker processes.  Each chunk draws from
+#: its own ``SeedSequence`` spawn, so how the chunks run cannot move it.
+UBER_MC_TABLE_SHA256 = (
+    "47a93b1e5a7b4c6b969f38f47bb63177d3642f101cc61cfd1ddc357757d064ee"
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +151,12 @@ class TestUberMonteCarlo:
             assert 0.0 < exact < 1.0
             # Eight pages: the rate's binomial sd is at most about 0.18.
             assert abs(rate - exact) < 0.5
+
+    def test_default_sweep_table_is_pinned(self, suite):
+        table = suite.run_uber_mc().table
+        assert hashlib.sha256(table.encode()).hexdigest() == (
+            UBER_MC_TABLE_SHA256
+        )
 
     def test_render_produces_report(self, suite):
         result = suite.run_fig07()
