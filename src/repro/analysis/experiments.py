@@ -1407,17 +1407,15 @@ class ExperimentSuite:
         self,
         pages: int = 96,
         chunk_pages: int = 24,
-        workers: int | None = 2,
     ) -> ExperimentResult:
-        """Monte-Carlo UBER sweep through the real codec (process pool).
+        """Monte-Carlo UBER sweep through the real codec.
 
         Each operating point pushes ``pages`` random pages through
         encode -> binomial corruption -> decode at a stress RBER chosen
         around the capability knee (n * RBER near t), where failures are
         observable with small samples; the exact binomial tail is the
-        reference.  Chunks fan out over a process pool with per-chunk
-        ``SeedSequence`` spawns, so the sweep is deterministic for any
-        worker count.
+        reference.  Each chunk of ``chunk_pages`` draws from its own
+        ``SeedSequence`` spawn of the sweep's seed.
         """
         from repro.bch.uber import monte_carlo_uber, uber_exact
 
@@ -1430,7 +1428,7 @@ class ExperimentSuite:
         for t, rber in points:
             mc = monte_carlo_uber(
                 rber, t, pages, k=k, m=m, seed=2012,
-                chunk_pages=chunk_pages, workers=workers,
+                chunk_pages=chunk_pages,
             )
             exact_page = uber_exact(rber, mc.n, t) * mc.n
             rows.append([
@@ -1444,14 +1442,13 @@ class ExperimentSuite:
         )
         return ExperimentResult(
             exp_id="uber_mc",
-            title="Monte-Carlo UBER vs the binomial tail (real codec, "
-                  "process-pool fan-out)",
+            title="Monte-Carlo UBER vs the binomial tail (real codec)",
             table=table,
-            data={"rows": rows, "workers": workers},
+            data={"rows": rows},
             notes=(
                 "MC page-failure rates track the exact binomial tail at "
                 "every stress point; per-chunk SeedSequence spawns make "
-                "the sweep reproducible for any process count"
+                "the sweep reproducible"
             ),
         )
 

@@ -14,12 +14,10 @@ on its first call, not with this module.
 
 :func:`monte_carlo_uber` cross-checks both models against the *real*
 codec: batches of random pages are encoded, corrupted at the target RBER
-and decoded through the vectorized datapath.  Batches are chunked and
-fanned out across a :class:`concurrent.futures.ProcessPoolExecutor`,
-which only a pooled run imports; every chunk draws its randomness from
-its own :class:`numpy.random.SeedSequence` spawn and the aggregation is
-order-independent, so the result is bit-identical regardless of how many
-worker processes run the sweep (including none).
+and decoded through the vectorized datapath, one chunk at a time.  Every
+chunk draws its randomness from its own
+:class:`numpy.random.SeedSequence` spawn, so a chunk's outcome depends
+only on the seed, its position and its size.
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ def log10_achieved_uber(
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo UBER through the real codec (process-pool fan-out)
+# Monte-Carlo UBER through the real codec
 # ---------------------------------------------------------------------------
 
 
@@ -162,23 +160,21 @@ class McUberResult:
 
 @lru_cache(maxsize=4)
 def _mc_codec(k: int, m: int | None, t_max: int):
-    """Per-process codec cache (design tables are expensive to rebuild)."""
+    """Codec cache (design tables are expensive to rebuild)."""
     from repro.bch.codec import AdaptiveBCHCodec
 
     return AdaptiveBCHCodec(k=k, t_max=t_max, m=m)
 
 
-def _mc_uber_chunk(job: tuple) -> tuple[int, int, int, int]:
-    """One MC chunk: (failed_pages, injected_bits, corrected_bits, n).
+def _mc_uber_chunk(
+    codec, t: int, pages: int, rber: float, seed_seq: np.random.SeedSequence
+) -> tuple[int, int, int]:
+    """One MC chunk: (failed_pages, injected_bits, corrected_bits).
 
-    Module-level and tuple-driven so it pickles into pool workers; the
-    chunk's :class:`~numpy.random.SeedSequence` fully determines its
-    randomness, making results independent of which worker runs it.
-    The codeword length n rides along so the parent never has to build
-    the (expensive) code-design tables itself in the pooled path.
+    The chunk's :class:`~numpy.random.SeedSequence` fully determines its
+    randomness.
     """
-    k, m, t, pages, rber, seed_seq = job
-    codec = _mc_codec(k, m, t)
+    k = codec.k
     spec = codec.spec_for(t)
     rng = np.random.default_rng(seed_seq)
     messages = [rng.bytes(k // 8) for _ in range(pages)]
@@ -202,7 +198,7 @@ def _mc_uber_chunk(job: tuple) -> tuple[int, int, int, int]:
         if not result.success or result.data != message
     )
     corrected = sum(r.corrected_bits for r in results if r.success)
-    return failed, int(counts.sum()), corrected, spec.n
+    return failed, int(counts.sum()), corrected
 
 
 def monte_carlo_uber(
@@ -213,7 +209,6 @@ def monte_carlo_uber(
     m: int | None = None,
     seed: int = 0,
     chunk_pages: int = 64,
-    workers: int | None = None,
 ) -> McUberResult:
     """Monte-Carlo UBER of capability ``t`` at ``rber`` via the real codec.
 
@@ -221,10 +216,8 @@ def monte_carlo_uber(
     at uniform distinct positions over the n-bit codeword) and decoded;
     a page counts as failed when the decoder gives up *or* miscorrects.
     The work is split into ceil(pages / chunk_pages) chunks, each seeded
-    by one :class:`numpy.random.SeedSequence` spawn of ``seed``, and
-    chunks are fanned out across ``workers`` processes (``None`` or <= 1
-    runs them inline).  Aggregation sums per-chunk counters, so the
-    result is deterministic regardless of worker count.
+    by one :class:`numpy.random.SeedSequence` spawn of ``seed``, and the
+    per-chunk counters are summed.
     """
     if pages <= 0:
         raise ValueError("pages must be positive")
@@ -235,24 +228,16 @@ def monte_carlo_uber(
         for start in range(0, pages, chunk_pages)
     ]
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = [
-        (k, m, t, size, rber, child) for size, child in zip(sizes, seeds)
+    codec = _mc_codec(k, m, t)
+    outcomes = [
+        _mc_uber_chunk(codec, t, size, rber, child)
+        for size, child in zip(sizes, seeds)
     ]
-    if workers is None or workers <= 1 or len(jobs) == 1:
-        outcomes = [_mc_uber_chunk(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            outcomes = list(pool.map(_mc_uber_chunk, jobs))
-    failed = sum(outcome[0] for outcome in outcomes)
-    injected = sum(outcome[1] for outcome in outcomes)
-    corrected = sum(outcome[2] for outcome in outcomes)
-    n = outcomes[0][3]
+    failed, injected, corrected = map(sum, zip(*outcomes))
     return McUberResult(
         rber=rber,
         t=t,
-        n=n,
+        n=codec.spec_for(t).n,
         pages=pages,
         failed_pages=failed,
         injected_bits=injected,

@@ -52,7 +52,7 @@ def _runners(suite) -> dict[str, tuple[str, callable]]:
                         suite.run_system_observe),
         "sys_sustained": ("sustained-write steady state (session GC modes)",
                           suite.run_system_sustained),
-        "uber_mc": ("Monte-Carlo UBER sweep (process pool)", suite.run_uber_mc),
+        "uber_mc": ("Monte-Carlo UBER sweep", suite.run_uber_mc),
     }
 
 

@@ -10,9 +10,9 @@ from repro.analysis.experiments import ExperimentSuite
 GRID = np.logspace(0, 5, 5)
 
 #: sha256 of ``run_uber_mc()``'s table at its defaults (four stress
-#: points, 96 pages each in chunks of 24, seed 2012), recorded with the
-#: chunks fanned out over two worker processes.  Each chunk draws from
-#: its own ``SeedSequence`` spawn, so how the chunks run cannot move it.
+#: points, 96 pages each in chunks of 24, seed 2012).  It was recorded
+#: while the chunks still fanned out over two worker processes; they run
+#: inline now, and each chunk's own ``SeedSequence`` spawn kept it.
 UBER_MC_TABLE_SHA256 = (
     "47a93b1e5a7b4c6b969f38f47bb63177d3642f101cc61cfd1ddc357757d064ee"
 )
@@ -142,7 +142,7 @@ class TestAblations:
 
 class TestUberMonteCarlo:
     def test_in_process_sweep_tracks_exact_tail(self, suite):
-        result = suite.run_uber_mc(pages=8, chunk_pages=8, workers=None)
+        result = suite.run_uber_mc(pages=8, chunk_pages=8)
         rows = result.data["rows"]
         assert [row[0] for row in rows] == [3, 14, 14, 65]
         for _, _, pages, _, failed, rate, exact in rows:

@@ -8,9 +8,9 @@ The mechanism and the SSD stack need only numpy.  scipy serves the
 paper figures and rarely run paths, and is imported where the code that
 calls it is built or run: ``scipy.special`` in ``MonteCarloRber`` and
 ``scipy.optimize`` (through ``repro.analysis.fitting``) in
-``ExperimentSuite`` when they are built, ``scipy.stats`` in
-``uber_exact`` (the exact binomial tail), and the process pool in the
-pooled branch of ``monte_carlo_uber``.
+``ExperimentSuite`` when they are built, and ``scipy.stats`` in
+``uber_exact`` (the exact binomial tail).  No module starts worker
+processes, and none may load the process-pool machinery.
 
 Like ``tests/ssd/test_cost_budget.py``, these guards count instead of
 timing, each in a fresh interpreter.  The first imports the set, fails
