@@ -429,7 +429,7 @@ class ExperimentSuite:
         table = series.to_table()
         if mc_pages > 0:
             age = float(grid[-1])
-            t_nom = self.rber_model.required_t(IsppAlgorithm.SV, age)
+            t_nom = self.policy.required_t_for(IsppAlgorithm.SV, age)
             mc_sv = self.ecc_mc_batch(self.rber_model.rber_sv(age), t_nom, mc_pages)
             mc_dv = self.ecc_mc_batch(self.rber_model.rber_dv(age), t_nom, mc_pages)
             mc = {"mc_sv": mc_sv, "mc_dv": mc_dv}
@@ -482,8 +482,8 @@ class ExperimentSuite:
         table = series.to_table()
         if mc_pages > 0:
             age = float(grid[-1])
-            t_sv = self.rber_model.required_t(IsppAlgorithm.SV, age)
-            t_dv = self.rber_model.required_t(IsppAlgorithm.DV, age)
+            t_sv = self.policy.required_t_for(IsppAlgorithm.SV, age)
+            t_dv = self.policy.required_t_for(IsppAlgorithm.DV, age)
             mc_sv = self.ecc_mc_batch(self.rber_model.rber_sv(age), t_sv, mc_pages)
             mc_dv = self.ecc_mc_batch(self.rber_model.rber_dv(age), t_dv, mc_pages)
             mc = {"mc_baseline": mc_sv, "mc_max_read": mc_dv}

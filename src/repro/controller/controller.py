@@ -87,7 +87,9 @@ class NandController:
     ):
         self.geometry = geometry or NandGeometry()
         self.config = config or ControllerConfig()
-        self.policy = policy or CrossLayerPolicy(t_max=self.config.t_max)
+        self.policy = policy or CrossLayerPolicy(
+            t_max=self.config.t_max, t_min=self.config.t_min
+        )
         self.device = device or NandFlashDevice(
             self.geometry, rber_model=self.policy.rber_model, rng=rng
         )
@@ -101,17 +103,16 @@ class NandController:
         self.spare = SpareAreaLayout(spare_bytes=self.geometry.page_spare_bytes)
         self.fsm = CoreControllerFsm(self.codec, self.device, self.ocp, self.spare)
         self.reliability = ReliabilityManager(
-            self.codec, reliability_policy, OperatingMode.BASELINE
+            self.codec, self.policy, reliability_policy
         )
-        self._mode = OperatingMode.BASELINE
         self._apply_mode_config(pe_reference=0.0)
 
     # -- cross-layer configuration ------------------------------------------
 
     @property
     def mode(self) -> OperatingMode:
-        """Active operating mode."""
-        return self._mode
+        """Active operating mode (held by the reliability manager)."""
+        return self.reliability.mode
 
     def set_mode(self, mode: OperatingMode, pe_reference: float | None = None) -> None:
         """Select a service level (user-facing cross-layer knob).
@@ -119,9 +120,8 @@ class NandController:
         ``pe_reference`` anchors the policy's age estimate; by default the
         worst-case block wear observed so far is used.
         """
-        self._mode = mode
+        self.reliability.mode = mode
         self.registers.set_named("OPERATING_MODE", mode.register_code)
-        self.reliability.manager.set_mode(mode)
         self._apply_mode_config(pe_reference)
 
     def _apply_mode_config(self, pe_reference: float | None) -> None:
@@ -130,7 +130,7 @@ class NandController:
             if pe_reference is None
             else pe_reference
         )
-        cfg = self.policy.config_for(self._mode, age)
+        cfg = self.policy.config_for(self.mode, age)
         self.apply_config(cfg.algorithm, cfg.ecc_t)
 
     def apply_config(self, algorithm: IsppAlgorithm, ecc_t: int) -> None:
@@ -261,7 +261,7 @@ class NandController:
     def status(self) -> dict[str, int | str]:
         """Controller status snapshot (registers + mode)."""
         return {
-            "mode": self._mode.value,
+            "mode": self.mode.value,
             "ecc_t": self.registers.get_named("ECC_T"),
             "program_algorithm": (
                 "ispp-dv" if self.registers.get_named("PROGRAM_ALGORITHM") else "ispp-sv"

@@ -17,7 +17,6 @@ from repro.core.config import CrossLayerConfig
 from repro.core.policy import CrossLayerPolicy
 from repro.core.tradeoff import TradeoffAnalyzer, TradeoffPoint
 from repro.core.pareto import OperatingPoint, enumerate_operating_points, pareto_front
-from repro.core.manager import SelfAdaptiveManager
 
 __all__ = [
     "OperatingMode",
@@ -28,5 +27,4 @@ __all__ = [
     "OperatingPoint",
     "enumerate_operating_points",
     "pareto_front",
-    "SelfAdaptiveManager",
 ]

@@ -1,8 +1,13 @@
 """Mode -> cross-layer configuration mapping (paper section 6.3).
 
 The policy owns the lifetime RBER model and the UBER target and answers
-"what (algorithm, t) should the sub-system run at this age in this mode" —
-the decision the paper's reliability manager takes when reconfiguring.
+"what (algorithm, t) should the sub-system run at this RBER in this
+mode" — the decision the paper's reliability manager takes when
+reconfiguring.  :meth:`CrossLayerPolicy.config_for_rber` writes the
+section 6.3 mode table once; :meth:`CrossLayerPolicy.config_for` asks
+it at a device age through the lifetime model, and the controller's
+:class:`~repro.controller.reliability.ReliabilityManager` asks it at
+the RBER its decode feedback observes.
 """
 
 from __future__ import annotations
@@ -18,6 +23,17 @@ from repro.nand.rber import LifetimeRberModel
 
 class CrossLayerPolicy:
     """Selects joint physical/architectural settings per operating mode."""
+
+    #: The section 6.3 mode table: the program algorithm each mode runs,
+    #: and the algorithm whose RBER sizes its t.  BASELINE keeps ISPP-SV
+    #: with the t its RBER needs; MIN_UBER switches the physical layer
+    #: only (same t as baseline, section 6.3.1); MAX_READ_THROUGHPUT
+    #: switches it *and* relaxes t to ISPP-DV's requirement (6.3.2).
+    MODES = {
+        OperatingMode.BASELINE: (IsppAlgorithm.SV, IsppAlgorithm.SV),
+        OperatingMode.MIN_UBER: (IsppAlgorithm.DV, IsppAlgorithm.SV),
+        OperatingMode.MAX_READ_THROUGHPUT: (IsppAlgorithm.DV, IsppAlgorithm.DV),
+    }
 
     def __init__(
         self,
@@ -39,10 +55,14 @@ class CrossLayerPolicy:
         self.k = k
         self.m = m
 
-    def required_t_for(self, algorithm: IsppAlgorithm, pe_cycles: float) -> int:
-        """Minimum capability meeting the UBER target for an algorithm/age."""
+    def required_t(self, rber: float) -> int:
+        """Minimum capability meeting the UBER target at an RBER.
+
+        Raises :class:`~repro.errors.CodeDesignError` past end of life,
+        where even ``t_max`` falls short.
+        """
         return required_t(
-            self.rber_model.rber(algorithm, pe_cycles),
+            rber,
             k=self.k,
             m=self.m,
             uber_target=self.uber_target,
@@ -50,23 +70,36 @@ class CrossLayerPolicy:
             t_min=self.t_min,
         )
 
-    def config_for(self, mode: OperatingMode, pe_cycles: float) -> CrossLayerConfig:
-        """Cross-layer configuration for a mode at a device age.
+    def required_t_for(self, algorithm: IsppAlgorithm, pe_cycles: float) -> int:
+        """Minimum capability meeting the UBER target for an algorithm/age."""
+        return self.required_t(self.rber_model.rber(algorithm, pe_cycles))
 
-        BASELINE keeps ISPP-SV with the tracking t; MIN_UBER switches the
-        physical layer only (same t as baseline, section 6.3.1); MAX_READ
-        switches the physical layer *and* relaxes t to ISPP-DV's
-        requirement (section 6.3.2).
+    def config_for_rber(
+        self, mode: OperatingMode, sv_rber: float, dv_rber: float
+    ) -> CrossLayerConfig:
+        """Cross-layer configuration for a mode at a pair of RBERs.
+
+        ``sv_rber`` and ``dv_rber`` are the device's RBER under ISPP-SV
+        and under ISPP-DV; :attr:`MODES` picks the algorithm and the RBER
+        that sizes t, and only that t is computed.  Raises
+        :class:`~repro.errors.CodeDesignError` past end of life.
         """
-        baseline_t = self.required_t_for(IsppAlgorithm.SV, pe_cycles)
-        if mode is OperatingMode.BASELINE:
-            return CrossLayerConfig(IsppAlgorithm.SV, baseline_t)
-        if mode is OperatingMode.MIN_UBER:
-            return CrossLayerConfig(IsppAlgorithm.DV, baseline_t)
-        if mode is OperatingMode.MAX_READ_THROUGHPUT:
-            relaxed_t = self.required_t_for(IsppAlgorithm.DV, pe_cycles)
-            return CrossLayerConfig(IsppAlgorithm.DV, relaxed_t)
-        raise ConfigurationError(f"unhandled mode {mode}")
+        algorithm, sized_by = self.MODES[mode]
+        rber = sv_rber if sized_by is IsppAlgorithm.SV else dv_rber
+        return CrossLayerConfig(algorithm, self.required_t(rber))
+
+    def worst_case(self, mode: OperatingMode) -> CrossLayerConfig:
+        """A mode's algorithm at ``t_max``: the provisioning for an
+        unknown RBER or one past end of life."""
+        return CrossLayerConfig(self.MODES[mode][0], self.t_max)
+
+    def config_for(self, mode: OperatingMode, pe_cycles: float) -> CrossLayerConfig:
+        """Cross-layer configuration for a mode at a device age."""
+        return self.config_for_rber(
+            mode,
+            self.rber_model.rber(IsppAlgorithm.SV, pe_cycles),
+            self.rber_model.rber(IsppAlgorithm.DV, pe_cycles),
+        )
 
     def rber_for(self, config: CrossLayerConfig, pe_cycles: float) -> float:
         """Device RBER under a configuration at an age."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import params as canon
-from repro.bch.uber import max_rber_for_t, required_t
+from repro.bch.uber import max_rber_for_t
 from repro.errors import ConfigurationError
 from repro.nand.ispp import IsppAlgorithm
 from repro.nand.levels import GRAY_MAP, MlcLevels
@@ -58,8 +58,6 @@ class LifetimeRberModel:
         self.exponent = exponent
         self.dv_ratio = dv_ratio
         self.n_ref = n_ref
-        self.t_max = t_max
-        self.uber_target = uber_target
         eol = max_rber_for_t(t_max, uber_target=uber_target) * safety
         if eol <= floor_sv:
             raise ConfigurationError("end-of-life RBER below the fresh floor")
@@ -97,14 +95,6 @@ class LifetimeRberModel:
         if dv is None:
             return sv
         return np.where(np.asarray(dv, dtype=bool), sv / self.dv_ratio, sv)
-
-    def required_t(self, algorithm: IsppAlgorithm, pe_cycles: float) -> int:
-        """Adaptive-ECC capability meeting the UBER target at this age."""
-        return required_t(
-            self.rber(algorithm, pe_cycles),
-            uber_target=self.uber_target,
-            t_max=self.t_max,
-        )
 
     def lifetime_grid(self, start: float = 1.0, stop: float | None = None,
                       points: int = 26) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.controller.controller import ControllerConfig, NandController
+from repro.controller.reliability import ReliabilityPolicy
 from repro.core.modes import OperatingMode
 from repro.errors import ControllerError
 from repro.nand.geometry import NandGeometry
@@ -84,10 +85,10 @@ class TestController:
         controller = NandController(
             NandGeometry(blocks=2, pages_per_block=2),
             config=ControllerConfig(self_adaptive=True),
+            reliability_policy=ReliabilityPolicy(
+                epoch_reads=2, min_bits_for_estimate=1
+            ),
             rng=rng,
-        )
-        controller.reliability.policy = type(controller.reliability.policy)(
-            epoch_reads=2, min_bits_for_estimate=1
         )
         data = random_page(4096, rng)
         controller.write(0, 0, data)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.config import CrossLayerConfig
 from repro.core.modes import OperatingMode
 from repro.core.policy import CrossLayerPolicy
-from repro.errors import ConfigurationError
+from repro.errors import CodeDesignError, ConfigurationError
 from repro.nand.ispp import IsppAlgorithm
 
 
@@ -47,6 +48,30 @@ class TestPolicy:
                 config = policy.config_for(mode, age)
                 rber = policy.rber_for(config, age)
                 assert achieved_uber(rber, config.ecc_t) <= policy.uber_target
+
+    def test_max_read_sizes_only_the_dv_t(self, policy):
+        # Past rated endurance ISPP-SV needs more than t_max; max-read
+        # never runs ISPP-SV, so its configuration still exists.
+        with pytest.raises(CodeDesignError):
+            policy.config_for(OperatingMode.BASELINE, 1.2e5)
+        assert policy.config_for(OperatingMode.MAX_READ_THROUGHPUT, 1.2e5) == (
+            CrossLayerConfig(IsppAlgorithm.DV, 15)
+        )
+
+    def test_config_for_reads_the_model_rber(self, policy):
+        for mode in OperatingMode:
+            for age in (0.0, 1e3, 1e5):
+                assert policy.config_for(mode, age) == policy.config_for_rber(
+                    mode,
+                    policy.rber_model.rber(IsppAlgorithm.SV, age),
+                    policy.rber_model.rber(IsppAlgorithm.DV, age),
+                )
+
+    def test_worst_case_runs_the_mode_algorithm_at_t_max(self, policy):
+        for mode in OperatingMode:
+            worst = policy.worst_case(mode)
+            assert worst.ecc_t == policy.t_max
+            assert worst.algorithm is policy.config_for(mode, 0.0).algorithm
 
     def test_required_t_monotone_in_age(self, policy):
         ts = [

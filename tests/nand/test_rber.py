@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.bch.uber import required_t
 from repro.errors import ConfigurationError
 from repro.nand.ispp import IsppAlgorithm
 from repro.nand.rber import LifetimeRberModel
+
+
+def t_at(model, algorithm, pe_cycles):
+    """Capability the canonical code needs at the model's RBER."""
+    return required_t(model.rber(algorithm, pe_cycles))
 
 
 class TestLifetimeModel:
@@ -21,14 +27,14 @@ class TestLifetimeModel:
             assert model.rber_sv(n) / model.rber_dv(n) == pytest.approx(12.5)
 
     def test_rated_endurance_hits_t_max_exactly(self, model):
-        assert model.required_t(IsppAlgorithm.SV, model.n_ref) == 65
+        assert t_at(model, IsppAlgorithm.SV, model.n_ref) == 65
 
     def test_dv_end_of_life_t(self, model):
-        assert model.required_t(IsppAlgorithm.DV, model.n_ref) == 14
+        assert t_at(model, IsppAlgorithm.DV, model.n_ref) == 14
 
     def test_fresh_required_t(self, model):
-        assert model.required_t(IsppAlgorithm.DV, 0.0) == 3   # paper tMIN
-        assert model.required_t(IsppAlgorithm.SV, 0.0) == 6
+        assert t_at(model, IsppAlgorithm.DV, 0.0) == 3   # paper tMIN
+        assert t_at(model, IsppAlgorithm.SV, 0.0) == 6
 
     def test_monotone_in_cycles(self, model):
         values = [model.rber_sv(n) for n in (0, 10, 1e3, 1e5, 1e6)]
