@@ -23,68 +23,73 @@ import time
 from repro import params as canon
 
 
-def _runners(suite) -> dict[str, tuple[str, callable]]:
-    return {
-        "fig03": ("MLC threshold-voltage distributions", suite.run_fig03),
-        "fig04": ("compact-model fit (ISPP staircase)", suite.run_fig04),
-        "fig05": ("RBER vs P/E cycles (SV vs DV)", suite.run_fig05),
-        "fig06": ("program power per pattern", suite.run_fig06),
-        "fig07": ("UBER vs RBER per capability", suite.run_fig07),
-        "fig08": ("ECC latency over the lifetime", suite.run_fig08),
-        "fig09": ("write-throughput loss", suite.run_fig09),
-        "fig10": ("UBER improvement (min-UBER mode)", suite.run_fig10),
-        "fig11": ("read-throughput gain (max-read mode)", suite.run_fig11),
-        "abl_blocksize": ("ECC block-size ablation", suite.run_ablation_blocksize),
-        "abl_chien": ("Chien parallelism ablation", suite.run_ablation_chien),
-        "abl_tworound": ("two-round load mitigation", suite.run_ablation_tworound),
-        "abl_pareto": ("operating-point Pareto analysis", suite.run_ablation_pareto),
-        "abl_retention": ("retention x cycling ablation", suite.run_ablation_retention),
-        "abl_partition": ("boot-time SLC/MLC partitioning ablation",
-                          suite.run_ablation_partition),
-        "sys_des": ("discrete-event system simulation", suite.run_system_des),
-        "sys_services": ("differentiated storage services", suite.run_system_services),
-        "sys_ssd": ("multi-die SSD scaling (command scheduler)", suite.run_system_ssd),
-        "sys_pipeline": ("command-pipeline modes (phase scheduler)",
-                         suite.run_system_pipeline),
-        "sys_openloop": ("open-loop arrival sweep (session queue pair)",
-                         suite.run_system_openloop),
-        "sys_observe": ("device telemetry (trace + utilization + SMART)",
-                        suite.run_system_observe),
-        "sys_sustained": ("sustained-write steady state (session GC modes)",
-                          suite.run_system_sustained),
-        "uber_mc": ("Monte-Carlo UBER sweep", suite.run_uber_mc),
-    }
+#: Experiment id -> (title, :class:`ExperimentSuite` method).  ``list``
+#: reads only the titles, so it builds no suite and loads no scipy.
+RUNNERS = {
+    "fig03": ("MLC threshold-voltage distributions", "run_fig03"),
+    "fig04": ("compact-model fit (ISPP staircase)", "run_fig04"),
+    "fig05": ("RBER vs P/E cycles (SV vs DV)", "run_fig05"),
+    "fig06": ("program power per pattern", "run_fig06"),
+    "fig07": ("UBER vs RBER per capability", "run_fig07"),
+    "fig08": ("ECC latency over the lifetime", "run_fig08"),
+    "fig09": ("write-throughput loss", "run_fig09"),
+    "fig10": ("UBER improvement (min-UBER mode)", "run_fig10"),
+    "fig11": ("read-throughput gain (max-read mode)", "run_fig11"),
+    "abl_blocksize": ("ECC block-size ablation", "run_ablation_blocksize"),
+    "abl_chien": ("Chien parallelism ablation", "run_ablation_chien"),
+    "abl_tworound": ("two-round load mitigation", "run_ablation_tworound"),
+    "abl_pareto": ("operating-point Pareto analysis", "run_ablation_pareto"),
+    "abl_retention": ("retention x cycling ablation", "run_ablation_retention"),
+    "abl_partition": ("boot-time SLC/MLC partitioning ablation",
+                      "run_ablation_partition"),
+    "sys_des": ("discrete-event system simulation", "run_system_des"),
+    "sys_services": ("differentiated storage services", "run_system_services"),
+    "sys_ssd": ("multi-die SSD scaling (command scheduler)", "run_system_ssd"),
+    "sys_pipeline": ("command-pipeline modes (phase scheduler)",
+                     "run_system_pipeline"),
+    "sys_openloop": ("open-loop arrival sweep (session queue pair)",
+                     "run_system_openloop"),
+    "sys_observe": ("device telemetry (trace + utilization + SMART)",
+                    "run_system_observe"),
+    "sys_sustained": ("sustained-write steady state (session GC modes)",
+                      "run_system_sustained"),
+    "uber_mc": ("Monte-Carlo UBER sweep", "run_uber_mc"),
+}
 
 
-def _cmd_list(suite: ExperimentSuite) -> int:
-    for exp_id, (title, _) in _runners(suite).items():
+def _cmd_list() -> int:
+    for exp_id, (title, _) in RUNNERS.items():
         print(f"{exp_id:<14s} {title}")
     return 0
 
 
-def _cmd_run(suite: ExperimentSuite, exp_ids: list[str]) -> int:
-    runners = _runners(suite)
+def _cmd_run(seed: int, exp_ids: list[str]) -> int:
     if "all" in exp_ids:
-        exp_ids = list(runners)
-    unknown = [e for e in exp_ids if e not in runners]
+        exp_ids = list(RUNNERS)
+    unknown = [e for e in exp_ids if e not in RUNNERS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(runners)} (or 'all')", file=sys.stderr)
+        print(f"available: {', '.join(RUNNERS)} (or 'all')", file=sys.stderr)
         return 2
+    from repro.analysis.experiments import ExperimentSuite
+
+    suite = ExperimentSuite(seed=seed)
     for exp_id in exp_ids:
-        _, runner = runners[exp_id]
+        _, method = RUNNERS[exp_id]
         start = time.perf_counter()
-        result = runner()
+        result = getattr(suite, method)()
         elapsed = time.perf_counter() - start
         print(result.render())
         print(f"[{exp_id} regenerated in {elapsed:.2f} s]\n")
     return 0
 
 
-def _cmd_status(suite: ExperimentSuite) -> int:
+def _cmd_status() -> int:
+    from repro.core.policy import CrossLayerPolicy
     from repro.nand.ispp import IsppAlgorithm
 
-    model = suite.rber_model
+    policy = CrossLayerPolicy()
+    model = policy.rber_model
     print("canonical configuration")
     print(f"  page:               {canon.PAGE_DATA_BYTES} B data "
           f"+ {canon.PAGE_SPARE_BYTES} B spare")
@@ -98,8 +103,8 @@ def _cmd_status(suite: ExperimentSuite) -> int:
     print(f"  rated endurance:    {canon.RATED_PE_CYCLES:.0e} P/E cycles")
     print("calibration anchors")
     for n in (0.0, 1e3, 1e5):
-        t_sv = suite.policy.required_t_for(IsppAlgorithm.SV, n)
-        t_dv = suite.policy.required_t_for(IsppAlgorithm.DV, n)
+        t_sv = policy.required_t_for(IsppAlgorithm.SV, n)
+        t_dv = policy.required_t_for(IsppAlgorithm.DV, n)
         print(f"  N = {n:>8.0f}: RBER SV {model.rber_sv(n):.3e} (t={t_sv}), "
               f"DV {model.rber_dv(n):.3e} (t={t_dv})")
     return 0
@@ -174,14 +179,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "lint":
         return _cmd_lint(args)
-    from repro.analysis.experiments import ExperimentSuite
-
-    suite = ExperimentSuite(seed=args.seed)
     if args.command == "list":
-        return _cmd_list(suite)
-    if args.command == "run":
-        return _cmd_run(suite, args.experiments)
-    return _cmd_status(suite)
+        return _cmd_list()
+    if args.command == "status":
+        return _cmd_status()
+    return _cmd_run(args.seed, args.experiments)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import ExperimentSuite
-from repro.cli import _runners, main
+from repro.cli import RUNNERS, main
 
 
 class TestCli:
@@ -25,12 +25,11 @@ class TestCli:
         assert "regenerated in" in out
 
     def test_runners_cover_every_experiment(self):
-        runners = _runners(ExperimentSuite(seed=2012)).values()
         experiments = {
             name for name in vars(ExperimentSuite)
             if name.startswith("run_")
         }
-        assert {runner.__name__ for _, runner in runners} == experiments
+        assert {method for _, method in RUNNERS.values()} == experiments
 
     def test_run_unknown(self, capsys):
         assert main(["run", "fig99"]) == 2

@@ -19,7 +19,9 @@ naming every forbidden module found in ``sys.modules``, then calls
 second checks that a bare ``MonteCarloRber`` loads ``scipy.special``
 and a built ``ExperimentSuite`` ``scipy.optimize`` too, and then that
 the runners calling ``ndtr`` and ``least_squares`` import nothing: the
-figures pay for scipy in set-up, never inside a timed run.
+figures pay for scipy in set-up, never inside a timed run.  The third
+runs ``python -m repro list`` and ``status``, which build no suite, and
+fails naming any forbidden module they load.
 """
 
 import json
@@ -67,6 +69,16 @@ print(json.dumps({"special": special, "optimize": optimize,
 """
 
 
+#: The CLI commands that need no experiment suite.
+CLI_CHILD = """\
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["list"]), main(["status"])]
+print(json.dumps({"codes": codes, "loaded": sorted(sys.modules)}))
+"""
+
+
 def _run_child(source: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
     child = subprocess.run(
@@ -91,3 +103,10 @@ def test_built_suite_runs_figures_without_importing():
     assert not report["added"], (
         f"the figure runners import {', '.join(report['added'])}"
     )
+
+
+def test_cli_list_and_status_load_no_scipy():
+    report = _run_child(CLI_CHILD)
+    assert report["codes"] == [0, 0]
+    loaded = [name for name in report["loaded"] if name.startswith(FORBIDDEN)]
+    assert not loaded, f"list and status load {', '.join(loaded)}"
