@@ -61,20 +61,13 @@ from repro.ssd.session import (
     SsdSession,
 )
 from repro.ssd.striped import DieStripedFtl, StripedLocation
-from repro.ssd.topology import (
-    ChannelTimingParams,
-    DieAddress,
-    SsdTopology,
-    spawn_die_rngs,
-)
+from repro.ssd.topology import SsdTopology, spawn_die_rngs
 
 __all__ = [
     "GC_MODES",
-    "ChannelTimingParams",
     "CommandCompletion",
     "CommandKind",
     "CommandOrigin",
-    "DieAddress",
     "DieCommand",
     "DieStripedFtl",
     "IoCommand",

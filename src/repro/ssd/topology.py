@@ -6,8 +6,8 @@ ECC engine, each bus shared by several dies.  :class:`SsdTopology`
 captures that organisation as a pure-description extension of
 :class:`~repro.nand.geometry.NandGeometry`: every die keeps the full
 per-die geometry (pages, blocks, planes-in-spirit), and the topology adds
-the channel/die fan-out plus the flash-channel timing envelope the
-command scheduler arbitrates.
+the channel/die fan-out.  A command's bus time comes from its die's
+controller (:class:`~repro.controller.ocp.OcpParams`), not from here.
 """
 
 from __future__ import annotations
@@ -16,42 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import units
 from repro.errors import ConfigurationError
 from repro.nand.geometry import NandGeometry
-
-
-@dataclass(frozen=True)
-class ChannelTimingParams:
-    """Flash-channel bus timing (NV-DDR-style synchronous interface).
-
-    The default bandwidth matches the OCP socket model (32-bit at
-    100 MHz) so a 1-channel x 1-die SSD reproduces the single-device
-    controller's transfer accounting.
-    """
-
-    bandwidth_bytes_per_s: float = 400e6
-    burst_overhead_s: float = units.ns(50)
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ConfigurationError("channel bandwidth must be positive")
-        if self.burst_overhead_s < 0:
-            raise ConfigurationError("burst overhead must be non-negative")
-
-    def transfer_time_s(self, n_bytes: int) -> float:
-        """Bus occupancy of one page transfer."""
-        if n_bytes < 0:
-            raise ConfigurationError("byte count must be non-negative")
-        return self.burst_overhead_s + n_bytes / self.bandwidth_bytes_per_s
-
-
-@dataclass(frozen=True)
-class DieAddress:
-    """Position of one die in the topology."""
-
-    channel: int
-    die: int  # index within the channel
 
 
 @dataclass(frozen=True)
@@ -67,9 +33,6 @@ class SsdTopology:
     channels: int = 1
     dies_per_channel: int = 1
     geometry: NandGeometry = field(default_factory=NandGeometry)
-    channel_timing: ChannelTimingParams = field(
-        default_factory=ChannelTimingParams
-    )
 
     def __post_init__(self) -> None:
         if self.channels <= 0 or self.dies_per_channel <= 0:
@@ -94,45 +57,22 @@ class SsdTopology:
 
     def channel_of(self, die_index: int) -> int:
         """Channel whose bus serves the given die."""
-        self._check_die(die_index)
+        if not 0 <= die_index < self.dies:
+            raise ConfigurationError(
+                f"die {die_index} out of range 0..{self.dies - 1}"
+            )
         return die_index % self.channels
-
-    def die_address(self, die_index: int) -> DieAddress:
-        """(channel, die-within-channel) of a flat die index."""
-        self._check_die(die_index)
-        return DieAddress(
-            channel=die_index % self.channels,
-            die=die_index // self.channels,
-        )
-
-    def die_index(self, address: DieAddress) -> int:
-        """Inverse of :meth:`die_address`."""
-        if not 0 <= address.channel < self.channels:
-            raise ConfigurationError(
-                f"channel {address.channel} out of range 0..{self.channels - 1}"
-            )
-        if not 0 <= address.die < self.dies_per_channel:
-            raise ConfigurationError(
-                f"die {address.die} out of range 0..{self.dies_per_channel - 1}"
-            )
-        return address.die * self.channels + address.channel
 
     def describe(self) -> str:
         """Short human-readable label, e.g. ``2ch x 4die``."""
         return f"{self.channels}ch x {self.dies_per_channel}die"
 
-    def _check_die(self, die_index: int) -> None:
-        if not 0 <= die_index < self.dies:
-            raise ConfigurationError(
-                f"die {die_index} out of range 0..{self.dies - 1}"
-            )
-
 
 def group_indices_by_die(dies: list[int]) -> dict[int, list[int]]:
     """Positions of each die in a per-operation die list, order kept.
 
-    ``[2, 0, 2] -> {2: [0, 2], 0: [1]}``; the shared sub-batch grouping
-    used by both the raw device fan-out and the striped FTL router.
+    ``[2, 0, 2] -> {2: [0, 2], 0: [1]}``; the striped FTL router's
+    per-die sub-batch grouping.
     """
     per_die: dict[int, list[int]] = {}
     for index, die in enumerate(dies):

@@ -5,12 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nand.geometry import NandGeometry
-from repro.ssd.topology import (
-    ChannelTimingParams,
-    DieAddress,
-    SsdTopology,
-    spawn_die_rngs,
-)
+from repro.ssd.topology import SsdTopology, spawn_die_rngs
 
 
 class TestTopology:
@@ -28,11 +23,6 @@ class TestTopology:
             0, 1, 2, 3, 0, 1, 2, 3,
         ]
 
-    def test_die_address_round_trip(self):
-        topology = SsdTopology(channels=3, dies_per_channel=4)
-        for index in range(topology.dies):
-            assert topology.die_index(topology.die_address(index)) == index
-
     def test_capacity_scales_with_dies(self):
         geometry = NandGeometry(blocks=4, pages_per_block=8)
         topology = SsdTopology(
@@ -48,29 +38,11 @@ class TestTopology:
             SsdTopology(dies_per_channel=0)
         with pytest.raises(ConfigurationError):
             SsdTopology(channels=2).channel_of(2)
-        with pytest.raises(ConfigurationError):
-            SsdTopology(channels=2).die_index(DieAddress(channel=2, die=0))
 
     def test_describe(self):
         assert SsdTopology(channels=2, dies_per_channel=4).describe() == (
             "2ch x 4die"
         )
-
-
-class TestChannelTiming:
-    def test_transfer_time_includes_overhead(self):
-        params = ChannelTimingParams(
-            bandwidth_bytes_per_s=100e6, burst_overhead_s=1e-6
-        )
-        assert params.transfer_time_s(100) == pytest.approx(2e-6)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ChannelTimingParams(bandwidth_bytes_per_s=0)
-        with pytest.raises(ConfigurationError):
-            ChannelTimingParams(burst_overhead_s=-1e-9)
-        with pytest.raises(ConfigurationError):
-            ChannelTimingParams().transfer_time_s(-1)
 
 
 class TestRngSpawning:
