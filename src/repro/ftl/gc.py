@@ -159,37 +159,25 @@ class GarbageCollector:
     def pick_victim(self) -> int | None:
         """Best closed block under the active policy (None if none).
 
-        ``greedy`` takes the most stale pages, ties broken toward the
-        *least-worn* block — which doubles as a lightweight
-        wear-levelling policy: cold blocks with reclaimable space get
-        rotated back into circulation instead of a hot pair
-        ping-ponging through every collection.  ``cost_benefit`` ranks
-        by :meth:`victim_score` (space freed per migration cost,
-        scaled by block age), with the same stale/wear tie-breaks.
+        Ranks the blocks :meth:`victim_score` accepts by (score, stale
+        pages, least wear), keeping the first best.  ``greedy`` thus
+        takes the most stale pages, ties broken toward the *least-worn*
+        block — which doubles as a lightweight wear-levelling policy:
+        cold blocks with reclaimable space get rotated back into
+        circulation instead of a hot pair ping-ponging through every
+        collection.  ``cost_benefit`` ranks by space freed per
+        migration cost, scaled by block age, with the same tie-breaks.
         """
-        open_blocks = self.allocator.open_blocks
-        candidates = [
-            block for block in self.mapping.blocks
-            if block not in open_blocks
-            and block not in self.allocator.free_blocks
-            and self.mapping.stale_pages(block) > 0
-        ]
-        if not candidates:
-            return None
         wear = self.controller.device.array.wear
-        if self.policy == "cost_benefit":
-            return max(
-                candidates,
-                key=lambda b: (
-                    self._cost_benefit(b),
-                    self.mapping.stale_pages(b),
-                    -wear(b),
-                ),
-            )
-        return max(
-            candidates,
-            key=lambda b: (self.mapping.stale_pages(b), -wear(b)),
-        )
+        victim, best = None, None
+        for block in self.mapping.blocks:
+            score = self.victim_score(block)
+            if score is None:
+                continue
+            rank = (score, self.mapping.stale_pages(block), -wear(block))
+            if best is None or rank > best:
+                victim, best = block, rank
+        return victim
 
     def victim_score(self, block: int) -> float | None:
         """Policy score of one block, or None if it is no victim.
@@ -236,11 +224,7 @@ class GarbageCollector:
         static-levelling pass piggybacks — levelling stays on the
         write-time :meth:`collect` path.
         """
-        if victim in self.allocator.open_blocks:
-            return None
-        if self.allocator.is_free(victim):
-            return None
-        if self.mapping.stale_pages(victim) == 0:
+        if self.victim_score(victim) is None:
             return None
         if self.allocator.free_pages() < self.mapping.valid_pages(victim):
             return None
@@ -260,8 +244,7 @@ class GarbageCollector:
         open_blocks = self.allocator.open_blocks
         closed = [
             block for block in self.mapping.blocks
-            if block not in open_blocks
-            and block not in self.allocator.free_blocks
+            if block not in open_blocks and not self.allocator.is_free(block)
         ]
         if not closed:
             return None
