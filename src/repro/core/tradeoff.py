@@ -73,18 +73,13 @@ class TradeoffAnalyzer:
         )
         self.throughput_model = ThroughputModel(page_bytes)
         self.page_bytes = page_bytes
-        self._spec_cache: dict[int, BCHCodeSpec] = {}
         self._program_cache: dict[tuple[IsppAlgorithm, float], float] = {}
 
     # -- building blocks -----------------------------------------------------
 
     def spec(self, t: int) -> BCHCodeSpec:
-        """Designed code for capability t (cached)."""
-        if t not in self._spec_cache:
-            self._spec_cache[t] = design_code(
-                self.policy.k, t, self.policy.m
-            )
-        return self._spec_cache[t]
+        """Designed code for capability t (``design_code`` is memoized)."""
+        return design_code(self.policy.k, t, self.policy.m)
 
     def program_time_s(self, algorithm: IsppAlgorithm, pe_cycles: float) -> float:
         """Monte-Carlo program time at an age (cached per exact age)."""
