@@ -10,6 +10,11 @@ quantifies the resulting trade-offs over the device lifetime:
 * **MAX_READ_THROUGHPUT** — switch to ISPP-DV *and* relax t to the minimum
   meeting the target: decode latency shrinks, reads speed up, UBER holds
   (§6.3.2).
+
+:class:`CrossLayerPolicy` writes that mode table once.  The trade-off
+analysis asks it at a device age through the lifetime RBER model; the
+controller's :class:`~repro.controller.reliability.ReliabilityManager`
+asks it at run time at the RBER its decode feedback observes.
 """
 
 from repro.core.modes import OperatingMode
