@@ -37,6 +37,11 @@ class TestController:
     def test_mode_switching_reconfigures_both_layers(self, controller):
         controller.set_mode(OperatingMode.MIN_UBER)
         status = controller.status()
+        assert status["mode"] == "min-uber"
+        assert controller.reliability.mode is OperatingMode.MIN_UBER
+        assert controller.registers.get_named("OPERATING_MODE") == (
+            OperatingMode.MIN_UBER.register_code
+        )
         assert status["program_algorithm"] == "ispp-dv"
         assert status["ecc_t"] == 6  # baseline t kept (section 6.3.1)
 
@@ -44,6 +49,14 @@ class TestController:
         status = controller.status()
         assert status["program_algorithm"] == "ispp-dv"
         assert status["ecc_t"] == 3  # relaxed t (section 6.3.2)
+
+    def test_default_policy_spans_the_config_t_range(self):
+        controller = NandController(
+            NandGeometry(blocks=1, pages_per_block=4),
+            config=ControllerConfig(t_min=3, t_max=40),
+        )
+        assert (controller.policy.t_min, controller.policy.t_max) == (3, 40)
+        assert controller.reliability.policy is controller.policy
 
     def test_mode_tracks_device_age(self, controller):
         controller.set_mode(OperatingMode.BASELINE, pe_reference=1e5)

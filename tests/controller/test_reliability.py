@@ -178,26 +178,6 @@ class TestOnePolicy:
             mode, sv_rber, sv_rber / 4.0
         )
 
-    def test_controller_mode_lives_in_the_manager(self):
-        controller = NandController(NandGeometry(blocks=1, pages_per_block=4))
-        controller.set_mode(OperatingMode.MIN_UBER)
-        assert controller.reliability.mode is OperatingMode.MIN_UBER
-        assert controller.mode is OperatingMode.MIN_UBER
-        assert controller.status()["mode"] == "min-uber"
-        assert controller.registers.get_named("OPERATING_MODE") == (
-            OperatingMode.MIN_UBER.register_code
-        )
-
-    def test_default_policy_spans_the_config_t_range(self):
-        from repro.controller.controller import ControllerConfig
-
-        controller = NandController(
-            NandGeometry(blocks=1, pages_per_block=4),
-            config=ControllerConfig(t_min=3, t_max=40),
-        )
-        assert (controller.policy.t_min, controller.policy.t_max) == (3, 40)
-        assert controller.reliability.policy is controller.policy
-
 
 class TestReliabilityManager:
     def test_epoch_triggering(self, rng):
