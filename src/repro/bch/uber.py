@@ -174,10 +174,9 @@ def _mc_uber_chunk(
     The chunk's :class:`~numpy.random.SeedSequence` fully determines its
     randomness.
     """
-    k = codec.k
     spec = codec.spec_for(t)
     rng = np.random.default_rng(seed_seq)
-    messages = [rng.bytes(k // 8) for _ in range(pages)]
+    messages = [rng.bytes(codec.k // 8) for _ in range(pages)]
     codewords = codec.encode_batch(messages, t=t)
     word_bytes = len(codewords[0])
     raw = np.frombuffer(b"".join(codewords), dtype=np.uint8).reshape(

@@ -3,11 +3,12 @@
 The policy owns the lifetime RBER model and the UBER target and answers
 "what (algorithm, t) should the sub-system run at this RBER in this
 mode" — the decision the paper's reliability manager takes when
-reconfiguring.  :meth:`CrossLayerPolicy.config_for_rber` writes the
-section 6.3 mode table once; :meth:`CrossLayerPolicy.config_for` asks
-it at a device age through the lifetime model, and the controller's
-:class:`~repro.controller.reliability.ReliabilityManager` asks it at
-the RBER its decode feedback observes.
+reconfiguring.  :attr:`CrossLayerPolicy.MODES` is the section 6.3 mode
+table and :meth:`CrossLayerPolicy.config_for_rber` the one decision
+that reads it.  :meth:`CrossLayerPolicy.config_for` asks it at a device
+age through the lifetime model, and the controller's
+:class:`~repro.controller.reliability.ReliabilityManager` at the RBER
+its decode feedback observes.
 """
 
 from __future__ import annotations
