@@ -28,7 +28,7 @@ from repro.controller.reliability import ReliabilityManager, ReliabilityPolicy
 from repro.controller.spare import SpareAreaLayout
 from repro.core.modes import OperatingMode
 from repro.core.policy import CrossLayerPolicy
-from repro.errors import ControllerError
+from repro.errors import ConfigurationError, ControllerError
 from repro.nand.device import NandFlashDevice
 from repro.nand.geometry import NandGeometry
 from repro.nand.ispp import IsppAlgorithm
@@ -90,6 +90,12 @@ class NandController:
         self.policy = policy or CrossLayerPolicy(
             t_max=self.config.t_max, t_min=self.config.t_min
         )
+        if not (self.config.t_min <= self.policy.t_min
+                and self.policy.t_max <= self.config.t_max):
+            raise ConfigurationError(
+                f"policy t range [{self.policy.t_min}, {self.policy.t_max}] "
+                f"exceeds the codec's [{self.config.t_min}, {self.config.t_max}]"
+            )
         self.device = device or NandFlashDevice(
             self.geometry, rber_model=self.policy.rber_model, rng=rng
         )

@@ -6,7 +6,8 @@ import pytest
 from repro.controller.controller import ControllerConfig, NandController
 from repro.controller.reliability import ReliabilityPolicy
 from repro.core.modes import OperatingMode
-from repro.errors import ControllerError
+from repro.core.policy import CrossLayerPolicy
+from repro.errors import ConfigurationError, ControllerError
 from repro.nand.geometry import NandGeometry
 from repro.nand.ispp import IsppAlgorithm
 from repro.workloads.patterns import random_page
@@ -57,6 +58,16 @@ class TestController:
         )
         assert (controller.policy.t_min, controller.policy.t_max) == (3, 40)
         assert controller.reliability.policy is controller.policy
+
+    def test_policy_wider_than_the_codec_rejected(self):
+        # The policy sizes every t the codec is asked for, so a policy
+        # reaching past the codec's range would fail mid-run.
+        with pytest.raises(ConfigurationError, match="exceeds the codec"):
+            NandController(
+                NandGeometry(blocks=1, pages_per_block=4),
+                config=ControllerConfig(t_max=40),
+                policy=CrossLayerPolicy(),
+            )
 
     def test_mode_tracks_device_age(self, controller):
         controller.set_mode(OperatingMode.BASELINE, pe_reference=1e5)
