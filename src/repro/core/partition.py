@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import params as canon
-from repro.bch.uber import required_t
 from repro.core.tradeoff import TradeoffAnalyzer
 from repro.errors import CodeDesignError, ConfigurationError
 from repro.nand.geometry import NandGeometry
@@ -114,7 +113,7 @@ class PartitionPlanner:
             )
         rber = self._mode_rber(spec.mode, pe_cycles)
         try:
-            t = required_t(rber, uber_target=self.analyzer.policy.uber_target)
+            t = self.analyzer.policy.required_t(rber)
         except CodeDesignError:
             t = None
         density = 1 if spec.mode is CellMode.SLC else 2

@@ -8,8 +8,11 @@ from repro.core.partition import (
     PartitionSpec,
     SLC_RBER_DIVISOR,
 )
+from repro.core.policy import CrossLayerPolicy
+from repro.core.tradeoff import TradeoffAnalyzer
 from repro.errors import ConfigurationError
 from repro.nand.geometry import NandGeometry
+from repro.nand.rber import LifetimeRberModel
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,19 @@ class TestPartitionMetrics:
         # SLC reads fastest per stored byte? No: it moves half the data per
         # operation, but with minimal decode; DV-MLC beats SV-MLC.
         assert metrics[CellMode.MLC_DV].read_mb_s > metrics[CellMode.MLC_SV].read_mb_s
+
+    def test_t_sized_by_the_analyzer_policy(self):
+        # At rated endurance the canonical model's ISPP-SV needs t = 65:
+        # past a policy capped at t = 40, so the segment has no
+        # capability to run.
+        policy = CrossLayerPolicy(rber_model=LifetimeRberModel(), t_max=40)
+        planner = PartitionPlanner(
+            NandGeometry(blocks=64, pages_per_block=64),
+            TradeoffAnalyzer(policy=policy),
+        )
+        mlc = planner.evaluate(PartitionSpec("data", 8, CellMode.MLC_SV), 1e5)
+        assert mlc.required_t is None
+        assert mlc.read_mb_s == mlc.write_mb_s == 0.0
 
     def test_slc_writes_fast_despite_density(self, planner):
         slc = planner.evaluate(PartitionSpec("log", 8, CellMode.SLC), 0.0)
