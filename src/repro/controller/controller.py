@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import params as canon
 from repro.bch.codec import AdaptiveBCHCodec
+from repro.bch.params import minimum_field_degree
 from repro.controller.core import CoreControllerFsm, StageLatencies
 from repro.controller.ocp import OcpInterface, OcpParams
 from repro.controller.registers import CommandStatusRegisters
@@ -87,8 +88,10 @@ class NandController:
     ):
         self.geometry = geometry or NandGeometry()
         self.config = config or ControllerConfig()
+        k = self.geometry.page_data_bits
         self.policy = policy or CrossLayerPolicy(
-            t_max=self.config.t_max, t_min=self.config.t_min
+            t_max=self.config.t_max, t_min=self.config.t_min, k=k,
+            m=minimum_field_degree(k, self.config.t_min),
         )
         if not (self.config.t_min <= self.policy.t_min
                 and self.policy.t_max <= self.config.t_max):
@@ -100,7 +103,7 @@ class NandController:
             self.geometry, rber_model=self.policy.rber_model, rng=rng
         )
         self.codec = AdaptiveBCHCodec(
-            k=self.geometry.page_data_bits,
+            k=k,
             t_max=self.config.t_max,
             t_min=self.config.t_min,
         )

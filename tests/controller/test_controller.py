@@ -51,13 +51,17 @@ class TestController:
         assert status["program_algorithm"] == "ispp-dv"
         assert status["ecc_t"] == 3  # relaxed t (section 6.3.2)
 
-    def test_default_policy_spans_the_config_t_range(self):
+    def test_default_policy_describes_the_codec(self):
         controller = NandController(
-            NandGeometry(blocks=1, pages_per_block=4),
+            NandGeometry(blocks=1, pages_per_block=4, page_data_bytes=512),
             config=ControllerConfig(t_min=3, t_max=40),
         )
-        assert (controller.policy.t_min, controller.policy.t_max) == (3, 40)
-        assert controller.reliability.policy is controller.policy
+        policy = controller.policy
+        assert (policy.t_min, policy.t_max) == (3, 40)
+        assert (policy.k, policy.m) == (
+            controller.codec.k, controller.codec.spec_for(3).m
+        )
+        assert controller.reliability.policy is policy
 
     def test_policy_wider_than_the_codec_rejected(self):
         # The policy sizes every t the codec is asked for, so a policy
