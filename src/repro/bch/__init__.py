@@ -37,9 +37,10 @@ through a wide ECC engine instead of streaming bits:
   clean pages never reach Berlekamp-Massey; errored words run the
   binary BM in t steps (every second discrepancy is zero since
   S_2i = S_i^2) and a two-pass Chien search: a uint8 low-byte screen
-  over all positions, one XOR of a strided view of a shared periodic
-  table per locator coefficient, then exact evaluation at the ~n/256
-  surviving candidates.  A locator of degree above t fails without a
+  over all positions, one XOR of a contiguous slice of the field's
+  shared row for that degree per locator coefficient (split only where
+  the row wraps), then exact evaluation at the ~n/256 surviving
+  candidates.  A locator of degree above t fails without a
   search.
 
 Batch API contract: ``encode_batch``/``decode_batch`` (on

@@ -9,22 +9,29 @@ is derived from n directly.
 
 The software implementation is numpy-vectorized over all candidate
 positions (equivalent to an h = n fully-parallel evaluator).  Term i of
-lambda at position j is alpha^(log c_i - i*j), so every term walks the
-antilog table backwards with stride i.  A read-only uint8 table E holds
-the low byte of alpha^(-k mod order) for k < order + t*n, and the search
-runs in two passes: a screen XORs, per coefficient, the strided view
-``E[k0 : k0 + i*n : i]`` (k0 = -log c_i mod order) into one byte per
-position, with no index arithmetic and no gather (a zero value implies
-a zero low byte, so no root is missed); then the few surviving
-candidates (~n/256 plus the real roots) are evaluated exactly.  E is
-shared by every live search over the same code (one per die) and freed
-with the last.  The hardware latency model in :mod:`repro.bch.hardware`
-accounts for the real h-way datapath.
+lambda at position j is alpha^-(k0 + i*j) with k0 = -log c_i mod N,
+N = 2^m - 1, so every term walks the antilog table backwards with stride
+i.  With d = gcd(i, N) and P = N/d that walk stays in the residue class
+k0 mod d and visits its P exponents in a fixed order, so the field keeps
+one read-only uint8 row per degree i, d x P low bytes:
+``row_i[c, s]`` is the low byte of alpha^-(c + d*((i/d)*s mod P)).  Term
+i at position j is ``row_i[k0 mod d, (s0 + j) mod P]`` with
+s0 = (k0 div d) * (i/d)^-1 mod P: one contiguous slice per coefficient,
+split only where it wraps at P.  The search runs in two passes: a screen
+XORs those slices into one byte per position, with no index arithmetic
+and no gather (a zero value implies a zero low byte, so no root is
+missed); then the few surviving candidates (~n/256 plus the real roots)
+are evaluated exactly.  The rows are built on first use, up to the
+highest degree searched, shared by every live search over the field
+whatever its code (one per die and capability), and freed with the
+last.  The hardware latency model in :mod:`repro.bch.hardware` accounts
+for the real h-way datapath.
 """
 
 from __future__ import annotations
 
 import weakref
+from math import gcd
 
 import numpy as np
 
@@ -33,19 +40,49 @@ from repro.gf.field import GF2m
 from repro.gf.polygf import GFPoly
 
 
-#: Screen tables of the codes some live search uses, keyed by (field,
-#: length); an entry goes when its last user does.
-_SCREEN_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _ScreenRows(list):
+    """Screen rows of one field, indexed by locator degree.
+
+    Entry i >= 1 is ``(row, d, P, inverse)``: the read-only d x P uint8
+    row of degree i (see the module docstring) and (i/d)^-1 mod P; entry
+    0 is unused.  ``base`` holds the low bytes of alpha^-k for k < N,
+    from which every row is gathered.
+    """
+
+    __slots__ = ("base", "__weakref__")
+
+    def __init__(self, field: GF2m):
+        super().__init__([None])
+        order = field.order
+        low_bytes = field.exp[-np.arange(order) % order] & 0xFF
+        self.base = low_bytes.astype(np.uint8)
+
+    def extend_to(self, degree: int) -> None:
+        """Append the rows of every degree up to ``degree``."""
+        order = self.base.size
+        for i in range(len(self), degree + 1):
+            d = gcd(i, order)
+            period = order // d
+            step = i // d
+            columns = d * (step * np.arange(period) % period)
+            row = self.base[np.arange(d)[:, None] + columns]
+            row.flags.writeable = False
+            self.append((row, d, period, pow(step, -1, period)))
 
 
-def _build_screen_table(field: GF2m, length: int) -> np.ndarray:
-    """Read-only uint8 table whose entry k is the low byte of
-    alpha^(-k mod order), for k < ``length``: one period, repeated."""
-    order = field.order
-    period = (field.exp[-np.arange(order) % order] & 0xFF).astype(np.uint8)
-    table = np.resize(period, length)
-    table.flags.writeable = False
-    return table
+#: Screen rows of the fields some live search uses; an entry goes when
+#: its last user does.
+_FIELD_ROWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _field_rows(field: GF2m, degree: int) -> _ScreenRows:
+    """The field's shared screen rows, extended up to ``degree``."""
+    rows = _FIELD_ROWS.get(field)
+    if rows is None:
+        rows = _FIELD_ROWS[field] = _ScreenRows(field)
+    if len(rows) <= degree:
+        rows.extend_to(degree)
+    return rows
 
 
 class ChienSearch:
@@ -54,31 +91,15 @@ class ChienSearch:
     def __init__(self, spec: BCHCodeSpec):
         self.spec = spec
         self.field: GF2m = spec.field()
-        self._table: np.ndarray | None = None
-
-    def _screen_table(self) -> np.ndarray:
-        """This code's screen table (see :func:`_build_screen_table`),
-        order + t * n_stored entries: one strided view for every
-        coefficient of a degree-t locator.  Built on first use and shared
-        with every search of the code.
-        """
-        if self._table is None:
-            spec = self.spec
-            key = (self.field, self.field.order + spec.t * spec.n_stored)
-            table = _SCREEN_TABLES.get(key)
-            if table is None:
-                table = _SCREEN_TABLES[key] = _build_screen_table(*key)
-            self._table = table
-        return self._table
+        # The field's screen rows, taken on the first search.
+        self._rows: _ScreenRows | tuple = ()
 
     def error_positions(self, locator: GFPoly) -> list[int]:
         """Bit positions (0 = MSB of byte 0) whose locator inverse is a root.
 
         Returns positions sorted ascending; the caller cross-checks the
         count against the locator degree to detect decoding failure.
-        Any degree is accepted: a coefficient beyond degree t, whose view
-        would overrun the table, is screened in runs of positions that
-        each fit.
+        Any degree is accepted.
         """
         if locator.field != self.field:
             raise ValueError("locator polynomial is over a different field")
@@ -86,21 +107,28 @@ class ChienSearch:
             return []
         order = self.field.order
         n = self.spec.n_stored
-        table = self._screen_table()
         # Position j (power of x in the stream polynomial) has locator
         # X = alpha^j; lambda's roots are X^{-1} = alpha^{-j}, and term i
         # of lambda(alpha^{-j}) is alpha^(log c_i - i*j).
         c0, *higher = locator.coeffs
+        rows = self._rows
+        if len(rows) <= len(higher):
+            rows = self._rows = _field_rows(self.field, len(higher))
         log = self.field.log_list
         terms = [(i, log[c]) for i, c in enumerate(higher, 1) if c]
         # Pass 1: XOR only the low byte of every term over all positions.
         acc = np.full(n, c0 & 0xFF, dtype=np.uint8)
         for i, log_c in terms:
-            run = (table.size - order) // i + 1
-            for j in range(0, n, run):
-                k0 = (i * j - log_c) % order
-                count = min(run, n - j)
-                acc[j:j + count] ^= table[k0:k0 + i * count:i]
+            row, d, period, inverse = rows[i]
+            k0 = -log_c % order
+            line = row[k0 % d]
+            s = k0 // d * inverse % period
+            j = 0
+            while n - j > period - s:  # the rest wraps past the row's end
+                end = j + period - s
+                acc[j:end] ^= line[s:]
+                j, s = end, 0
+            acc[j:] ^= line[s:s + n - j]
         candidates = np.flatnonzero(acc == 0)
         if candidates.size == 0:
             return []
@@ -110,13 +138,3 @@ class ChienSearch:
         values = np.bitwise_xor.reduce(self.field.exp[exponents], axis=0)
         roots = candidates[values == c0]  # j = power of x
         return (n - 1 - roots[::-1]).tolist()
-
-    def root_count_in_field(self, locator: GFPoly) -> int:
-        """Number of roots over the *whole* field (diagnostic for failures)."""
-        if locator.degree <= 0:
-            return 0
-        all_logs = np.arange(self.field.order, dtype=np.int64)
-        values = self.field.eval_poly_vec(
-            np.asarray(locator.coeffs, dtype=np.int64), all_logs
-        )
-        return int(np.count_nonzero(values == 0))

@@ -7,9 +7,10 @@ codes are memoised per (k, t, m) for the whole process, mirroring the
 small ROM of characteristic polynomials in the hardware; each codec keeps
 one encoder and one decoder per t.  The tables behind them are built once
 per code, not per codec, on first use: the fold table is shared by every
-live encoder and decoder of the code (one per die), the syndrome power
-table and the fixed-size Chien screen table by every live decoder, and
-each is freed with its last user.
+live encoder and decoder of the code (one per die) and the syndrome power
+table by every live decoder; the Chien screen rows are per field, shared
+by every live decoder over it whatever its t.  Each is freed with its
+last user.
 
 ``encode_batch``/``decode_batch`` are the datapath (see :mod:`repro.bch`
 for the design): whole page groups move through numpy kernels, and

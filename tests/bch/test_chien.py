@@ -63,13 +63,6 @@ class TestChienSearch:
         one = GFPoly.one(small_spec.field())
         assert chien.error_positions(one) == []
 
-    def test_root_count_in_field(self, small_spec):
-        field = small_spec.field()
-        roots = [field.alpha_pow(2), field.alpha_pow(9)]
-        poly = GFPoly.from_roots(field, roots)
-        chien = ChienSearch(small_spec)
-        assert chien.root_count_in_field(poly) == 2
-
     def test_positions_limited_to_stored_length(self, small_spec):
         # A locator whose root corresponds to an exponent >= n_stored must
         # yield no position (shortened-code exclusion).
@@ -86,7 +79,7 @@ class TestChienByDefinition:
     """``error_positions`` against the locator evaluated at every
     position, for locators built from chosen roots: inside and outside
     the stored length, zero, and a factor with no roots.  Degrees run
-    past t, where the screen goes in runs of positions."""
+    past t, and past the field's shortest row period at t = 65."""
 
     @pytest.mark.parametrize("k, t", [(64, 3), (512, 10), (1024, 8)])
     def test_matches_evaluation_at_every_position(self, k, t, rng):

@@ -141,7 +141,8 @@ class TestDecoder:
 
 
 class TestSharedTables:
-    """Decoders of one code (one per die) share their lazy tables."""
+    """Decoders of one code (one per die) share their lazy tables, and
+    every Chien search over a field shares that field's screen rows."""
 
     def test_two_dies_share_tables_and_decode_like_fresh_decoders(self, rng):
         spec = design_code(32768, 14)
@@ -168,31 +169,51 @@ class TestSharedTables:
         die_a, die_b = dies
         assert (die_a.syndrome_calculator._bit_power_table()
                 is die_b.syndrome_calculator._bit_power_table())
-        assert die_a.chien._screen_table() is die_b.chien._screen_table()
         for index, (message, positions, corrupted) in enumerate(words):
             result = dies[index % 2].decode(corrupted)
             assert (result.data, result.error_positions) == fresh[index]
             assert result.data == message
             assert list(result.error_positions) == positions
+        assert die_a.chien._rows is die_b.chien._rows
+        assert die_a.chien._rows is chien._FIELD_ROWS[spec.field()]
+
+    def test_codes_of_one_field_share_the_rows(self, rng):
+        decoders = [BCHDecoder(design_code(32768, t)) for t in (14, 65)]
+        for decoder in decoders:
+            spec = decoder.spec
+            word = BCHEncoder(spec).encode_codeword(rng.bytes(spec.k // 8))
+            positions = sorted(
+                rng.choice(spec.n_stored, spec.t, replace=False).tolist()
+            )
+            result = decoder.decode(flip_bits(word, positions))
+            assert list(result.error_positions) == positions
+        low, high = decoders
+        assert low.spec.field() is high.spec.field()
+        assert low.chien._rows is high.chien._rows
+        # Rows for every degree searched, the t = 65 locator's included.
+        assert len(high.chien._rows) > 65
 
     def test_tables_are_freed_with_the_last_decoder(self):
         spec = design_code(1024, 5)
         field = spec.field()
         fold_key = (spec.generator, spec.r)
         power_key = (field, 8 * spec.parity_bytes, spec.t)
-        screen_key = (field, field.order + spec.t * spec.n_stored)
+        gc.collect()
         decoder = BCHDecoder(spec)
-        # Built on first decode, not with the decoder.
-        assert screen_key not in chien._SCREEN_TABLES
+        # The screen rows are built on the first errored decode, not
+        # with the decoder nor on a clean word.
+        clean = bytes(spec.k // 8 + spec.parity_bytes)
+        assert decoder.decode(clean).early_exit
+        assert field not in chien._FIELD_ROWS
         # The all-zero word is a codeword; one flipped bit needs every
         # table of the fast path.
-        word = flip_bits(bytes(spec.k // 8 + spec.parity_bytes), [3])
+        word = flip_bits(clean, [3])
         assert decoder.decode(word).error_positions == (3,)
         assert fold_key in encoder_module._FOLD_TABLES
         assert power_key in syndrome._POWER_TABLES
-        assert screen_key in chien._SCREEN_TABLES
+        assert chien._FIELD_ROWS[field] is decoder.chien._rows
         del decoder
         gc.collect()
         assert fold_key not in encoder_module._FOLD_TABLES
         assert power_key not in syndrome._POWER_TABLES
-        assert screen_key not in chien._SCREEN_TABLES
+        assert field not in chien._FIELD_ROWS
