@@ -3,8 +3,8 @@
 The field is built from a primitive polynomial p(x) of degree m; elements
 are integers in [0, 2^m) whose bits are polynomial coefficients.  A full
 exponentiation table of the primitive element alpha is precomputed, which
-makes scalar multiplication two table lookups and allows numpy-vectorized
-bulk arithmetic (used heavily by the Chien search).
+makes scalar multiplication two table lookups; the decoder's hot loops
+index plain-list copies of the tables or gather from them with numpy.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class GF2m:
 
     __slots__ = (
         "m", "q", "order", "primitive_poly", "exp", "log", "_exp2",
-        "_exp2_u16", "_exp2_list", "_log_list",
+        "_exp2_list", "_log_list",
     )
 
     def __init__(self, m: int, primitive_poly: int | None = None):
@@ -105,7 +105,6 @@ class GF2m:
         # Doubled exponent table: avoids the modulo reduction in scalar mul.
         self._exp2 = np.concatenate([exp, exp])
         # Lazily-built variants for hot paths (see the accessors below).
-        self._exp2_u16 = None
         self._exp2_list = None
         self._log_list = None
 
@@ -161,13 +160,6 @@ class GF2m:
     # -- hot-path table accessors --------------------------------------------
 
     @property
-    def exp2_u16(self) -> np.ndarray:
-        """Doubled antilog table as uint16 (halves gather traffic; m <= 16)."""
-        if self._exp2_u16 is None:
-            self._exp2_u16 = self._exp2.astype(np.uint16)
-        return self._exp2_u16
-
-    @property
     def exp2_list(self) -> list[int]:
         """Doubled antilog table as a plain list (fast scalar indexing)."""
         if self._exp2_list is None:
@@ -183,21 +175,6 @@ class GF2m:
 
     # -- vectorized operations ---------------------------------------------
 
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Element-wise field multiplication of two integer arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        av, bv = np.broadcast_arrays(a, b)
-        out[nz] = self._exp2[self.log[av[nz]] + self.log[bv[nz]]]
-        return out
-
-    def pow_alpha_vec(self, exponents: np.ndarray) -> np.ndarray:
-        """Vectorized ``alpha**e`` for an array of integer exponents."""
-        exponents = np.asarray(exponents, dtype=np.int64) % self.order
-        return self.exp[exponents]
-
     def square_vec(self, a: np.ndarray) -> np.ndarray:
         """Element-wise field squaring (used for even BCH syndromes)."""
         a = np.asarray(a, dtype=np.int64)
@@ -206,50 +183,6 @@ class GF2m:
         # 2*log < 2*order, so the doubled table needs no modulo reduction.
         out[nz] = self._exp2[2 * self.log[a[nz]]]
         return out
-
-    def eval_poly_vec(self, coeffs: np.ndarray, points_log: np.ndarray) -> np.ndarray:
-        """Evaluate a polynomial at many field points simultaneously.
-
-        Parameters
-        ----------
-        coeffs:
-            Polynomial coefficients, low-order first (``coeffs[i]`` is the
-            coefficient of x^i).
-        points_log:
-            Discrete logs of the (nonzero) evaluation points.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``poly(point)`` for every point, as field elements.
-        """
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        points_log = np.asarray(points_log, dtype=np.int64)
-        acc16 = np.zeros(points_log.shape, dtype=np.uint16)
-        nz = np.flatnonzero(coeffs)
-        if nz.size == 0:
-            return acc16.astype(np.int64)
-        # All nonzero-coefficient logs in one table pass (no per-item int()).
-        coeff_logs = self.log[coeffs[nz]].astype(np.int32)
-        last = int(nz[-1])
-        order = np.int32(self.order)
-        exp2 = self.exp2_u16
-        # Walk i*points_log mod order incrementally: one add plus one
-        # conditional subtract per degree beats a full modulo per
-        # coefficient, and the two buffers are reused across the loop.
-        pl32 = (points_log % self.order).astype(np.int32)
-        ipl = np.zeros(pl32.shape, dtype=np.int32)
-        scratch = np.empty(pl32.shape, dtype=np.int32)
-        pos = 0
-        for i in range(last + 1):
-            if pos < nz.size and nz[pos] == i:
-                np.add(ipl, coeff_logs[pos], out=scratch)
-                acc16 ^= exp2[scratch]
-                pos += 1
-            if i < last:
-                ipl += pl32
-                np.subtract(ipl, order, out=ipl, where=ipl >= order)
-        return acc16.astype(np.int64)
 
     # -- dunder helpers ------------------------------------------------------
 

@@ -1,6 +1,5 @@
 """GF(2^m) field arithmetic tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,36 +140,3 @@ class TestFieldAxioms:
     def test_div_is_mul_by_inverse(self, a, b):
         field = get_field(4)
         assert field.div(a, b) == field.mul(a, field.inv(b))
-
-
-class TestVectorizedOps:
-    def test_mul_vec_matches_scalar(self, gf256, rng):
-        a = rng.integers(0, 256, 500)
-        b = rng.integers(0, 256, 500)
-        out = gf256.mul_vec(a, b)
-        for x, y, z in zip(a, b, out):
-            assert gf256.mul(int(x), int(y)) == int(z)
-
-    def test_mul_vec_broadcasting(self, gf16):
-        out = gf16.mul_vec(np.array([1, 2, 3]), np.array([5]))
-        assert out.shape == (3,)
-
-    def test_pow_alpha_vec(self, gf16):
-        exps = np.arange(40)
-        vals = gf16.pow_alpha_vec(exps)
-        for e, v in zip(exps, vals):
-            assert gf16.alpha_pow(int(e)) == int(v)
-
-    def test_eval_poly_vec_matches_horner(self, gf256, rng):
-        coeffs = rng.integers(0, 256, 6)
-        logs = rng.integers(0, gf256.order, 100)
-        values = gf256.eval_poly_vec(coeffs, logs)
-        from repro.gf.polygf import GFPoly
-
-        poly = GFPoly(gf256, [int(c) for c in coeffs])
-        for lg, val in zip(logs, values):
-            assert poly(gf256.alpha_pow(int(lg))) == int(val)
-
-    def test_eval_poly_vec_zero_poly(self, gf16):
-        out = gf16.eval_poly_vec(np.array([0, 0]), np.arange(5))
-        assert np.all(out == 0)
