@@ -73,6 +73,20 @@ class ReadReport:
     page: int = -1
 
 
+def default_policy(
+    geometry: NandGeometry, config: ControllerConfig
+) -> CrossLayerPolicy:
+    """The policy for the code a controller of ``geometry`` runs: the
+    config's t range, the page's k and the field degree of its smallest
+    t (``CrossLayerPolicy()`` for a 4 KiB page and the default config).
+    """
+    k = geometry.page_data_bits
+    return CrossLayerPolicy(
+        t_max=config.t_max, t_min=config.t_min, k=k,
+        m=minimum_field_degree(k, config.t_min),
+    )
+
+
 class NandController:
     """The paper's advanced controller architecture, end to end."""
 
@@ -89,15 +103,18 @@ class NandController:
         self.geometry = geometry or NandGeometry()
         self.config = config or ControllerConfig()
         k = self.geometry.page_data_bits
-        self.policy = policy or CrossLayerPolicy(
-            t_max=self.config.t_max, t_min=self.config.t_min, k=k,
-            m=minimum_field_degree(k, self.config.t_min),
-        )
+        m = minimum_field_degree(k, self.config.t_min)
+        self.policy = policy or default_policy(self.geometry, self.config)
         if not (self.config.t_min <= self.policy.t_min
                 and self.policy.t_max <= self.config.t_max):
             raise ConfigurationError(
                 f"policy t range [{self.policy.t_min}, {self.policy.t_max}] "
                 f"exceeds the codec's [{self.config.t_min}, {self.config.t_max}]"
+            )
+        if (self.policy.k, self.policy.m) != (k, m):
+            raise ConfigurationError(
+                f"policy code (k={self.policy.k}, m={self.policy.m}) differs "
+                f"from the codec's (k={k}, m={m})"
             )
         self.device = device or NandFlashDevice(
             self.geometry, rber_model=self.policy.rber_model, rng=rng

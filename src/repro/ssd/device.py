@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.controller.controller import ControllerConfig, NandController
+from repro.controller.controller import (
+    ControllerConfig,
+    NandController,
+    default_policy,
+)
 from repro.controller.ocp import OcpParams
 from repro.core.modes import OperatingMode
 from repro.core.policy import CrossLayerPolicy
@@ -38,7 +42,9 @@ class SsdDevice:
         pipeline: PipelineConfig | None = None,
     ):
         self.topology = topology or SsdTopology()
-        self.policy = policy or CrossLayerPolicy()
+        self.policy = policy or default_policy(
+            self.topology.geometry, controller_config or ControllerConfig()
+        )
         self.pipeline = pipeline or PipelineConfig()
         if rngs is None:
             rngs = spawn_die_rngs(seed, self.topology.dies)

@@ -73,6 +73,16 @@ class TestController:
                 policy=CrossLayerPolicy(),
             )
 
+    def test_policy_for_another_code_rejected(self):
+        # A policy sized for a 4 KiB page would pick the t of a
+        # 32,768-bit codeword for a 4,096-bit one.
+        small = NandGeometry(blocks=1, pages_per_block=4, page_data_bytes=512)
+        for policy in (CrossLayerPolicy(), CrossLayerPolicy(k=4096, m=16)):
+            with pytest.raises(ConfigurationError, match="differs from"):
+                NandController(small, policy=policy)
+        controller = NandController(small, policy=CrossLayerPolicy(k=4096, m=13))
+        assert controller.policy.k == controller.codec.k
+
     def test_mode_tracks_device_age(self, controller):
         controller.set_mode(OperatingMode.BASELINE, pe_reference=1e5)
         assert controller.status()["ecc_t"] == 65
