@@ -68,9 +68,14 @@ def _profile(request):
     )
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def suite() -> ExperimentSuite:
-    """One shared model suite (caches codes and program timings)."""
+    """A fresh model suite for each bench.
+
+    Each bench draws from its own ``ExperimentSuite(seed=2012)``
+    generator, so a report does not depend on which benches ran before
+    it in the session.
+    """
     return ExperimentSuite(seed=2012)
 
 
