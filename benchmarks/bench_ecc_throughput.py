@@ -17,8 +17,12 @@ measures what batching alone buys.  Before the numbers are reported,
 the per-page and batch outputs are cross-checked identical, and every
 decode must return the original message and exactly the injected error
 positions (full capability included); a mismatch is the only failure.
-The rows carry no floor: the decoder's cost is guarded by the counted
-budget in ``tests/bch/test_decode_budget.py``.  Run standalone
+A second table splits the ``errored`` population's decode by stage:
+the time per word in the syndromes, Berlekamp-Massey and the Chien
+search, each word a batch of one (the shape the end-to-end ``eol_read``
+workload decodes), so the stage a decoder change moved is one command
+away.  The rows carry no floor: the decoder's cost is guarded by the
+counted budget in ``tests/bch/test_decode_budget.py``.  Run standalone
 (``python benchmarks/bench_ecc_throughput.py``) or through pytest; the
 full sweep is marked ``slow`` and the ``--quick`` knob shrinks the
 batch.
@@ -33,6 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bch.berlekamp import berlekamp_massey
 from repro.bch.decoder import BCHDecoder
 from repro.bch.encoder import BCHEncoder
 from repro.bch.params import design_code
@@ -54,6 +59,29 @@ def _flip_random_bits(codeword: bytes, weight: int, n_bits: int,
 
 def _mb_s(pages: int, seconds: float) -> float:
     return pages * PAGE_BYTES / seconds / 1e6
+
+
+def stage_split(decoder: BCHDecoder, words: list[bytes],
+                injected: list[list[int]]) -> dict[str, float]:
+    """Microseconds per word in each decode stage, each word decoded
+    alone; the Chien search must return the injected positions."""
+    field = decoder.spec.field()
+    calculator = decoder.syndrome_calculator
+    start = time.perf_counter()
+    syndromes = [calculator.syndromes_batch([w])[0].tolist() for w in words]
+    syndrome_s = time.perf_counter() - start
+    start = time.perf_counter()
+    locators = [berlekamp_massey(field, s).error_locator for s in syndromes]
+    bm_s = time.perf_counter() - start
+    start = time.perf_counter()
+    found = [decoder.chien.error_positions(locator) for locator in locators]
+    chien_s = time.perf_counter() - start
+    assert found == list(injected), "stage split: positions differ"
+    return {
+        stage: seconds / len(words) * 1e6
+        for stage, seconds in (("syndromes", syndrome_s), ("bm", bm_s),
+                               ("chien", chien_s))
+    }
 
 
 def bench_capability(t: int, batch_pages: int, single_pages: int,
@@ -113,6 +141,8 @@ def bench_capability(t: int, batch_pages: int, single_pages: int,
             "single_mb_s": _mb_s(single_pages, single_s),
             "batch_mb_s": _mb_s(batch_pages, batch_s),
         })
+        if name == "errored":
+            rows[-1]["stages_us"] = stage_split(decoder, words, injected)
     return rows
 
 
@@ -128,6 +158,13 @@ def run_benchmark(batch_pages: int = 64, single_pages: int = 8,
         f"{'t':>4} {'population':>10} {'per-page MB/s':>14} "
         f"{'batch MB/s':>11} {'ratio':>7}",
     ]
+    split = [
+        "",
+        "errored population, time per word by decode stage "
+        "(each word a batch of one)",
+        "",
+        f"{'t':>4} {'syndromes us':>13} {'BM us':>9} {'Chien us':>9}",
+    ]
     for t in capabilities:
         for row in bench_capability(t, batch_pages, single_pages, rng):
             ratio = row["batch_mb_s"] / row["single_mb_s"]
@@ -136,7 +173,13 @@ def run_benchmark(batch_pages: int = 64, single_pages: int = 8,
                 f"{row['single_mb_s']:>14.2f} {row['batch_mb_s']:>11.2f} "
                 f"{ratio:>6.1f}x"
             )
-    return "\n".join(lines) + "\n"
+            if "stages_us" in row:
+                stages = row["stages_us"]
+                split.append(
+                    f"{row['t']:>4} {stages['syndromes']:>13.1f} "
+                    f"{stages['bm']:>9.1f} {stages['chien']:>9.1f}"
+                )
+    return "\n".join(lines + split) + "\n"
 
 
 def _save(text: str) -> None:
