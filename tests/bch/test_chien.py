@@ -1,12 +1,16 @@
 """Chien search tests."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 
+from repro.bch import chien as chien_module
 from repro.bch.berlekamp import berlekamp_massey
 from repro.bch.chien import ChienSearch
 from repro.bch.params import design_code
 from repro.bch.syndrome import SyndromeCalculator
+from repro.gf.field import get_field
 from repro.gf.polygf import GFPoly
 
 
@@ -74,14 +78,21 @@ class TestChienSearch:
         chien = ChienSearch(small_spec)
         assert chien.error_positions(poly) == []
 
+    def test_locator_over_another_field_rejected(self, small_spec, gf16):
+        chien = ChienSearch(small_spec)
+        with pytest.raises(ValueError, match="different field"):
+            chien.error_positions(GFPoly(gf16, [1, 1]))
+
 
 class TestChienByDefinition:
     """``error_positions`` against the locator evaluated at every
     position, for locators built from chosen roots: inside and outside
     the stored length, zero, and a factor with no roots.  Degrees run
-    past t, and past the field's shortest row period at t = 65."""
+    past t, and past the field's shortest row period at t = 65.  In
+    GF(2^6), N = 63 has the divisors 3, 7, 9 and 21, so most degrees
+    wrap their row several times within the 48 stored positions."""
 
-    @pytest.mark.parametrize("k, t", [(64, 3), (512, 10), (1024, 8)])
+    @pytest.mark.parametrize("k, t", [(32, 2), (64, 3), (512, 10), (1024, 8)])
     def test_matches_evaluation_at_every_position(self, k, t, rng):
         spec = design_code(k, t)
         assert spec.m <= 11
@@ -117,3 +128,64 @@ class TestChienByDefinition:
             assert chien.error_positions(locator) == sorted(
                 n - 1 - j for j in exponents if j < n
             )
+
+
+class TestScreenRows:
+    """The per-field screen rows against the layout in the module
+    docstring, for every degree up to N in fields whose N has several
+    divisors (15 = 3 * 5, 63 = 3^2 * 7)."""
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_rows_match_their_definition(self, m):
+        field = get_field(m)
+        order = field.order
+        rows = chien_module._ScreenRows(field)
+        rows.extend_to(order)
+        assert len(rows) == order + 1
+        for i in range(1, order + 1):
+            row, d, period, inverse = rows[i]
+            assert (d, period) == (gcd(i, order), order // gcd(i, order))
+            assert row.shape == (d, period) and row.dtype == np.uint8
+            assert not row.flags.writeable
+            assert i // d * inverse % period == 1 % period
+            c = np.arange(d)[:, None]
+            s = np.arange(period)[None, :]
+            k = c + d * (i // d * s % period)
+            assert np.array_equal(row, field.exp[-k % order] & 0xFF)
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_each_term_walks_its_row_from_s0(self, m):
+        # Term i at position j is alpha^-(k0 + i*j); read from row
+        # k0 mod d at column (s0 + j) mod P, over more than two full
+        # turns of the field so every row wraps.
+        field = get_field(m)
+        order = field.order
+        rows = chien_module._ScreenRows(field)
+        rows.extend_to(order)
+        k0 = np.arange(order)[:, None]
+        j = np.arange(2 * order + 1)[None, :]
+        for i in range(1, order + 1):
+            row, d, period, inverse = rows[i]
+            s0 = k0 // d * inverse % period
+            read = row[k0 % d, (s0 + j) % period]
+            expected = field.exp[-(k0 + i * j) % order] & 0xFF
+            assert np.array_equal(read, expected), f"degree {i}"
+
+    def test_rows_grow_to_the_highest_degree_searched(self, rng):
+        spec = design_code(512, 10)
+        n = spec.n_stored
+        low, high = ChienSearch(spec), ChienSearch(spec)
+        few = rng.choice(n, 3, replace=False).tolist()
+        small = locator_with_roots(spec, few)
+        assert low.error_positions(small) == sorted(n - 1 - j for j in few)
+        rows = low._rows
+        assert len(rows) > small.degree
+        built = list(rows)
+        many = rng.choice(n, 40, replace=False).tolist()
+        big = locator_with_roots(spec, many)
+        expected = sorted(n - 1 - j for j in many)
+        assert high.error_positions(big) == expected
+        # One shared object, extended in place; earlier rows are kept.
+        assert high._rows is rows and len(rows) > big.degree
+        assert all(a is b for a, b in zip(built, rows))
+        assert low.error_positions(big) == expected
