@@ -7,17 +7,31 @@ paper's r-bit LFSR does — with one fold-table remainder kernel,
 The kernel is table-driven CRC slicing (Kounavis & Berry, ISCC 2005)
 widened until one step absorbs :data:`FOLD_BYTES` = S = 1024 bytes of
 every message: the left-aligned r-bit state is XORed into the first
-bytes of the next block, and the new state is the XOR-reduction of one
-``np.take`` gather of the block's 2S nibbles from the code's
-``(ceil(r/64), 2S * 16)`` uint64 fold table (:func:`_build_fold_table`).
-A message that is not a whole number of blocks starts with a short
-block, because leading zero bytes do not change m(x).  The state must
-fit in one block, so r <= 8S.  The same kernel gives the decoder its
-syndromes (:mod:`repro.bch.syndrome`).
+bytes of the next block, and the new state is the XOR of the 2S table
+entries that one ``np.take`` gathers for the block's 2S nibbles.  Entry
+``16q + v`` is the W = ceil(r/64) words of nibble q's remainder at value
+v (:func:`_build_fold_table`).  A message that is not a whole number of
+blocks starts with a short block, because leading zero bytes do not
+change m(x).  The state must fit in one block, so r <= 8S.  The same
+kernel gives the decoder its syndromes (:mod:`repro.bch.syndrome`).
 
-The table takes 256 KiB per 64 parity bits.  Every live encoder and
-decoder of a code (one per die) shares it read-only, and it is freed
-with the last of them.
+The table's layout follows the code's width W, with no option:
+
+* word-major ``(W, 2S * 16)`` below :data:`NIBBLE_MAJOR_WORDS` words:
+  the gather reads each of the W rows (256 KiB each) for every nibble
+  and XOR-reduces along the contiguous last axis.  A row stays in cache
+  across a whole batch, which keeps narrow codes (t = 6 over GF(2^16)
+  is W = 2) fastest at every batch size;
+* nibble-major ``(2S * 16, W)`` from :data:`NIBBLE_MAJOR_WORDS` words:
+  each nibble reads one contiguous W-word entry, gathered in
+  (nibble, page, word) order and XOR-folded in contiguous halves.  On a
+  word-major table a one-page fold of the t = 65 code (W = 17) touches
+  17 separate cache lines per nibble, and this layout runs it in about
+  half the time.
+
+The table takes 256 KiB per 64 parity bits in either layout.  Every
+live encoder and decoder of a code (one per die) shares it read-only,
+and it is freed with the last of them.
 
 Bit convention: the MSB of the first message byte is the highest-degree
 coefficient; the codeword is ``message || parity``.
@@ -36,8 +50,11 @@ from repro.errors import CodeDesignError
 #: Message bytes absorbed per fold step (S).
 FOLD_BYTES = 1024
 
-#: Table column of nibble q of a block is ``16 * q + value``.
-_NIBBLE_COLUMNS = 16 * np.arange(2 * FOLD_BYTES, dtype=np.intp)
+#: Parity words (W) from which a code's fold table is nibble-major.
+NIBBLE_MAJOR_WORDS = 8
+
+#: Table entry of nibble q of a block is ``16 * q + value``.
+_NIBBLE_ENTRIES = 16 * np.arange(2 * FOLD_BYTES, dtype=np.intp)
 
 #: Fold tables of the codes some live encoder or decoder has used, keyed
 #: by (generator, r); an entry goes when its last user does.
@@ -56,12 +73,13 @@ def _reduced_powers(generator: int, r: int, count: int) -> list[int]:
 
 
 def _build_fold_table(generator: int, r: int) -> np.ndarray:
-    """Read-only ``(W, 2S * 16)`` uint64 fold table of one code.
+    """Read-only uint64 fold table of one code, laid out by its width.
 
-    Entry ``[w, 16q + v]`` is word w of ``v(x) * x^(r + 4(2S-1-q)) mod g``
-    left-aligned into W words, word 0 holding the top 64 bits.  By
-    linearity bit j of v contributes the reduced power with
-    ``e = 4(2S-1-q) + j``.
+    Entry ``16q + v`` is ``v(x) * x^(r + 4(2S-1-q)) mod g`` left-aligned
+    into W words, word 0 holding the top 64 bits.  By linearity bit j of
+    v contributes the reduced power with ``e = 4(2S-1-q) + j``.  The
+    table is ``(2S * 16, W)`` (nibble-major) when W is at least
+    :data:`NIBBLE_MAJOR_WORDS`, else ``(W, 2S * 16)`` (word-major).
     """
     words = (r + 63) // 64
     align = 64 * words - r
@@ -70,20 +88,19 @@ def _build_fold_table(generator: int, r: int) -> np.ndarray:
         (power << align).to_bytes(8 * words, "big")
         for power in _reduced_powers(generator, r, 4 * nibbles)
     )
-    # powers[w, p, j] is word w of e = 4p + j; reversing p puts
+    # powers[p, j, w] is word w of e = 4p + j; reversing p puts
     # q = 2S-1-p first.
     powers = (
         np.frombuffer(rows, dtype=">u8")
         .reshape(nibbles, 4, words)[::-1]
-        .transpose(2, 0, 1)
         .astype(np.uint64)
     )
-    table = np.zeros((words, nibbles, 16), dtype=np.uint64)
+    table = np.zeros((nibbles, 16, words), dtype=np.uint64)
     for j in range(4):
-        table[:, :, 1 << j:2 << j] = (
-            table[:, :, :1 << j] ^ powers[:, :, j, None]
-        )
-    table = table.reshape(words, 16 * nibbles)
+        table[:, 1 << j:2 << j] = table[:, :1 << j] ^ powers[:, j, None]
+    table = table.reshape(16 * nibbles, words)
+    if words < NIBBLE_MAJOR_WORDS:
+        table = np.ascontiguousarray(table.T)
     table.flags.writeable = False
     return table
 
@@ -92,13 +109,13 @@ def fold_remainders(table: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Left-aligned ``d(x) * x^r mod g`` of every row d of ``data``.
 
     ``data`` is a ``(B, L)`` uint8 array of big-endian polynomials and
-    ``table`` the code's fold table.  Returns ``(B, 8W)`` uint8: row b
-    holds the remainder of row b shifted to the top of W big-endian
-    words, so its first ``parity_bytes`` bytes are the stored parity
-    ``(d(x) * x^r mod g) << pad_bits``.
+    ``table`` the code's fold table, in either layout.  Returns
+    ``(B, 8W)`` uint8: row b holds the remainder of row b shifted to the
+    top of W big-endian words, so its first ``parity_bytes`` bytes are
+    the stored parity ``(d(x) * x^r mod g) << pad_bits``.
     """
     batch, length = data.shape
-    words = table.shape[0]
+    words = table.size // (32 * FOLD_BYTES)
     state = np.zeros((batch, 8 * words), dtype=np.uint8)
     start = 0
     for end in range(length % FOLD_BYTES or FOLD_BYTES, length + 1,
@@ -108,12 +125,31 @@ def fold_remainders(table: np.ndarray, data: np.ndarray) -> np.ndarray:
             # R(x) * x^(8S - r): the state is the top of the new block.
             block = block.copy()
             block[:, :8 * words] ^= state
-        nibbles = np.empty((batch, 2 * block.shape[1]), dtype=np.intp)
+        count = 2 * block.shape[1]
+        nibbles = np.empty((batch, count), dtype=np.intp)
         np.right_shift(block, 4, out=nibbles[:, 0::2], casting="unsafe")
         np.bitwise_and(block, 15, out=nibbles[:, 1::2], casting="unsafe")
-        nibbles += _NIBBLE_COLUMNS[-nibbles.shape[1]:]
-        folded = np.bitwise_xor.reduce(np.take(table, nibbles, axis=1), axis=2)
-        state = np.ascontiguousarray(folded.T, dtype=">u8").view(np.uint8)
+        nibbles += _NIBBLE_ENTRIES[-count:]
+        if words < NIBBLE_MAJOR_WORDS:
+            folded = np.bitwise_xor.reduce(
+                np.take(table, nibbles, axis=1), axis=2
+            ).T
+        else:
+            # (nibble, page, word) order: each fold XORs the back half of
+            # the nibbles into the front half, both contiguous.  The last
+            # fold makes a new array, so the gathered block is freed
+            # before the next block's gather reuses its memory.
+            folded = np.take(table, nibbles.T, axis=0)
+            while count > 2:
+                half = count >> 1
+                count -= half
+                folded[:half] ^= folded[count:count + half]
+            folded = folded[0] ^ folded[1]
+        # Free the indices before the next block allocates its own: a
+        # batch's index buffer held across those allocations can make the
+        # allocator return heap pages that every later block faults in again.
+        del nibbles
+        state = np.ascontiguousarray(folded, dtype=">u8").view(np.uint8)
         start = end
     return state
 

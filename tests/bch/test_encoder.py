@@ -8,7 +8,7 @@ import pytest
 
 from repro.bch import encoder as encoder_module
 from repro.bch.decoder import BCHDecoder
-from repro.bch.encoder import FOLD_BYTES, BCHEncoder
+from repro.bch.encoder import FOLD_BYTES, NIBBLE_MAJOR_WORDS, BCHEncoder
 from repro.bch.params import BCHCodeSpec, design_code
 from repro.bch.reference import BitSerialLFSREncoder
 from repro.errors import CodeDesignError
@@ -89,6 +89,7 @@ class TestFoldKernel:
         + [
             (1024, 8),      # r = 88: shorter than one block
             (8 * 1500, 5),  # r = 70: not a whole number of blocks
+            (8 * 1500, 40),  # r = 560, W = 9: nibble-major, short block
             (64, 3),        # r = 21 < 64, pad_bits = 3
             (1024, 4),      # r = 44, pad_bits = 4
         ],
@@ -126,23 +127,42 @@ class TestFoldKernel:
 
 
 class TestSharedTables:
-    """One fold table per code: equal to its definition, shared read-only
-    by every encoder and decoder of the code, freed with the last."""
+    """One fold table per code: equal to its definition in the layout its
+    width selects, shared read-only by every encoder and decoder of the
+    code, freed with the last."""
 
     @pytest.mark.parametrize(
-        "k,t", [(32768, t) for t in (1, 3, 8, 14, 33, 65)] + [(64, 3)]
+        "k,t,words,nibble_major",
+        [
+            (32768, 1, 1, False),
+            (32768, 3, 1, False),
+            (32768, 8, 2, False),
+            (32768, 14, 4, False),
+            (32768, 33, 9, True),
+            (32768, 65, 17, True),
+            (64, 3, 1, False),
+        ],
     )
-    def test_table_matches_poly2_mod_definition(self, k, t):
+    def test_table_matches_poly2_mod_definition(
+        self, k, t, words, nibble_major
+    ):
         spec = design_code(k, t)
         r, g = spec.r, spec.generator
+        assert (r + 63) // 64 == words
+        assert (words >= NIBBLE_MAJOR_WORDS) == nibble_major
         table = BCHEncoder._batch_tables(spec)
-        words = (r + 63) // 64
         nibbles = 2 * FOLD_BYTES
-        assert table.shape == (words, 16 * nibbles)
+        if nibble_major:
+            assert table.shape == (16 * nibbles, words)
+            by_entry = table
+        else:
+            assert table.shape == (words, 16 * nibbles)
+            by_entry = table.T
+        assert table.flags.c_contiguous
         assert table.dtype == np.uint64
         align = 64 * words - r
         for q in (0, 1, nibbles // 2, nibbles - 2, nibbles - 1):
-            entries = table[:, 16 * q:16 * q + 16].T.astype(">u8")
+            entries = by_entry[16 * q:16 * q + 16].astype(">u8")
             assert [
                 int.from_bytes(entry.tobytes(), "big") >> align
                 for entry in entries

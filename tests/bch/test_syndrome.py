@@ -81,6 +81,8 @@ class TestFoldTablePath:
             (64, 3),      # r = 21, pad_bits = 3
             (1024, 4),    # r = 44, pad_bits = 4
             (32768, 6),   # r = 96, no pad bits
+            (32768, 33),  # W = 9: nibble-major fold table
+            (32768, 65),  # W = 17: nibble-major fold table
         ],
     )
     def test_matches_references_for_message_parity_and_pad_errors(
