@@ -77,13 +77,14 @@ def default_policy(
     geometry: NandGeometry, config: ControllerConfig
 ) -> CrossLayerPolicy:
     """The policy for the code a controller of ``geometry`` runs: the
-    config's t range, the page's k and the field degree of its smallest
-    t (``CrossLayerPolicy()`` for a 4 KiB page and the default config).
+    config's t range, the page's k and the field degree of its largest
+    t, the one field the controller's codec designs every t over
+    (``CrossLayerPolicy()`` for a 4 KiB page and the default config).
     """
     k = geometry.page_data_bits
     return CrossLayerPolicy(
         t_max=config.t_max, t_min=config.t_min, k=k,
-        m=minimum_field_degree(k, config.t_min),
+        m=minimum_field_degree(k, config.t_max),
     )
 
 
@@ -103,7 +104,7 @@ class NandController:
         self.geometry = geometry or NandGeometry()
         self.config = config or ControllerConfig()
         k = self.geometry.page_data_bits
-        m = minimum_field_degree(k, self.config.t_min)
+        m = minimum_field_degree(k, self.config.t_max)
         self.policy = policy or default_policy(self.geometry, self.config)
         if not (self.config.t_min <= self.policy.t_min
                 and self.policy.t_max <= self.config.t_max):
@@ -123,6 +124,7 @@ class NandController:
             k=k,
             t_max=self.config.t_max,
             t_min=self.config.t_min,
+            m=m,
         )
         self.registers = CommandStatusRegisters()
         self.ocp = OcpInterface(ocp_params, self.registers)

@@ -63,6 +63,19 @@ class TestController:
         )
         assert controller.reliability.policy is policy
 
+    def test_policy_and_codec_share_one_field(self):
+        # A 1,000-byte page fits GF(2^13) at t = 1 but needs GF(2^14) at
+        # t = 65; the programmable codec designs every t over the one
+        # field its largest t needs, and the policy sizes t for that
+        # field.
+        controller = NandController(
+            NandGeometry(blocks=1, pages_per_block=4, page_data_bytes=1000)
+        )
+        policy, codec = controller.policy, controller.codec
+        assert policy.m == 14
+        for t in (codec.t_min, codec.t_max):
+            assert codec.spec_for(t).m == policy.m
+
     def test_policy_wider_than_the_codec_rejected(self):
         # The policy sizes every t the codec is asked for, so a policy
         # reaching past the codec's range would fail mid-run.
