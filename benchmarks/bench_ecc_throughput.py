@@ -21,8 +21,14 @@ A second table splits the ``errored`` population's decode by stage:
 the time per word in the syndromes, Berlekamp-Massey and the Chien
 search, each word a batch of one (the shape the end-to-end ``eol_read``
 workload decodes), so the stage a decoder change moved is one command
-away.  The rows carry no floor: the decoder's cost is guarded by the
-counted budget in ``tests/bch/test_decode_budget.py``.  Run standalone
+away.  A third table times the fold-table kernel alone: microseconds
+per page of ``encode_batch`` at batch 1 and batch 16 for codes of
+W = 2, 4, 8, 12 and 17 parity words (t = 6, 14, 30, 45, 65), with the
+table layout each width gets, so the width at which the kernel switches
+from a word-major to a nibble-major table is one command away; the
+batch-16 parity must equal the batch-1 parity of every page.  The rows
+carry no floor: the decoder's cost is guarded by the counted budget in
+``tests/bch/test_decode_budget.py``.  Run standalone
 (``python benchmarks/bench_ecc_throughput.py``) or through pytest; the
 full sweep is marked ``slow`` and the ``--quick`` knob shrinks the
 batch.
@@ -44,6 +50,9 @@ from repro.bch.params import design_code
 
 PAGE_BYTES = 4096
 CAPABILITIES = (3, 14, 65)
+#: Codes of the fold table: W = ceil(r/64) = 2, 4, 8, 12 and 17 words.
+FOLD_CAPABILITIES = (6, 14, 30, 45, 65)
+FOLD_BATCHES = (1, 16)
 
 
 def _flip_random_bits(codeword: bytes, weight: int, n_bits: int,
@@ -82,6 +91,31 @@ def stage_split(decoder: BCHDecoder, words: list[bytes],
         for stage, seconds in (("syndromes", syndrome_s), ("bm", bm_s),
                                ("chien", chien_s))
     }
+
+
+def fold_times(t: int, rng: np.random.Generator,
+               calls: int) -> tuple[int, str, dict[int, float]]:
+    """Parity words, table layout and microseconds per page of
+    ``encode_batch`` (median of ``calls`` calls) at each fold batch."""
+    spec = design_code(PAGE_BYTES * 8, t)
+    encoder = BCHEncoder(spec)
+    words = (spec.r + 63) // 64
+    messages = [rng.bytes(PAGE_BYTES) for _ in range(max(FOLD_BATCHES))]
+    parities = encoder.encode_batch(messages)  # also builds the table
+    assert parities == [encoder.encode_batch([m])[0] for m in messages], (
+        f"t={t}: batch fold differs from per-page fold"
+    )
+    table = BCHEncoder._batch_tables(spec)
+    layout = "word-major" if table.shape[0] == words else "nibble-major"
+    per_page = {}
+    for batch in FOLD_BATCHES:
+        seconds = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            encoder.encode_batch(messages[:batch])
+            seconds.append(time.perf_counter() - start)
+        per_page[batch] = float(np.median(seconds)) / batch * 1e6
+    return words, layout, per_page
 
 
 def bench_capability(t: int, batch_pages: int, single_pages: int,
@@ -147,7 +181,7 @@ def bench_capability(t: int, batch_pages: int, single_pages: int,
 
 
 def run_benchmark(batch_pages: int = 64, single_pages: int = 8,
-                  capabilities=CAPABILITIES) -> str:
+                  capabilities=CAPABILITIES, fold_calls: int = 21) -> str:
     """Full sweep; returns the report text."""
     rng = np.random.default_rng(20120312)
     lines = [
@@ -179,7 +213,21 @@ def run_benchmark(batch_pages: int = 64, single_pages: int = 8,
                     f"{row['t']:>4} {stages['syndromes']:>13.1f} "
                     f"{stages['bm']:>9.1f} {stages['chien']:>9.1f}"
                 )
-    return "\n".join(lines + split) + "\n"
+    fold = [
+        "",
+        "fold-table kernel: encode_batch time per page, median of "
+        f"{fold_calls} calls",
+        "",
+        f"{'t':>4} {'W':>3} {'layout':>12} "
+        + " ".join(f"{f'batch {b} us':>12}" for b in FOLD_BATCHES),
+    ]
+    for t in FOLD_CAPABILITIES:
+        words, layout, per_page = fold_times(t, rng, fold_calls)
+        fold.append(
+            f"{t:>4} {words:>3} {layout:>12} "
+            + " ".join(f"{per_page[b]:>12.1f}" for b in FOLD_BATCHES)
+        )
+    return "\n".join(lines + split + fold) + "\n"
 
 
 def _save(text: str) -> None:
@@ -192,8 +240,11 @@ def _save(text: str) -> None:
 @pytest.mark.slow
 def test_ecc_throughput(quick):
     """Record the per-page vs batch trajectory (outputs cross-checked)."""
-    _save(run_benchmark(batch_pages=16 if quick else 64))
+    _save(run_benchmark(batch_pages=16 if quick else 64,
+                        fold_calls=7 if quick else 21))
 
 
 if __name__ == "__main__":
-    _save(run_benchmark(batch_pages=16 if "--quick" in sys.argv else 64))
+    quick = "--quick" in sys.argv
+    _save(run_benchmark(batch_pages=16 if quick else 64,
+                        fold_calls=7 if quick else 21))
