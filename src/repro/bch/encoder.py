@@ -19,15 +19,18 @@ The table's layout follows the code's width W, with no option:
 
 * word-major ``(W, 2S * 16)`` below :data:`NIBBLE_MAJOR_WORDS` words:
   the gather reads each of the W rows (256 KiB each) for every nibble
-  and XOR-reduces along the contiguous last axis.  A row stays in cache
-  across a whole batch, which keeps narrow codes (t = 6 over GF(2^16)
-  is W = 2) fastest at every batch size;
+  and XOR-reduces along the contiguous last axis.  For narrow codes
+  (t = 6 over GF(2^16) is W = 2) it is the faster layout at one page
+  and at 16 pages per call alike;
 * nibble-major ``(2S * 16, W)`` from :data:`NIBBLE_MAJOR_WORDS` words:
   each nibble reads one contiguous W-word entry, gathered in
   (nibble, page, word) order and XOR-folded in contiguous halves.  On a
-  word-major table a one-page fold of the t = 65 code (W = 17) touches
-  17 separate cache lines per nibble, and this layout runs it in about
-  half the time.
+  word-major table each nibble of a one-page fold of the t = 65 code
+  (W = 17) reads 17 separate cache lines; this layout folds the page in
+  about half the time.
+
+``benchmarks/bench_ecc_throughput.py`` times the kernel on both sides
+of the threshold.
 
 The table takes 256 KiB per 64 parity bits in either layout.  Every
 live encoder and decoder of a code (one per die) shares it read-only,
@@ -115,7 +118,7 @@ def fold_remainders(table: np.ndarray, data: np.ndarray) -> np.ndarray:
     the stored parity ``(d(x) * x^r mod g) << pad_bits``.
     """
     batch, length = data.shape
-    words = table.size // (32 * FOLD_BYTES)
+    words = table.size // (32 * FOLD_BYTES)  # 2S * 16 entries of W words
     state = np.zeros((batch, 8 * words), dtype=np.uint8)
     start = 0
     for end in range(length % FOLD_BYTES or FOLD_BYTES, length + 1,
