@@ -12,9 +12,7 @@ the callers that issue one page at a time:
 * self-adaptive :meth:`NandController.read_batch` on an aged device
   with a short epoch — digest of the bytes read, every
   :class:`ReadReport` and ``reliability.adaptations``;
-* the stdout of ``examples/quickstart.py``,
-  ``examples/secure_transaction_log.py`` and
-  ``examples/self_adaptive_controller.py``, run in-process.
+* the stdout of every example in ``examples/``, run in-process.
 
 Every case is pinned twice: at the real lifetime RBER, and under an
 error-free :class:`LifetimeRberModel` (``rber`` and ``rber_batch``
@@ -27,7 +25,9 @@ The ``zero`` digests were recorded while every layer still had a
 dedicated scalar datapath, and the batch-of-one wrappers reproduce
 them.  The ``lifetime`` digests of the cases that read single pages
 were regenerated then, because a batch of one draws its errors
-differently from the old scalar kernels.
+differently from the old scalar kernels.  The differentiated-services,
+HV-characterisation, lifetime-explorer and multimedia-playback examples
+were pinned later, on the batch-of-one datapath.
 """
 
 import contextlib
@@ -67,7 +67,15 @@ MODES = {
     "baseline": OperatingMode.BASELINE,
     "max-read": OperatingMode.MAX_READ_THROUGHPUT,
 }
-EXAMPLES = ("quickstart", "secure_transaction_log", "self_adaptive_controller")
+EXAMPLES = (
+    "differentiated_services",
+    "hv_characterisation",
+    "lifetime_explorer",
+    "multimedia_playback",
+    "quickstart",
+    "secure_transaction_log",
+    "self_adaptive_controller",
+)
 
 
 def _sha256(*parts) -> str:
@@ -168,6 +176,22 @@ CASES = {
 
 #: sha256 per (case, RBER model).
 DIGESTS = {
+    ("example-differentiated_services", "lifetime"):
+        "0b98a674304b5c7ed1888a47c373bde34e1199deb8cf95a5056af4e11b8cf4a9",
+    ("example-differentiated_services", "zero"):
+        "7df54a724b491756f9668a7546cb5d18f961b11ada4984798676436067cbc8dc",
+    ("example-hv_characterisation", "lifetime"):
+        "ac87b0199cc4f2dd987dd450250ecac5b91711a1ec4562f99847d3f0128759e9",
+    ("example-hv_characterisation", "zero"):
+        "ac87b0199cc4f2dd987dd450250ecac5b91711a1ec4562f99847d3f0128759e9",
+    ("example-lifetime_explorer", "lifetime"):
+        "154a4b482ba9638f1db756580678d3d1a43247203876e6df52f2da7b9853cc5a",
+    ("example-lifetime_explorer", "zero"):
+        "2d9705c1ee657bf682c5b8da55bdef7badc819c3bc6d86dffd5d0c3c6a9b25a3",
+    ("example-multimedia_playback", "lifetime"):
+        "a9f3a944d0c2034290cbb2941b380c7e314e2979367ead00f00f7de0ac69bc09",
+    ("example-multimedia_playback", "zero"):
+        "48d6172eab03f7a235894980a6864870ddc37d9c3e44eeb7982c5b70c79271b9",
     ("example-quickstart", "lifetime"):
         "5762a9b70c6802478bb812e918ee5ecd8a388044d11b362bb850d8b0edf66f48",
     ("example-quickstart", "zero"):
