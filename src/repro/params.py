@@ -14,7 +14,7 @@ Values are anchored to the paper's own checkpoints (see DESIGN.md §3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import units
 from repro.errors import ConfigurationError
@@ -198,33 +198,3 @@ class NandTimingParams:
                 raise ConfigurationError(f"{name} must be positive")
         if self.t_cache_busy < 0:
             raise ConfigurationError("t_cache_busy must be non-negative")
-
-
-@dataclass(frozen=True)
-class DeviceParams:
-    """Aggregate of the canonical device configuration."""
-
-    page_data_bytes: int = PAGE_DATA_BYTES
-    page_spare_bytes: int = PAGE_SPARE_BYTES
-    gf_degree: int = GF_DEGREE
-    t_max: int = T_MAX
-    uber_target: float = UBER_TARGET
-    rated_pe_cycles: float = RATED_PE_CYCLES
-    vdd: float = VDD
-    ecc: EccHardwareParams = field(default_factory=EccHardwareParams)
-    timing: NandTimingParams = field(default_factory=NandTimingParams)
-
-    def __post_init__(self) -> None:
-        if self.page_data_bytes <= 0 or self.page_spare_bytes <= 0:
-            raise ConfigurationError("page geometry must be positive")
-        parity_bits = self.gf_degree * self.t_max
-        spare_bits = self.page_spare_bytes * units.BITS_PER_BYTE
-        if parity_bits > spare_bits:
-            raise ConfigurationError(
-                f"parity ({parity_bits} bits) does not fit the spare area "
-                f"({spare_bits} bits); reduce t_max or enlarge the spare"
-            )
-
-
-#: Default parameter bundle shared by the high-level API.
-DEFAULT_DEVICE = DeviceParams()
