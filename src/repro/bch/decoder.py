@@ -56,11 +56,6 @@ class BCHDecoder:
         self.syndrome_calculator = SyndromeCalculator(spec)
         self.chien = ChienSearch(spec)
 
-    def _check_length(self, codeword: bytes) -> None:
-        expected = self.spec.k // 8 + self.spec.parity_bytes
-        if len(codeword) != expected:
-            raise ValueError(f"codeword must be {expected} bytes, got {len(codeword)}")
-
     def decode(self, codeword: bytes, strict: bool = True) -> DecodeResult:
         """Correct up to t bit errors in ``codeword`` (message || parity).
 
@@ -84,10 +79,9 @@ class BCHDecoder:
 
         All syndromes are computed in one vectorized pass; the error-free
         early exit is applied across the whole batch at once and only the
-        errored words proceed to Berlekamp-Massey + Chien.
+        errored words proceed to Berlekamp-Massey + Chien.  The syndrome
+        stage raises ``ValueError`` for a word of the wrong length.
         """
-        for codeword in codewords:
-            self._check_length(codeword)
         if not codewords:
             return []
         syndromes = self.syndrome_calculator.syndromes_batch(codewords)
