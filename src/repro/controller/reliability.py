@@ -79,7 +79,6 @@ class ReliabilityManager:
         self.reliability_policy = reliability_policy or ReliabilityPolicy()
         #: Active operating mode (the user's service level).
         self.mode = OperatingMode.BASELINE
-        self._current = policy.worst_case(self.mode)
         self._reads_since_adaptation = 0
         self._last_observation = codec.observation()
         self.adaptations: list[AdaptationDecision] = []
@@ -106,7 +105,9 @@ class ReliabilityManager:
         model's SV/DV ratio, and the policy sizes t from it.  With
         insufficient feedback (fewer than ``min_bits_for_estimate`` bits
         decoded, or a zero estimate) the manager conservatively keeps
-        the worst-case provisioning rather than under-protecting.
+        the worst-case provisioning rather than under-protecting.  The
+        decision is ``changed`` when it differs from what runs: the
+        ``running`` algorithm at the codec's current t.
         """
         settings = self.reliability_policy
         observed = observation.observed_rber * settings.safety_factor
@@ -123,8 +124,7 @@ class ReliabilityManager:
                 config, saturated = self.policy.worst_case(self.mode), True
         else:
             config = self.policy.worst_case(self.mode)
-        changed = config != self._current
-        self._current = config
+        changed = config != CrossLayerConfig(running, self.codec.t)
         return AdaptationDecision(config, observed, changed, saturated)
 
     def _adapt(self, running: IsppAlgorithm) -> AdaptationDecision:

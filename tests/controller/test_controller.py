@@ -5,6 +5,7 @@ import pytest
 
 from repro.controller.controller import ControllerConfig, NandController
 from repro.controller.reliability import ReliabilityPolicy
+from repro.core.config import CrossLayerConfig
 from repro.core.modes import OperatingMode
 from repro.core.policy import CrossLayerPolicy
 from repro.errors import ConfigurationError, ControllerError
@@ -146,6 +147,29 @@ class TestController:
         controller.read(0, 0)
         controller.read(0, 0)
         assert len(controller.reliability.adaptations) >= 1
+
+    def test_self_adaptive_decision_reaches_the_codec(self):
+        # Two reads decode 65,536 bits, under min_bits_for_estimate, so
+        # the manager provisions the worst case, ISPP-SV at t = 65.  The
+        # controller runs t = 6: the decision differs from what runs and
+        # must reach the codec and the ECC_T register.
+        rng = np.random.default_rng(3)
+        controller = NandController(
+            NandGeometry(blocks=4, pages_per_block=4),
+            config=ControllerConfig(self_adaptive=True),
+            reliability_policy=ReliabilityPolicy(epoch_reads=2),
+            rng=rng,
+        )
+        assert controller.codec.t == 6
+        for page in range(2):
+            controller.write(0, page, random_page(4096, rng))
+        for page in range(2):
+            controller.read(0, page)
+        (decision,) = controller.reliability.adaptations
+        assert decision.config == CrossLayerConfig(IsppAlgorithm.SV, 65)
+        assert decision.changed
+        assert controller.codec.t == 65
+        assert controller.status()["ecc_t"] == 65
 
     def test_unwritten_page_read_rejected_before_sensing(self, controller):
         device = controller.device

@@ -105,10 +105,15 @@ class TestDecisions:
         assert decision.config.ecc_t == manager.policy.t_max
 
     def test_changed_flag(self):
+        # A decision is changed when it differs from what runs (the
+        # running algorithm at the codec's t), not from the last decision.
         manager = page_manager(safety_factor=1.0)
         first = manager.decide(observation(1e-5), IsppAlgorithm.SV)
-        second = manager.decide(observation(1e-5), IsppAlgorithm.SV)
         assert first.changed
+        assert manager.decide(observation(1e-5), IsppAlgorithm.SV).changed
+        manager.codec.set_correction_capability(first.config.ecc_t)
+        second = manager.decide(observation(1e-5), IsppAlgorithm.SV)
+        assert second.config == first.config
         assert not second.changed
 
     def test_mode_switch(self):
