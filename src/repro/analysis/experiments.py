@@ -22,7 +22,7 @@ from repro.analysis.series import LifetimeSeries
 from repro.bch.codec import AdaptiveBCHCodec
 from repro.bch.hardware import EccLatencyModel
 from repro.bch.params import design_code
-from repro.bch.uber import log10_uber_eq1, required_t
+from repro.bch.uber import log10_uber_eq1
 from repro.controller.spare import SpareAreaLayout
 from repro.controller.controller import NandController
 from repro.core.modes import OperatingMode
@@ -90,7 +90,9 @@ class ExperimentSuite:
         # Shared batch codec for the Monte-Carlo ECC cross-checks: code
         # designs, encoder tables and syndrome power tables are cached
         # across figure runners.
-        self.codec = AdaptiveBCHCodec(k=canon.MESSAGE_BITS, t_max=canon.T_MAX)
+        self.codec = AdaptiveBCHCodec(
+            k=self.policy.k, t_max=self.policy.t_max, t_min=self.policy.t_min
+        )
 
     # -- batched Monte-Carlo ECC helper ---------------------------------------
 
@@ -301,15 +303,19 @@ class ExperimentSuite:
         for label, checkpoints in (("ISPP-SV", sv_checkpoints),
                                    ("ISPP-DV", dv_checkpoints)):
             for rber in checkpoints:
-                t = required_t(rber, k=k, m=m)
+                t = self.policy.required_t(rber)
                 n = k + m * t
                 rows.append([label, rber, t, log10_uber_eq1(rber, n, t)])
         table = format_table(
             ["algorithm range", "RBER", "required t", "log10 UBER at t"], rows
         )
-        t_sv_max = required_t(self.rber_model.rber_sv(canon.RATED_PE_CYCLES), k=k, m=m)
-        t_dv_max = required_t(self.rber_model.rber_dv(canon.RATED_PE_CYCLES), k=k, m=m)
-        t_min = required_t(self.rber_model.rber_dv(0.0), k=k, m=m)
+        t_sv_max = self.policy.required_t(
+            self.rber_model.rber_sv(canon.RATED_PE_CYCLES)
+        )
+        t_dv_max = self.policy.required_t(
+            self.rber_model.rber_dv(canon.RATED_PE_CYCLES)
+        )
+        t_min = self.policy.required_t(self.rber_model.rber_dv(0.0))
         mc_rows = []
         if mc_pages > 0:
             for label, rber, t in (
@@ -518,7 +524,9 @@ class ExperimentSuite:
         for block_bytes in (512, 1024, 2048, 4096):
             k = block_bytes * 8
             blocks_per_page = 4096 // block_bytes
-            t = required_t(eol_rber, k=k, m=_min_m(k), t_max=200)
+            t = CrossLayerPolicy(
+                k=k, t_max=200, rber_model=self.rber_model
+            ).required_t(eol_rber)
             spec = design_code(k, t)
             parity_page = spec.parity_bytes * blocks_per_page
             decode_page = latency.decode_latency_s(spec) * blocks_per_page
@@ -720,7 +728,7 @@ class ExperimentSuite:
                         pe, algorithm, n_cells, retention_h=hours
                     ).rber
                     try:
-                        t = required_t(rber)
+                        t = self.policy.required_t(rber)
                         t_text = str(t)
                     except CodeDesignError:
                         t_text = ">65"
@@ -1427,7 +1435,7 @@ class ExperimentSuite:
         rows = []
         for t, rber in points:
             mc = monte_carlo_uber(
-                rber, t, pages, k=k, m=m, seed=2012,
+                rber, t, pages, k=k, seed=2012,
                 chunk_pages=chunk_pages,
             )
             exact_page = uber_exact(rber, mc.n, t) * mc.n
@@ -1452,9 +1460,3 @@ class ExperimentSuite:
             ),
         )
 
-
-def _min_m(k: int) -> int:
-    """Smallest GF degree fitting a k-bit message with generous t."""
-    from repro.bch.params import minimum_field_degree
-
-    return minimum_field_degree(k, 8)

@@ -2,15 +2,20 @@
 
 Wraps per-t encoders/decoders behind a single object whose correction
 capability can be changed at runtime through ``set_correction_capability``
-— the "dedicated input port" of the paper's adaptable ECC block.  Designed
-codes are memoised per (k, t, m) for the whole process, mirroring the
-small ROM of characteristic polynomials in the hardware; each codec keeps
-one encoder and one decoder per t.  The tables behind them are built once
-per code, not per codec, on first use: the fold table is shared by every
-live encoder and decoder of the code (one per die) and the syndrome power
-table by every live decoder; the Chien screen rows are per field, shared
-by every live decoder over it whatever its t.  Each is freed with its
-last user.
+— the "dedicated input port" of the paper's adaptable ECC block.  Like
+the paper's programmable codec, it designs every t of its range over one
+field, GF(2^m) with m = ``minimum_field_degree(k, t_max)``: the degree
+is worked out from k and the t range, never set.  A controller builds
+its codec from its :class:`~repro.core.policy.CrossLayerPolicy`, which
+derives the same m, so the policy describes the code and the codec
+follows it.  Designed codes are memoised per (k, t, m) for the whole
+process, mirroring the small ROM of characteristic polynomials in the
+hardware; each codec keeps one encoder and one decoder per t.  The
+tables behind them are built once per code, not per codec, on first
+use: the fold table is shared by every live encoder and decoder of the
+code (one per die) and the syndrome power table by every live decoder;
+the Chien screen rows are per field, shared by every live decoder over
+it whatever its t.  Each is freed with its last user.
 
 ``encode_batch``/``decode_batch`` are the datapath (see :mod:`repro.bch`
 for the design): whole page groups move through numpy kernels, and
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from repro.bch.decoder import BCHDecoder, DecodeResult
 from repro.bch.encoder import BCHEncoder
 from repro.bch.hardware import EccLatencyModel
-from repro.bch.params import BCHCodeSpec, design_code
+from repro.bch.params import BCHCodeSpec, design_code, minimum_field_degree
 from repro.errors import ConfigurationError
 from repro.params import MESSAGE_BITS, T_MAX, EccHardwareParams
 
@@ -58,7 +63,10 @@ class AdaptiveBCHCodec:
         Message length in bits (default: one 4 KiB page).
     t_max / t_min:
         Supported correction-capability range (paper: 3..65 instantiated,
-        electrically capable down to 1).
+        electrically capable down to 1).  The field degree ``m`` is the
+        smallest that fits k at ``t_max``; raises
+        :class:`~repro.errors.CodeDesignError` when no field up to
+        GF(2^16) does.
     hw:
         Hardware parameters for the latency model.
 
@@ -77,7 +85,6 @@ class AdaptiveBCHCodec:
         k: int = MESSAGE_BITS,
         t_max: int = T_MAX,
         t_min: int = 1,
-        m: int | None = None,
         hw: EccHardwareParams | None = None,
     ):
         if not 1 <= t_min <= t_max:
@@ -85,7 +92,7 @@ class AdaptiveBCHCodec:
         self.k = k
         self.t_min = t_min
         self.t_max = t_max
-        self._m = m
+        self.m = minimum_field_degree(k, t_max)
         self.latency_model = EccLatencyModel(hw)
         self._specs: dict[int, BCHCodeSpec] = {}
         self._encoders: dict[int, BCHEncoder] = {}
@@ -120,7 +127,7 @@ class AdaptiveBCHCodec:
                 raise ConfigurationError(
                     f"t={t} outside supported range [{self.t_min}, {self.t_max}]"
                 )
-            self._specs[t] = design_code(self.k, t, self._m)
+            self._specs[t] = design_code(self.k, t, self.m)
         return self._specs[t]
 
     @property

@@ -159,11 +159,11 @@ class McUberResult:
 
 
 @lru_cache(maxsize=4)
-def _mc_codec(k: int, m: int | None, t_max: int):
+def _mc_codec(k: int, t_max: int):
     """Codec cache (design tables are expensive to rebuild)."""
     from repro.bch.codec import AdaptiveBCHCodec
 
-    return AdaptiveBCHCodec(k=k, t_max=t_max, m=m)
+    return AdaptiveBCHCodec(k=k, t_max=t_max)
 
 
 def _mc_uber_chunk(
@@ -205,7 +205,6 @@ def monte_carlo_uber(
     t: int,
     pages: int,
     k: int = default_params.MESSAGE_BITS,
-    m: int | None = None,
     seed: int = 0,
     chunk_pages: int = 64,
 ) -> McUberResult:
@@ -227,7 +226,7 @@ def monte_carlo_uber(
         for start in range(0, pages, chunk_pages)
     ]
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    codec = _mc_codec(k, m, t)
+    codec = _mc_codec(k, t)
     outcomes = [
         _mc_uber_chunk(codec, t, size, rber, child)
         for size, child in zip(sizes, seeds)

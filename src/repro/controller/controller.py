@@ -11,6 +11,14 @@ and exposes the cross-layer knobs:
 
 Configuration changes go through the command/status registers exactly as
 bus-issued configuration commands would.
+
+The controller's :class:`~repro.core.policy.CrossLayerPolicy` describes
+its BCH code (the page's k and the t range, from which the policy and
+the codec both work out the field degree
+``minimum_field_degree(k, t_max)``), and the codec is built from it, so
+policy and codec cannot disagree.  Without a policy the controller takes
+``CrossLayerPolicy(k=<page bits>)``; a passed policy must describe the
+page's k.
 """
 
 from __future__ import annotations
@@ -19,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import params as canon
 from repro.bch.codec import AdaptiveBCHCodec
-from repro.bch.params import minimum_field_degree
 from repro.controller.core import CoreControllerFsm, StageLatencies
 from repro.controller.ocp import OcpInterface, OcpParams
 from repro.controller.registers import CommandStatusRegisters
@@ -39,8 +45,6 @@ from repro.nand.ispp import IsppAlgorithm
 class ControllerConfig:
     """Construction-time parameters."""
 
-    t_max: int = canon.T_MAX
-    t_min: int = 1
     self_adaptive: bool = False
     strict_decode: bool = True
 
@@ -73,21 +77,6 @@ class ReadReport:
     page: int = -1
 
 
-def default_policy(
-    geometry: NandGeometry, config: ControllerConfig
-) -> CrossLayerPolicy:
-    """The policy for the code a controller of ``geometry`` runs: the
-    config's t range, the page's k and the field degree of its largest
-    t, the one field the controller's codec designs every t over
-    (``CrossLayerPolicy()`` for a 4 KiB page and the default config).
-    """
-    k = geometry.page_data_bits
-    return CrossLayerPolicy(
-        t_max=config.t_max, t_min=config.t_min, k=k,
-        m=minimum_field_degree(k, config.t_max),
-    )
-
-
 class NandController:
     """The paper's advanced controller architecture, end to end."""
 
@@ -104,27 +93,16 @@ class NandController:
         self.geometry = geometry or NandGeometry()
         self.config = config or ControllerConfig()
         k = self.geometry.page_data_bits
-        m = minimum_field_degree(k, self.config.t_max)
-        self.policy = policy or default_policy(self.geometry, self.config)
-        if not (self.config.t_min <= self.policy.t_min
-                and self.policy.t_max <= self.config.t_max):
+        self.policy = policy or CrossLayerPolicy(k=k)
+        if self.policy.k != k:
             raise ConfigurationError(
-                f"policy t range [{self.policy.t_min}, {self.policy.t_max}] "
-                f"exceeds the codec's [{self.config.t_min}, {self.config.t_max}]"
-            )
-        if (self.policy.k, self.policy.m) != (k, m):
-            raise ConfigurationError(
-                f"policy code (k={self.policy.k}, m={self.policy.m}) differs "
-                f"from the codec's (k={k}, m={m})"
+                f"policy k={self.policy.k} differs from the page's k={k}"
             )
         self.device = device or NandFlashDevice(
             self.geometry, rber_model=self.policy.rber_model, rng=rng
         )
         self.codec = AdaptiveBCHCodec(
-            k=k,
-            t_max=self.config.t_max,
-            t_min=self.config.t_min,
-            m=m,
+            k=k, t_max=self.policy.t_max, t_min=self.policy.t_min
         )
         self.registers = CommandStatusRegisters()
         self.ocp = OcpInterface(ocp_params, self.registers)

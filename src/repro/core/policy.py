@@ -9,11 +9,19 @@ that reads it.  :meth:`CrossLayerPolicy.config_for` asks it at a device
 age through the lifetime model, and the controller's
 :class:`~repro.controller.reliability.ReliabilityManager` at the RBER
 its decode feedback observes.
+
+The policy is also the one description of the BCH code it sizes: the
+message length k and the t range.  The field degree is not a setting:
+m = ``minimum_field_degree(k, t_max)``, the one field a programmable
+codec of that range designs every t over, so a controller builds its
+:class:`~repro.bch.codec.AdaptiveBCHCodec` from the policy's k and t
+range and the two cannot disagree.
 """
 
 from __future__ import annotations
 
 from repro import params as canon
+from repro.bch.params import minimum_field_degree
 from repro.bch.uber import required_t
 from repro.core.config import CrossLayerConfig
 from repro.core.modes import OperatingMode
@@ -43,10 +51,12 @@ class CrossLayerPolicy:
         t_max: int = canon.T_MAX,
         t_min: int = 1,
         k: int = canon.MESSAGE_BITS,
-        m: int = canon.GF_DEGREE,
     ):
         if not 1 <= t_min <= t_max:
             raise ConfigurationError(f"invalid t range [{t_min}, {t_max}]")
+        #: Field degree of every t; raises CodeDesignError when no field
+        #: up to GF(2^16) fits k at t_max.
+        self.m = minimum_field_degree(k, t_max)
         self.rber_model = rber_model or LifetimeRberModel(
             t_max=t_max, uber_target=uber_target
         )
@@ -54,7 +64,6 @@ class CrossLayerPolicy:
         self.t_max = t_max
         self.t_min = t_min
         self.k = k
-        self.m = m
 
     def required_t(self, rber: float) -> int:
         """Minimum capability meeting the UBER target at an RBER.

@@ -63,7 +63,6 @@ class TradeoffAnalyzer:
         policy: CrossLayerPolicy | None = None,
         hw: EccHardwareParams | None = None,
         programmer: PageProgrammer | None = None,
-        page_bytes: int = canon.PAGE_DATA_BYTES,
         seed: int = 2012,
     ):
         self.policy = policy or CrossLayerPolicy()
@@ -71,8 +70,7 @@ class TradeoffAnalyzer:
         self.programmer = programmer or PageProgrammer(
             rng=np.random.default_rng(seed)
         )
-        self.throughput_model = ThroughputModel(page_bytes)
-        self.page_bytes = page_bytes
+        self.throughput_model = ThroughputModel(self.policy.k // 8)
         self._program_cache: dict[tuple[IsppAlgorithm, float], float] = {}
 
     # -- building blocks -----------------------------------------------------

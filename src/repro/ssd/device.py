@@ -9,17 +9,18 @@ whole SSD.  The device holds no queue: a
 :class:`~repro.ssd.striped.DieStripedFtl` over it routes host I/O, and
 an :class:`~repro.ssd.session.SsdSession` plays its commands out on a
 timeline.
+
+The policy also describes every die's BCH code: its k and t range, from
+which the policy and each die's codec work out the same field degree,
+``minimum_field_degree(k, t_max)``.  The default is
+``CrossLayerPolicy(k=<page bits>)``, as for one controller.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.controller.controller import (
-    ControllerConfig,
-    NandController,
-    default_policy,
-)
+from repro.controller.controller import ControllerConfig, NandController
 from repro.controller.ocp import OcpParams
 from repro.core.modes import OperatingMode
 from repro.core.policy import CrossLayerPolicy
@@ -42,8 +43,8 @@ class SsdDevice:
         pipeline: PipelineConfig | None = None,
     ):
         self.topology = topology or SsdTopology()
-        self.policy = policy or default_policy(
-            self.topology.geometry, controller_config or ControllerConfig()
+        self.policy = policy or CrossLayerPolicy(
+            k=self.topology.geometry.page_data_bits
         )
         self.pipeline = pipeline or PipelineConfig()
         if rngs is None:

@@ -110,12 +110,10 @@ class TestAblations:
         assert worn[3] == worn[5] == ">65"  # CodeDesignError from required_t
 
     def test_retention_propagates_other_faults(self, suite, monkeypatch):
-        import repro.analysis.experiments as experiments
-
         def broken(rber):
             raise ValueError("not a code-design limit")
 
-        monkeypatch.setattr(experiments, "required_t", broken)
+        monkeypatch.setattr(suite.policy, "required_t", broken)
         with pytest.raises(ValueError, match="not a code-design limit"):
             suite.run_ablation_retention(
                 pe_points=(1e3,), retention_hours=(0.0,), n_cells=1024,

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bch.codec import AdaptiveBCHCodec
-from repro.errors import ConfigurationError
+from repro.bch.params import design_code
+from repro.errors import CodeDesignError, ConfigurationError
 from tests.conftest import flip_bits
 
 
@@ -71,3 +72,14 @@ class TestAdaptiveCodec:
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigurationError):
             AdaptiveBCHCodec(k=1024, t_max=4, t_min=5)
+
+    def test_every_t_over_the_field_of_t_max(self):
+        # A 1,000-byte message alone fits GF(2^13) at t = 1, but the
+        # codec designs its whole range over the field t_max needs.
+        codec = AdaptiveBCHCodec(k=8000, t_max=65)
+        assert design_code(8000, 1).m == 13
+        assert codec.m == codec.spec_for(1).m == codec.spec_for(65).m == 14
+
+    def test_code_without_a_field_rejected_when_built(self):
+        with pytest.raises(CodeDesignError, match="no field"):
+            AdaptiveBCHCodec(k=32768, t_max=2048)

@@ -55,46 +55,41 @@ class TestController:
     def test_default_policy_describes_the_codec(self):
         controller = NandController(
             NandGeometry(blocks=1, pages_per_block=4, page_data_bytes=512),
-            config=ControllerConfig(t_min=3, t_max=40),
-        )
-        policy = controller.policy
-        assert (policy.t_min, policy.t_max) == (3, 40)
-        assert (policy.k, policy.m) == (
-            controller.codec.k, controller.codec.spec_for(3).m
-        )
-        assert controller.reliability.policy is policy
-
-    def test_policy_and_codec_share_one_field(self):
-        # A 1,000-byte page fits GF(2^13) at t = 1 but needs GF(2^14) at
-        # t = 65; the programmable codec designs every t over the one
-        # field its largest t needs, and the policy sizes t for that
-        # field.
-        controller = NandController(
-            NandGeometry(blocks=1, pages_per_block=4, page_data_bytes=1000)
         )
         policy, codec = controller.policy, controller.codec
-        assert policy.m == 14
-        for t in (codec.t_min, codec.t_max):
-            assert codec.spec_for(t).m == policy.m
+        assert (policy.k, policy.t_min, policy.t_max) == (4096, 1, 65)
+        assert (codec.k, codec.t_min, codec.t_max) == (4096, 1, 65)
+        assert controller.reliability.policy is policy
 
-    def test_policy_wider_than_the_codec_rejected(self):
-        # The policy sizes every t the codec is asked for, so a policy
-        # reaching past the codec's range would fail mid-run.
-        with pytest.raises(ConfigurationError, match="exceeds the codec"):
-            NandController(
-                NandGeometry(blocks=1, pages_per_block=4),
-                config=ControllerConfig(t_max=40),
-                policy=CrossLayerPolicy(),
-            )
+    @pytest.mark.parametrize("t_min,t_max", [(1, 65), (3, 40)])
+    @pytest.mark.parametrize("page_bytes,m", [(512, 13), (1000, 14), (4096, 16)])
+    def test_policy_and_codec_share_one_field(self, page_bytes, m, t_min, t_max):
+        # A 1,000-byte page fits GF(2^13) at t = 1 but needs GF(2^14) at
+        # t = 40 and t = 65; the programmable codec designs every t over
+        # the one field its largest t needs, and the policy sizes t for
+        # that field.
+        policy = CrossLayerPolicy(k=8 * page_bytes, t_min=t_min, t_max=t_max)
+        controller = NandController(
+            NandGeometry(blocks=1, pages_per_block=4,
+                         page_data_bytes=page_bytes),
+            policy=policy,
+        )
+        codec = controller.codec
+        assert controller.policy is controller.reliability.policy is policy
+        assert (codec.k, codec.t_min, codec.t_max) == (
+            policy.k, policy.t_min, policy.t_max
+        )
+        assert policy.m == codec.m == m
+        for t in (codec.t_min, codec.t_max):
+            assert codec.spec_for(t).m == m
 
     def test_policy_for_another_code_rejected(self):
         # A policy sized for a 4 KiB page would pick the t of a
         # 32,768-bit codeword for a 4,096-bit one.
         small = NandGeometry(blocks=1, pages_per_block=4, page_data_bytes=512)
-        for policy in (CrossLayerPolicy(), CrossLayerPolicy(k=4096, m=16)):
-            with pytest.raises(ConfigurationError, match="differs from"):
-                NandController(small, policy=policy)
-        controller = NandController(small, policy=CrossLayerPolicy(k=4096, m=13))
+        with pytest.raises(ConfigurationError, match="differs from"):
+            NandController(small, policy=CrossLayerPolicy())
+        controller = NandController(small, policy=CrossLayerPolicy(k=4096))
         assert controller.policy.k == controller.codec.k
 
     def test_mode_tracks_device_age(self, controller):

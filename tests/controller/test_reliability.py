@@ -3,7 +3,7 @@
 The manager sizes t through the controller's :class:`CrossLayerPolicy`,
 so every case builds the policy that matches its codec: the page-sized
 code takes the default policy, the k = 1024, t_max = 16 code one built
-with the same k, m and t range.
+with the same k and t range (and so the same field).
 """
 
 import pytest
@@ -52,12 +52,9 @@ def page_manager(**settings) -> ReliabilityManager:
 def short_code_manager(
     codec: AdaptiveBCHCodec, reliability_policy: ReliabilityPolicy | None = None
 ) -> ReliabilityManager:
-    """Manager of a short code under a policy with the codec's k, m and
-    t range."""
-    policy = CrossLayerPolicy(
-        t_max=codec.t_max, t_min=codec.t_min, k=codec.k,
-        m=codec.spec_for(codec.t_min).m,
-    )
+    """Manager of a short code under a policy with the codec's k and t
+    range."""
+    policy = CrossLayerPolicy(t_max=codec.t_max, t_min=codec.t_min, k=codec.k)
     return ReliabilityManager(codec, policy, reliability_policy)
 
 

@@ -83,3 +83,9 @@ class TestPolicy:
     def test_invalid_range(self):
         with pytest.raises(ConfigurationError):
             CrossLayerPolicy(t_min=10, t_max=5)
+
+    def test_code_without_a_field_rejected_when_built(self):
+        # k + m * t_max must fit GF(2^m) for some m <= 16.
+        assert CrossLayerPolicy(k=32768, t_max=2047).m == 16
+        with pytest.raises(CodeDesignError, match="no field"):
+            CrossLayerPolicy(k=32768, t_max=2048)

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from repro.controller.controller import ControllerConfig, NandController
+from repro.controller.controller import NandController
 from repro.core.modes import OperatingMode
+from repro.core.policy import CrossLayerPolicy
 from repro.nand.geometry import NandGeometry
 from repro.ssd.device import SsdDevice
 from repro.ssd.topology import SsdTopology
@@ -25,15 +26,20 @@ class TestDefaultPolicy:
         assert ssd.controllers[0].status()["ecc_t"] == 12
         assert controller.status()["ecc_t"] == 12
 
-    def test_controller_config_sets_the_t_range(self):
+    def test_passed_policy_sets_every_die_codec_range(self):
+        policy = CrossLayerPolicy(k=4096, t_min=3, t_max=40)
         ssd = SsdDevice(
             SsdTopology(dies_per_channel=2, geometry=SMALL_PAGES),
-            controller_config=ControllerConfig(t_min=3, t_max=40), seed=1,
+            policy=policy, seed=1,
         )
-        assert (ssd.policy.t_min, ssd.policy.t_max) == (3, 40)
-        assert all(
-            controller.policy is ssd.policy for controller in ssd.controllers
-        )
+        assert ssd.policy is policy
+        assert len(ssd.controllers) > 1
+        for controller in ssd.controllers:
+            codec = controller.codec
+            assert controller.policy is policy
+            assert (codec.k, codec.t_min, codec.t_max, codec.m) == (
+                4096, 3, 40, 13
+            )
 
     def test_page_sized_default_is_the_canonical_policy(self):
         ssd = SsdDevice(
