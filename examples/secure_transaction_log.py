@@ -13,7 +13,7 @@ Run:  python examples/secure_transaction_log.py
 import numpy as np
 
 from repro import NandController, OperatingMode
-from repro.bch.uber import log10_achieved_uber
+from repro.bch.uber import log10_uber_eq1
 from repro.nand.geometry import NandGeometry
 from repro.workloads.patterns import random_page
 
@@ -34,7 +34,8 @@ def main() -> None:
         status = controller.status()
         config = controller.policy.config_for(mode, DEVICE_AGE)
         rber = controller.policy.rber_for(config, DEVICE_AGE)
-        log_uber = log10_achieved_uber(rber, config.ecc_t)
+        n = controller.codec.spec_for(config.ecc_t).n
+        log_uber = log10_uber_eq1(rber, n, config.ecc_t)
 
         # Append a few records (one page each) and verify them back.
         block = 0 if mode is OperatingMode.BASELINE else 1

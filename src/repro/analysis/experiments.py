@@ -524,10 +524,9 @@ class ExperimentSuite:
         for block_bytes in (512, 1024, 2048, 4096):
             k = block_bytes * 8
             blocks_per_page = 4096 // block_bytes
-            t = CrossLayerPolicy(
-                k=k, t_max=200, rber_model=self.rber_model
-            ).required_t(eol_rber)
-            spec = design_code(k, t)
+            policy = CrossLayerPolicy(k=k, t_max=200, rber_model=self.rber_model)
+            t = policy.required_t(eol_rber)
+            spec = design_code(k, t, policy.m)
             parity_page = spec.parity_bytes * blocks_per_page
             decode_page = latency.decode_latency_s(spec) * blocks_per_page
             rows.append([
@@ -1435,7 +1434,7 @@ class ExperimentSuite:
         rows = []
         for t, rber in points:
             mc = monte_carlo_uber(
-                rber, t, pages, k=k, seed=2012,
+                self.codec, rber, t, pages, seed=2012,
                 chunk_pages=chunk_pages,
             )
             exact_page = uber_exact(rber, mc.n, t) * mc.n

@@ -12,10 +12,18 @@ orders of magnitude above it once n*RBER exceeds t.  Only
 ``uber_exact`` calls ``scipy.stats``, so scipy's statistics package loads
 on its first call, not with this module.
 
+Nothing here describes a code: every helper takes the message length k
+and the field degree m (or the codeword length n, or the codec itself)
+from its caller.  A controller's code is its
+:class:`~repro.core.policy.CrossLayerPolicy` (k, the t range and the
+UBER target, with m = ``minimum_field_degree(k, t_max)``), and the NAND
+lifetime curve is calibrated once on the paper's code
+(:data:`repro.nand.rber.EOL_RBER_SV`).
+
 :func:`monte_carlo_uber` cross-checks both models against the *real*
-codec: batches of random pages are encoded, corrupted at the target RBER
-and decoded through the vectorized datapath, one chunk at a time.  Every
-chunk draws its randomness from its own
+codec it is given: batches of random pages are encoded, corrupted at the
+target RBER and decoded through the vectorized datapath, one chunk at a
+time.  Every chunk draws its randomness from its own
 :class:`numpy.random.SeedSequence` spawn, so a chunk's outcome depends
 only on the seed, its position and its size.
 """
@@ -24,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,15 +88,16 @@ def uber_exact(rber: float, n: int, t: int) -> float:
 
 def required_t(
     rber: float,
-    k: int = default_params.MESSAGE_BITS,
-    m: int = default_params.GF_DEGREE,
+    k: int,
+    m: int,
     uber_target: float = default_params.UBER_TARGET,
     t_max: int = default_params.T_MAX,
     t_min: int = 1,
 ) -> int:
     """Smallest t meeting the UBER target at the given RBER (Eq. (1)).
 
-    The codeword length grows with t (n = k + m*t), which the search
+    The codeword length of a k-bit message over GF(2^m) grows with t
+    (n = k + m*t), which the search
     accounts for.  Raises :class:`CodeDesignError` when even ``t_max`` is
     insufficient — the device is past its correctable lifetime.
     """
@@ -108,26 +116,6 @@ def required_t(
     raise CodeDesignError(
         f"RBER {rber:.3e} cannot reach UBER {uber_target:.1e} with t <= {t_max}"
     )
-
-
-def achieved_uber(
-    rber: float,
-    t: int,
-    k: int = default_params.MESSAGE_BITS,
-    m: int = default_params.GF_DEGREE,
-) -> float:
-    """UBER delivered by capability t at the given RBER (Eq. (1))."""
-    return uber_eq1(rber, k + m * t, t)
-
-
-def log10_achieved_uber(
-    rber: float,
-    t: int,
-    k: int = default_params.MESSAGE_BITS,
-    m: int = default_params.GF_DEGREE,
-) -> float:
-    """log10 of :func:`achieved_uber` (safe for deeply sub-underflow values)."""
-    return log10_uber_eq1(rber, k + m * t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +144,6 @@ class McUberResult:
     def uber(self) -> float:
         """MC estimate of the uncorrectable bit error rate (failures/bit)."""
         return self.failed_pages / (self.pages * self.n) if self.pages else 0.0
-
-
-@lru_cache(maxsize=4)
-def _mc_codec(k: int, t_max: int):
-    """Codec cache (design tables are expensive to rebuild)."""
-    from repro.bch.codec import AdaptiveBCHCodec
-
-    return AdaptiveBCHCodec(k=k, t_max=t_max)
 
 
 def _mc_uber_chunk(
@@ -201,16 +181,18 @@ def _mc_uber_chunk(
 
 
 def monte_carlo_uber(
+    codec,
     rber: float,
     t: int,
     pages: int,
-    k: int = default_params.MESSAGE_BITS,
     seed: int = 0,
     chunk_pages: int = 64,
 ) -> McUberResult:
-    """Monte-Carlo UBER of capability ``t`` at ``rber`` via the real codec.
+    """Monte-Carlo UBER of ``codec`` at capability ``t`` and ``rber``.
 
-    ``pages`` random pages are encoded, corrupted (binomial error counts
+    ``codec`` is the :class:`~repro.bch.codec.AdaptiveBCHCodec` measured;
+    ``t`` must lie in its range.  ``pages`` random ``codec.k``-bit pages
+    are encoded, corrupted (binomial error counts
     at uniform distinct positions over the n-bit codeword) and decoded;
     a page counts as failed when the decoder gives up *or* miscorrects.
     The work is split into ceil(pages / chunk_pages) chunks, each seeded
@@ -226,7 +208,6 @@ def monte_carlo_uber(
         for start in range(0, pages, chunk_pages)
     ]
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    codec = _mc_codec(k, t)
     outcomes = [
         _mc_uber_chunk(codec, t, size, rber, child)
         for size, child in zip(sizes, seeds)
@@ -245,15 +226,16 @@ def monte_carlo_uber(
 
 def max_rber_for_t(
     t: int,
-    k: int = default_params.MESSAGE_BITS,
-    m: int = default_params.GF_DEGREE,
+    k: int,
+    m: int,
     uber_target: float = default_params.UBER_TARGET,
 ) -> float:
-    """Largest RBER that capability t can cover at the UBER target.
+    """Largest RBER that capability t of a k-bit code over GF(2^m) can
+    cover at the UBER target.
 
-    Solved by bisection on the monotone Eq. (1); used to calibrate the
-    lifetime RBER curve so that the rated endurance lands exactly on
-    t = T_MAX (DESIGN.md section 3).
+    Solved by bisection on the monotone Eq. (1); calibrates the lifetime
+    RBER curve once, at the paper's code, so that the rated endurance
+    lands just inside t = 65 (:data:`repro.nand.rber.EOL_RBER_SV`).
     """
     n = k + m * t
     log_target = math.log10(uber_target)

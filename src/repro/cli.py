@@ -93,8 +93,9 @@ def _cmd_status() -> int:
     print("canonical configuration")
     print(f"  page:               {canon.PAGE_DATA_BYTES} B data "
           f"+ {canon.PAGE_SPARE_BYTES} B spare")
-    print(f"  BCH:                GF(2^{canon.GF_DEGREE}), t = 1..{canon.T_MAX}, "
-          f"UBER target {canon.UBER_TARGET:.0e}")
+    print(f"  BCH:                GF(2^{policy.m}), "
+          f"t = {policy.t_min}..{policy.t_max}, "
+          f"UBER target {policy.uber_target:.0e}")
     print(f"  ECC clock:          {canon.ECC_CLOCK_HZ / 1e6:.0f} MHz, "
           f"p = {canon.LFSR_PARALLELISM}, "
           f"Chien budget {canon.CHIEN_MULTIPLIER_BUDGET} multipliers")

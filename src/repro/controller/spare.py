@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import units
 from repro.errors import ConfigurationError
 
 
@@ -36,10 +35,6 @@ class SpareAreaLayout:
     def fits(self, parity_bytes: int) -> bool:
         """Whether a parity footprint fits the budget."""
         return parity_bytes <= self.parity_budget_bytes
-
-    def max_t(self, m: int = 16) -> int:
-        """Largest correction capability whose parity fits (r = m*t bits)."""
-        return (self.parity_budget_bytes * units.BITS_PER_BYTE) // m
 
     def leftover_bytes(self, parity_bytes: int) -> int:
         """Metadata space remaining beyond the reserved minimum."""

@@ -1,8 +1,8 @@
 """Mode -> cross-layer configuration mapping (paper section 6.3).
 
-The policy owns the lifetime RBER model and the UBER target and answers
-"what (algorithm, t) should the sub-system run at this RBER in this
-mode" — the decision the paper's reliability manager takes when
+The policy reads the NAND's lifetime RBER model, owns the UBER target
+and answers "what (algorithm, t) should the sub-system run at this RBER
+in this mode" — the decision the paper's reliability manager takes when
 reconfiguring.  :attr:`CrossLayerPolicy.MODES` is the section 6.3 mode
 table and :meth:`CrossLayerPolicy.config_for_rber` the one decision
 that reads it.  :meth:`CrossLayerPolicy.config_for` asks it at a device
@@ -16,6 +16,12 @@ m = ``minimum_field_degree(k, t_max)``, the one field a programmable
 codec of that range designs every t over, so a controller builds its
 :class:`~repro.bch.codec.AdaptiveBCHCodec` from the policy's k and t
 range and the two cannot disagree.
+
+The lifetime curve is not part of that description.  It belongs to the
+NAND and is calibrated once on the paper's code
+(:data:`repro.nand.rber.EOL_RBER_SV`); a policy only picks (algorithm,
+t) on it, so its k, t range and target size t but never move the
+device's RBER.  Every t it sizes uses its own k and m.
 """
 
 from __future__ import annotations
@@ -57,9 +63,7 @@ class CrossLayerPolicy:
         #: Field degree of every t; raises CodeDesignError when no field
         #: up to GF(2^16) fits k at t_max.
         self.m = minimum_field_degree(k, t_max)
-        self.rber_model = rber_model or LifetimeRberModel(
-            t_max=t_max, uber_target=uber_target
-        )
+        self.rber_model = rber_model or LifetimeRberModel()
         self.uber_target = uber_target
         self.t_max = t_max
         self.t_min = t_min

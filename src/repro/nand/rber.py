@@ -3,12 +3,15 @@
 Two tiers:
 
 * :class:`LifetimeRberModel` — the canonical analytic lifetime curve used by
-  every trade-off bench.  Anchored to the paper's own checkpoints: the
-  fresh ISPP-SV RBER is ~1e-5, the rated-endurance (1e5 cycles) ISPP-SV
-  RBER is exactly the largest RBER the t = 65 code covers at UBER 1e-11
-  (~1e-3, the right edge of Fig. 7), and ISPP-DV sits one order of
-  magnitude below (Fig. 5), which lands its end-of-life at the paper's
-  t = 14.
+  every trade-off bench.  The curve belongs to the NAND, not to any ECC
+  built on it: it is anchored once to the paper's own checkpoints, and
+  a :class:`~repro.core.policy.CrossLayerPolicy` only picks (algorithm,
+  t) on it.  The fresh ISPP-SV RBER is ~1e-5, the rated-endurance (1e5
+  cycles) ISPP-SV RBER is :data:`EOL_RBER_SV`, just inside the largest
+  RBER the paper's code (4 KiB page, t = 65 over GF(2^16)) covers at
+  UBER 1e-11 (~1e-3, the right edge of Fig. 7), and ISPP-DV sits one
+  order of magnitude below (Fig. 5), which lands its end-of-life at the
+  paper's t = 14.
 
 * :class:`MonteCarloRber` — physics-based estimate from the ISPP
   Monte-Carlo: programs sample pages, fits per-level Gaussians (with the
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import params as canon
+from repro.bch.params import minimum_field_degree
 from repro.bch.uber import max_rber_for_t
 from repro.errors import ConfigurationError
 from repro.nand.ispp import IsppAlgorithm
@@ -34,11 +38,24 @@ from repro.nand.program import PageProgrammer
 from repro.nand.retention import RetentionModel
 
 
+#: ISPP-SV RBER at rated endurance, the lifetime curve's one calibration:
+#: 0.995 of the largest RBER the paper's code covers at its UBER target
+#: (a 4 KiB page, t = 65 over GF(2^16), UBER 1e-11), so t = 65 just
+#: covers it (9.977e-4).  Computed once, from the paper's code only: no
+#: policy's t range or target reaches the device's physics.
+EOL_RBER_SV = 0.995 * max_rber_for_t(
+    canon.T_MAX,
+    canon.MESSAGE_BITS,
+    minimum_field_degree(canon.MESSAGE_BITS, canon.T_MAX),
+    canon.UBER_TARGET,
+)
+
+
 class LifetimeRberModel:
     """Canonical RBER(P/E cycles, algorithm) lifetime curves.
 
     RBER_SV(N) = floor + amplitude * (N / n_ref)^exponent, with the
-    amplitude calibrated so required_t(RBER_SV(n_ref)) == t_max;
+    amplitude set so RBER_SV(n_ref) == :data:`EOL_RBER_SV`;
     RBER_DV(N) = RBER_SV(N) / dv_ratio (the Fig. 5 order-of-magnitude gap).
     """
 
@@ -48,20 +65,16 @@ class LifetimeRberModel:
         exponent: float = 0.8,
         dv_ratio: float = 12.5,
         n_ref: float = canon.RATED_PE_CYCLES,
-        t_max: int = canon.T_MAX,
-        uber_target: float = canon.UBER_TARGET,
-        safety: float = 0.995,
     ):
         if floor_sv <= 0 or exponent <= 0 or dv_ratio <= 1:
             raise ConfigurationError("invalid lifetime model parameters")
+        if EOL_RBER_SV <= floor_sv:
+            raise ConfigurationError("end-of-life RBER below the fresh floor")
         self.floor_sv = floor_sv
         self.exponent = exponent
         self.dv_ratio = dv_ratio
         self.n_ref = n_ref
-        eol = max_rber_for_t(t_max, uber_target=uber_target) * safety
-        if eol <= floor_sv:
-            raise ConfigurationError("end-of-life RBER below the fresh floor")
-        self.amplitude = eol - floor_sv
+        self.amplitude = EOL_RBER_SV - floor_sv
 
     def rber_sv(self, pe_cycles: float) -> float:
         """ISPP-SV raw bit error rate after ``pe_cycles`` cycles."""

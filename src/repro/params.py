@@ -1,10 +1,13 @@
 """Canonical device and system parameters.
 
 Single source of truth for the constants used throughout the reproduction.
-Values are anchored to the paper's own checkpoints (see DESIGN.md §3):
+Values are anchored to the paper's own checkpoints (pinned in
+``tests/integration/test_paper_anchors.py``):
 
 * 2-bit/cell 45 nm low-power MLC NAND, VDD = 1.8 V;
-* 4 KiB page (k = 32768 bits) + 224 B spare, BCH over GF(2^16);
+* 4 KiB page (k = 32768 bits) + 224 B spare, BCH over GF(2^16) (the
+  smallest field that fits k at t = 65; a policy derives it, see
+  :class:`~repro.core.policy.CrossLayerPolicy`);
 * adaptive correction capability t in [1, 65], UBER target 1e-11;
 * ECC clock 80 MHz, encoder/syndrome parallelism p = 8, Chien evaluator
   budget M = 260 Galois multipliers (h(t) = min(8, floor(M / t)));
@@ -32,14 +35,8 @@ PAGE_SPARE_BYTES = 224
 #: Message length in bits protected by one BCH codeword (full page).
 MESSAGE_BITS = PAGE_DATA_BYTES * units.BITS_PER_BYTE
 
-#: Galois field degree for the page-sized BCH code (2^16 - 1 = 65535 >= n).
-GF_DEGREE = 16
-
 #: Maximum correction capability instantiated by the paper (worst case SV).
 T_MAX = 65
-
-#: Minimum correction capability observed in the paper's best case.
-T_MIN = 3
 
 #: Target uncorrectable bit error rate (datasheet-class requirement).
 UBER_TARGET = 1e-11
@@ -101,9 +98,6 @@ VPP_END = 19.0
 #: Production ISPP step (section 5.1).
 DELTA_ISPP = units.mv(250)
 
-#: ISPP step used by the Fig. 4 model-fitting experiment.
-DELTA_ISPP_CHARACTERIZATION = 1.0
-
 #: Bitline-bias attenuation of the effective ISPP step between the DV
 #: pre-verify and final verify levels (double-verify fine phase).
 DV_STEP_ATTENUATION = 3.0
@@ -118,12 +112,10 @@ DV_PREVERIFY_OFFSET = 0.3
 #: NAND core supply voltage (low-power part).
 VDD = 1.8
 
-#: Rated endurance in program/erase cycles; the adaptive ECC is provisioned
-#: so that t = T_MAX exactly covers RBER at this point.
+#: Rated endurance in program/erase cycles; the lifetime curve is
+#: calibrated so that t = T_MAX just covers the ISPP-SV RBER at this point
+#: (:data:`repro.nand.rber.EOL_RBER_SV`).
 RATED_PE_CYCLES = 1e5
-
-#: Extended sweep endpoint used by Fig. 5 (raw RBER trend beyond rating).
-EXTENDED_PE_CYCLES = 1e6
 
 #: Fallback RNG seed for components constructed without an explicit
 #: ``rng``.  Matches the CLI's ``--seed`` default, so ad-hoc component

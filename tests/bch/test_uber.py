@@ -6,16 +6,19 @@ import pytest
 from scipy import stats
 
 from repro import params
+from repro.bch.codec import AdaptiveBCHCodec
 from repro.bch.uber import (
     monte_carlo_uber,
-    achieved_uber,
     log10_uber_eq1,
     max_rber_for_t,
     required_t,
     uber_eq1,
     uber_exact,
 )
-from repro.errors import CodeDesignError
+from repro.errors import CodeDesignError, ConfigurationError
+
+#: The paper's code: a 4 KiB page over GF(2^16).
+K, M = params.MESSAGE_BITS, 16
 
 
 class TestEq1:
@@ -64,49 +67,54 @@ class TestPaperCheckpoints:
         ],
     )
     def test_required_t_matches_paper(self, rber, expected_t):
-        assert required_t(rber) == expected_t
+        assert required_t(rber, K, M) == expected_t
 
     def test_required_t_meets_target(self):
         for rber in (1e-6, 1e-5, 1e-4, 5e-4):
-            t = required_t(rber)
-            assert achieved_uber(rber, t) <= 1e-11
+            t = required_t(rber, K, M)
+            assert uber_eq1(rber, K + M * t, t) <= 1e-11
 
     def test_required_t_minimality(self):
         rber = 1e-4
-        t = required_t(rber)
-        assert achieved_uber(rber, t - 1) > 1e-11
+        t = required_t(rber, K, M)
+        assert uber_eq1(rber, K + M * (t - 1), t - 1) > 1e-11
 
     def test_unreachable_target_raises(self):
         with pytest.raises(CodeDesignError):
-            required_t(5e-2)
+            required_t(5e-2, K, M)
 
     def test_zero_rber_returns_t_min(self):
-        assert required_t(0.0, t_min=2) == 2
+        assert required_t(0.0, K, M, t_min=2) == 2
+
+    def test_sized_for_the_code_it_is_given(self):
+        # A 512-byte block over GF(2^13) needs fewer bits of correction
+        # than the 4 KiB page at the same RBER.
+        assert required_t(1e-3, 4096, 13) < required_t(1e-3, K, M)
 
 
 class TestMaxRber:
     def test_inverse_of_required_t(self):
         for t in (3, 14, 30):
-            edge = max_rber_for_t(t)
-            assert required_t(edge) <= t
-            assert required_t(edge * 1.05) > t
+            edge = max_rber_for_t(t, K, M)
+            assert required_t(edge, K, M) <= t
+            assert required_t(edge * 1.05, K, M) > t
         # t = 65 is the provisioned ceiling: just past its edge nothing fits.
-        edge = max_rber_for_t(65)
-        assert required_t(edge) <= 65
+        edge = max_rber_for_t(65, K, M)
+        assert required_t(edge, K, M) <= 65
         with pytest.raises(CodeDesignError):
-            required_t(edge * 1.05)
+            required_t(edge * 1.05, K, M)
 
     def test_monotone_in_t(self):
-        values = [max_rber_for_t(t) for t in (3, 10, 30, 65)]
+        values = [max_rber_for_t(t, K, M) for t in (3, 10, 30, 65)]
         assert values == sorted(values)
 
     def test_t65_edge_near_1e_minus_3(self):
-        assert max_rber_for_t(65) == pytest.approx(1e-3, rel=0.05)
+        assert max_rber_for_t(65, K, M) == pytest.approx(1e-3, rel=0.05)
 
 
 def _stress_point(t, stress):
     """``run_uber_mc``'s (RBER, n, t): n = k + m t is the designed n at m = 16."""
-    n = params.MESSAGE_BITS + params.GF_DEGREE * t
+    n = K + M * t
     return stress * (t + 1) / n, n, t
 
 
@@ -125,7 +133,8 @@ class TestExactTail:
         assert 1.0 <= ratio < 2.0
 
     def test_exact_diverges_at_high_load(self):
-        # n*p >> t: Eq. (1) underestimates catastrophically (DESIGN.md note).
+        # n*p >> t: Eq. (1) underestimates catastrophically (see the
+        # repro.bch.uber module docstring).
         n, t = 32768 + 16 * 6, 6
         rber = 1e-3
         assert uber_exact(rber, n, t) > 1e3 * uber_eq1(rber, n, t)
@@ -154,34 +163,45 @@ class TestMonteCarloUber:
     """Monte-Carlo UBER through the codec: determinism and statistical
     sanity."""
 
-    def test_deterministic_across_chunking_runs(self):
-        first = monte_carlo_uber(1e-3, 4, pages=16, k=2048, seed=3, chunk_pages=4)
-        second = monte_carlo_uber(1e-3, 4, pages=16, k=2048, seed=3, chunk_pages=4)
+    @pytest.fixture(scope="class")
+    def codec(self):
+        # A 256-byte message over GF(2^12) for every t below.
+        return AdaptiveBCHCodec(k=2048, t_max=8)
+
+    def test_deterministic_across_chunking_runs(self, codec):
+        first = monte_carlo_uber(codec, 1e-3, 4, pages=16, seed=3, chunk_pages=4)
+        second = monte_carlo_uber(codec, 1e-3, 4, pages=16, seed=3, chunk_pages=4)
         assert first == second
 
-    def test_low_stress_recovers_everything(self):
-        result = monte_carlo_uber(1e-4, 8, pages=16, k=2048, seed=5)
+    def test_low_stress_recovers_everything(self, codec):
+        result = monte_carlo_uber(codec, 1e-4, 8, pages=16, seed=5)
         assert result.failed_pages == 0
         assert result.corrected_bits == result.injected_bits
 
-    def test_high_stress_fails_pages(self):
+    def test_high_stress_fails_pages(self, codec):
         # n*rber far above t: essentially every page is uncorrectable.
-        result = monte_carlo_uber(2e-2, 4, pages=8, k=2048, seed=9)
+        result = monte_carlo_uber(codec, 2e-2, 4, pages=8, seed=9)
         assert result.failed_pages == result.pages
         assert result.page_failure_rate == 1.0
         assert result.uber == pytest.approx(result.pages * 1.0 / (result.pages * result.n))
 
-    def test_tracks_binomial_tail(self):
+    def test_tracks_binomial_tail(self, codec):
         # Stress point near the knee: MC page-failure rate within a loose
         # band of the exact binomial tail.
-        t, k = 6, 2048
-        result = monte_carlo_uber(3.4e-3, t, pages=96, k=k, seed=17, chunk_pages=24)
+        t = 6
+        result = monte_carlo_uber(codec, 3.4e-3, t, pages=96, seed=17, chunk_pages=24)
         exact = uber_exact(3.4e-3, result.n, t) * result.n
         assert 0.05 < exact < 0.95
         assert abs(result.page_failure_rate - exact) < 0.25
 
-    def test_invalid_arguments(self):
+    def test_measures_the_codec_it_is_given(self, codec):
+        result = monte_carlo_uber(codec, 1e-4, 6, pages=4, seed=1)
+        assert result.n == codec.spec_for(6).n == 2048 + 12 * 6
+        with pytest.raises(ConfigurationError, match="outside supported range"):
+            monte_carlo_uber(codec, 1e-4, 9, pages=4)
+
+    def test_invalid_arguments(self, codec):
         with pytest.raises(ValueError):
-            monte_carlo_uber(1e-3, 4, pages=0, k=2048)
+            monte_carlo_uber(codec, 1e-3, 4, pages=0)
         with pytest.raises(ValueError):
-            monte_carlo_uber(1e-3, 4, pages=8, k=2048, chunk_pages=0)
+            monte_carlo_uber(codec, 1e-3, 4, pages=8, chunk_pages=0)

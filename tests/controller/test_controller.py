@@ -1,8 +1,11 @@
 """Top-level NandController tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.bch.uber import log10_uber_eq1
 from repro.controller.controller import ControllerConfig, NandController
 from repro.controller.reliability import ReliabilityPolicy
 from repro.core.config import CrossLayerConfig
@@ -91,6 +94,38 @@ class TestController:
             NandController(small, policy=CrossLayerPolicy())
         controller = NandController(small, policy=CrossLayerPolicy(k=4096))
         assert controller.policy.k == controller.codec.k
+
+    @pytest.mark.parametrize("page_bytes,policy_args", [
+        (512, {"k": 4096, "t_min": 3, "t_max": 40}),
+        (4096, {"uber_target": 1e-13}),
+    ])
+    def test_policy_leaves_the_die_lifetime_curve_alone(
+        self, page_bytes, policy_args
+    ):
+        # The lifetime curve is the NAND's: a policy's t range and UBER
+        # target size t on it, but its die wears like the default
+        # controller's (9.977e-4 ISPP-SV RBER at rated endurance).
+        default = NandController(NandGeometry(blocks=1, pages_per_block=4))
+        eol = default.device.rber_model.rber(IsppAlgorithm.SV, 1e5)
+        assert eol == pytest.approx(9.977e-4, rel=1e-4)
+        policy = CrossLayerPolicy(**policy_args)
+        controller = NandController(
+            NandGeometry(blocks=1, pages_per_block=4,
+                         page_data_bytes=page_bytes),
+            policy=policy,
+        )
+        assert controller.device.rber_model.rber(IsppAlgorithm.SV, 1e5) == eol
+        # The policy still sizes the smallest t of its own range that
+        # meets its own target, for its own codeword.
+        log_target = math.log10(policy.uber_target)
+        for age in (0.0, 1e3, 1e4):
+            config = policy.config_for(OperatingMode.BASELINE, age)
+            t, rber = config.ecc_t, policy.rber_for(config, age)
+            assert policy.t_min <= t <= policy.t_max
+            assert log10_uber_eq1(rber, policy.k + policy.m * t, t) <= log_target
+            assert t == policy.t_min or log10_uber_eq1(
+                rber, policy.k + policy.m * (t - 1), t - 1
+            ) > log_target
 
     def test_mode_tracks_device_age(self, controller):
         controller.set_mode(OperatingMode.BASELINE, pe_reference=1e5)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bch.params import design_code
 from repro.controller.spare import SpareAreaLayout
 from repro.errors import ConfigurationError
 
@@ -10,12 +11,9 @@ class TestSpareArea:
     def test_paper_configuration_fits_t65(self):
         spare = SpareAreaLayout()
         # t = 65 parity = 130 bytes must fit 224 - 16 = 208 bytes.
+        assert design_code(32768, 65).parity_bytes == 130
         assert spare.fits(130)
-        assert spare.max_t(m=16) >= 65
-
-    def test_max_t(self):
-        spare = SpareAreaLayout(spare_bytes=224, reserved_metadata_bytes=16)
-        assert spare.max_t(m=16) == (208 * 8) // 16 == 104
+        assert not spare.fits(209)
 
     def test_leftover(self):
         spare = SpareAreaLayout()

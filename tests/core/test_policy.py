@@ -41,13 +41,14 @@ class TestPolicy:
         assert policy.config_for(OperatingMode.MAX_READ_THROUGHPUT, 1e5).ecc_t == 14
 
     def test_all_configs_meet_uber_target(self, policy):
-        from repro.bch.uber import achieved_uber
+        from repro.bch.uber import uber_eq1
 
         for mode in OperatingMode:
             for age in (0.0, 1e2, 1e4, 1e5):
                 config = policy.config_for(mode, age)
                 rber = policy.rber_for(config, age)
-                assert achieved_uber(rber, config.ecc_t) <= policy.uber_target
+                n = policy.k + policy.m * config.ecc_t
+                assert uber_eq1(rber, n, config.ecc_t) <= policy.uber_target
 
     def test_max_read_sizes_only_the_dv_t(self, policy):
         # Past rated endurance ISPP-SV needs more than t_max; max-read

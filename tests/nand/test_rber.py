@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro.bch.uber import required_t
+from repro import params
+from repro.bch.uber import max_rber_for_t, required_t
 from repro.errors import ConfigurationError
 from repro.nand.ispp import IsppAlgorithm
-from repro.nand.rber import LifetimeRberModel
+from repro.nand.rber import EOL_RBER_SV, LifetimeRberModel
 
 
 def t_at(model, algorithm, pe_cycles):
-    """Capability the canonical code needs at the model's RBER."""
-    return required_t(model.rber(algorithm, pe_cycles))
+    """Capability the canonical code (4 KiB over GF(2^16)) needs at the
+    model's RBER."""
+    return required_t(model.rber(algorithm, pe_cycles), params.MESSAGE_BITS, 16)
 
 
 class TestLifetimeModel:
@@ -28,6 +30,15 @@ class TestLifetimeModel:
 
     def test_rated_endurance_hits_t_max_exactly(self, model):
         assert t_at(model, IsppAlgorithm.SV, model.n_ref) == 65
+
+    def test_end_of_life_is_calibrated_once_on_the_paper_code(self, model):
+        # 0.995 of the largest RBER the t = 65 page code covers at UBER
+        # 1e-11, bit for bit, whatever else the model is built with.
+        edge = max_rber_for_t(65, params.MESSAGE_BITS, 16, 1e-11)
+        assert EOL_RBER_SV == 0.995 * edge == pytest.approx(9.977e-4, rel=1e-4)
+        assert model.rber_sv(model.n_ref) == EOL_RBER_SV
+        steep = LifetimeRberModel(exponent=1.2, n_ref=3e4)
+        assert steep.rber_sv(3e4) == EOL_RBER_SV
 
     def test_dv_end_of_life_t(self, model):
         assert t_at(model, IsppAlgorithm.DV, model.n_ref) == 14
