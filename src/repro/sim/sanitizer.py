@@ -114,7 +114,7 @@ class DesSanitizer:
     def check_command(self, command) -> None:
         """Validate a command's phase plan at admission (named by tag)."""
         self.checks += 1
-        for index, phase in enumerate(command.phase_plan()):
+        for index, phase in enumerate(command.phases):
             duration = phase.duration_s
             occupancy = phase.occupancy_s
             if duration < 0.0:

@@ -140,24 +140,20 @@ class PipelineConfig:
 class DieCommand:
     """One scheduled command against one die.
 
-    ``die_s`` is the array-busy phase (sense, program or erase time from
-    :class:`~repro.nand.timing.NandTimingModel`); ``channel_s`` is the
-    channel-section occupancy (page transfer plus the channel ECC
-    engine's encode/decode, zero for erases).  ``tag`` is the host's
-    submission index — completions map back to host operations through
-    it.  ``plane`` is the array plane the command lands on, and
-    ``phases`` optionally carries the full stage decomposition; commands
-    built from the two scalars get the classic decomposition (one fused
-    channel section) via :meth:`phase_plan`.
+    A command is its phase plan: ``phases`` is the stage sequence from
+    :class:`~repro.nand.timing.NandTimingModel` (``read_phases``,
+    ``program_phases`` or ``erase_phases``), each phase naming the
+    resource it holds (the plane's array, the channel bus or the ECC
+    engine) and for how long.  ``tag`` is the host's submission index —
+    completions map back to host operations through it.  ``plane`` is
+    the array plane the command lands on.
     """
 
     kind: CommandKind
     die: int
     tag: int
-    die_s: float
-    channel_s: float = 0.0
+    phases: tuple[CommandPhase, ...]
     plane: int = 0
-    phases: tuple[CommandPhase, ...] | None = None
     cache_busy_s: float = 0.0
     #: Priority class (see :class:`CommandOrigin`): GC-origin commands
     #: yield to queued host work on a ``host_priority`` core and emit
@@ -165,11 +161,9 @@ class DieCommand:
     origin: CommandOrigin = CommandOrigin.HOST
 
     def __post_init__(self) -> None:
-        # ``not x >= 0`` also rejects NaN, which ``x < 0`` lets through.
-        if not (self.die_s >= 0 and self.channel_s >= 0):
-            raise SimulationError("command phase durations must be non-negative")
         if self.plane < 0:
             raise SimulationError("plane must be non-negative")
+        # ``not x >= 0`` also rejects NaN, which ``x < 0`` lets through.
         if not self.cache_busy_s >= 0:
             raise SimulationError("cache busy time must be non-negative")
 
@@ -184,40 +178,11 @@ class DieCommand:
         cache_busy_s: float = 0.0,
         origin: CommandOrigin = CommandOrigin.HOST,
     ) -> "DieCommand":
-        """Build a command from an explicit phase sequence.
-
-        The scalar ``die_s``/``channel_s`` views are derived as the
-        summed plane and channel-section durations, so phase-built
-        commands stay interchangeable with scalar-built ones under the
-        serial (non-pipelined) configuration.
-        """
-        die_s = sum(
-            p.duration_s for p in phases if p.resource is PhaseResource.PLANE
-        )
-        channel_s = sum(
-            p.duration_s for p in phases if p.resource is not PhaseResource.PLANE
-        )
+        """Build a command from an explicit phase sequence."""
         return cls(
-            kind=kind, die=die, tag=tag, die_s=die_s, channel_s=channel_s,
-            plane=plane, phases=tuple(phases), cache_busy_s=cache_busy_s,
-            origin=origin,
+            kind=kind, die=die, tag=tag, phases=tuple(phases), plane=plane,
+            cache_busy_s=cache_busy_s, origin=origin,
         )
-
-    def phase_plan(self) -> tuple[CommandPhase, ...]:
-        """Explicit phases, deriving the classic decomposition if absent."""
-        if self.phases is not None:
-            return self.phases
-        if self.kind is CommandKind.READ:
-            return (
-                CommandPhase(PhaseResource.PLANE, self.die_s),
-                CommandPhase(PhaseResource.CHANNEL, self.channel_s),
-            )
-        if self.kind is CommandKind.PROGRAM:
-            return (
-                CommandPhase(PhaseResource.CHANNEL, self.channel_s),
-                CommandPhase(PhaseResource.PLANE, self.die_s),
-            )
-        return (CommandPhase(PhaseResource.PLANE, self.die_s),)
 
 
 class CommandCompletion(NamedTuple):
@@ -980,8 +945,6 @@ class SchedulerCore:
                                     command = candidate
                                     break
                         plan = command.phases
-                        if plan is None:
-                            plan = command.phase_plan()
                         entry = memo_get(id(plan))
                         if entry is not None and entry[0] is plan:
                             array, ops, fused = entry[1]

@@ -564,9 +564,7 @@ class SsdSession:
         stats = ftl.shards[die].gc.stats
         submit_s = self.engine.now_s
         for command in commands:
-            busy_s = sum(
-                phase.duration_s for phase in command.phase_plan()
-            )
+            busy_s = sum(phase.duration_s for phase in command.phases)
             self._gc_tags[command.tag] = (stats, die, busy_s)
             self._gc_inflight += 1
             self._gc_die_inflight[die] += 1

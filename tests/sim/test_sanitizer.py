@@ -18,6 +18,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.nand.geometry import NandGeometry
+from repro.nand.timing import NandTimingModel
 from repro.sim import engine as engine_mod
 from repro.sim.engine import SimEngine
 from repro.sim.sanitizer import DesSanitizer, SanitizerError
@@ -43,12 +44,16 @@ def _mixed_batch(count: int = 24) -> list[DieCommand]:
     commands = []
     for i in range(count):
         kind = kinds[i % 3]
+        phases = (
+            NandTimingModel.read_phases(100e-6, 50e-6),
+            NandTimingModel.program_phases(600e-6, 60e-6),
+            NandTimingModel.erase_phases(2.5e-3),
+        )[i % 3]
         commands.append(DieCommand(
             kind=kind,
             die=i % 4,
             tag=i,
-            die_s=(100e-6, 600e-6, 2.5e-3)[i % 3],
-            channel_s=(50e-6, 60e-6, 0.0)[i % 3],
+            phases=phases,
         ))
     return commands
 
@@ -177,19 +182,16 @@ class _StubPhase:
 class _StubCommand:
     """Minimal admission-hook target.
 
-    ``DieCommand.__post_init__`` (rightly) rejects negative durations at
-    construction, so forging a broken phase plan needs a stand-in — the
-    sanitizer only reads ``tag`` and ``phase_plan()``.
+    ``CommandPhase.__post_init__`` (rightly) rejects negative durations
+    at construction, so forging a broken phase plan needs a stand-in —
+    the sanitizer only reads ``tag`` and ``phases``.
     """
 
     def __init__(self, tag: int, phases):
         self.tag = tag
         self.die = 0
         self.plane = 0
-        self._phases = tuple(phases)
-
-    def phase_plan(self):
-        return self._phases
+        self.phases = tuple(phases)
 
 
 class TestPhaseSanity:

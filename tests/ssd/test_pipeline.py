@@ -2,7 +2,7 @@
 
 The reference implementation below is a verbatim copy of the PR 3
 two-scalar scheduler (one die process per die, fused transfer+ECC bus
-section).  With every pipeline flag disabled, the phase scheduler must
+section), which reads its two scalars off each command's phase plan.  With every pipeline flag disabled, the phase scheduler must
 reproduce its timelines *exactly* — same completion order, same
 per-command completion times, same final clock — on arbitrary command
 mixes.  The oracle runs on a generator DES of its own
@@ -96,6 +96,24 @@ class _Pr3Bus:
         self.freed = engine.signal()
 
 
+def _two_scalars(command) -> tuple[float, float]:
+    """The oracle's ``(die_s, channel_s)``, read off a command's phases.
+
+    ``die_s`` sums the array (plane) phases and ``channel_s`` every
+    other phase (transfer plus ECC, the fused bus section), each in
+    phase order: the sums the two-scalar commands were built with.
+    """
+    die_s = sum(
+        p.duration_s for p in command.phases
+        if p.resource is PhaseResource.PLANE
+    )
+    channel_s = sum(
+        p.duration_s for p in command.phases
+        if p.resource is not PhaseResource.PLANE
+    )
+    return die_s, channel_s
+
+
 class Pr3Scheduler:
     """The pre-phase two-scalar scheduler (PR 3), used as an oracle."""
 
@@ -143,14 +161,15 @@ class Pr3Scheduler:
                         return
                     yield work[die]
                 command = queues[die].pop(0)
+                die_s, channel_s = _two_scalars(command)
                 if command.kind is CommandKind.READ:
-                    yield command.die_s
-                    yield from hold_bus(bus, command.channel_s)
+                    yield die_s
+                    yield from hold_bus(bus, channel_s)
                 elif command.kind is CommandKind.PROGRAM:
-                    yield from hold_bus(bus, command.channel_s)
-                    yield command.die_s
+                    yield from hold_bus(bus, channel_s)
+                    yield die_s
                 else:
-                    yield command.die_s
+                    yield die_s
                 completions.append(
                     (command.tag, admit_s[command.tag], engine.now_s)
                 )
@@ -182,7 +201,7 @@ def _session(topology, pipeline=None):
     return SsdSession(ssd=SsdDevice(topology, seed=0, pipeline=pipeline))
 
 
-def _random_commands(rng, count, dies, phase_built=True):
+def _random_commands(rng, count, dies):
     """Mixed random command list; tags are submission order."""
     commands = []
     for tag in range(count):
@@ -195,13 +214,7 @@ def _random_commands(rng, count, dies, phase_built=True):
         transfer_s = float(rng.uniform(5e-6, 20e-6))
         ecc_s = float(rng.uniform(20e-6, 160e-6))
         hold_s = ecc_s * float(rng.uniform(0.3, 1.0))
-        if not phase_built:
-            channel_s = 0.0 if kind is CommandKind.ERASE else transfer_s + ecc_s
-            commands.append(DieCommand(
-                kind=kind, die=die, tag=tag, die_s=die_s,
-                channel_s=channel_s, plane=plane,
-            ))
-        elif kind is CommandKind.READ:
+        if kind is CommandKind.READ:
             commands.append(DieCommand.from_phases(
                 kind, die, tag,
                 NandTimingModel.read_phases(die_s, transfer_s, ecc_s, hold_s),
@@ -275,19 +288,6 @@ class TestPr3Equivalence:
             (c.tag, c.admit_s, c.done_s) for c in result.completions
         ] == reference
         assert result.makespan_s == ref_makespan
-
-    def test_scalar_and_phase_built_commands_agree_in_serial_mode(self):
-        topology = _topology(2, 2)
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        phase_built = _random_commands(rng, 30, topology.dies)
-        rng.bit_generator.state = state
-        scalar = _random_commands(rng, 30, topology.dies, phase_built=False)
-        session = _session(topology)
-        first = session.execute(phase_built, queue_depth=4)
-        second = session.execute(scalar, queue_depth=4)
-        assert first.completion_order() == second.completion_order()
-        assert first.makespan_s == pytest.approx(second.makespan_s)
 
     def test_serial_mode_ignores_planes(self):
         # Same commands on different planes: serial config serialises on
@@ -495,22 +495,22 @@ class TestDeterminismAndValidation:
 
     def test_duplicate_tags_rejected(self):
         session = _session(_topology(1, 1))
+        phases = NandTimingModel.read_phases(10e-6, 10e-6)
         duplicate = [
-            DieCommand(kind=CommandKind.READ, die=0, tag=4,
-                       die_s=10e-6, channel_s=10e-6),
-            DieCommand(kind=CommandKind.READ, die=0, tag=4,
-                       die_s=10e-6, channel_s=10e-6),
+            DieCommand(kind=CommandKind.READ, die=0, tag=4, phases=phases),
+            DieCommand(kind=CommandKind.READ, die=0, tag=4, phases=phases),
         ]
         with pytest.raises(SimulationError, match="duplicate command tag"):
             session.execute(duplicate)
 
     def test_invalid_phase_fields_rejected(self):
+        phases = NandTimingModel.read_phases(1e-6, 0.0)
         with pytest.raises(SimulationError):
             DieCommand(kind=CommandKind.READ, die=0, tag=0,
-                       die_s=1e-6, plane=-1)
+                       phases=phases, plane=-1)
         with pytest.raises(SimulationError):
             DieCommand(kind=CommandKind.READ, die=0, tag=0,
-                       die_s=1e-6, cache_busy_s=-1e-6)
+                       phases=phases, cache_busy_s=-1e-6)
         with pytest.raises(SimulationError):
             CommandPhase(PhaseResource.ECC, 10e-6, hold_s=20e-6)
 

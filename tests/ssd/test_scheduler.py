@@ -8,19 +8,20 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.nand.geometry import NandGeometry
+from repro.nand.timing import NandTimingModel
 from repro.ssd import SsdDevice, SsdSession
 from repro.ssd.scheduler import CommandKind, DieCommand
 from repro.ssd.topology import SsdTopology
 
 
-def _reads(count: int, dies: list[int], die_s=100e-6, channel_s=50e-6):
+def _reads(count: int, dies: list[int], sense_s=100e-6, transfer_s=50e-6):
+    phases = NandTimingModel.read_phases(sense_s, transfer_s)
     return [
         DieCommand(
             kind=CommandKind.READ,
             die=dies[i % len(dies)],
             tag=i,
-            die_s=die_s,
-            channel_s=channel_s,
+            phases=phases,
         )
         for i in range(count)
     ]
@@ -53,7 +54,7 @@ class TestSingleDie:
         session = _session(_topology(1, 1))
         command = DieCommand(
             kind=CommandKind.PROGRAM, die=0, tag=0,
-            die_s=600e-6, channel_s=60e-6,
+            phases=NandTimingModel.program_phases(600e-6, 60e-6),
         )
         result = session.execute([command])
         assert result.makespan_s == pytest.approx(660e-6)
@@ -61,7 +62,8 @@ class TestSingleDie:
     def test_erase_skips_the_bus(self):
         session = _session(_topology(1, 1))
         command = DieCommand(
-            kind=CommandKind.ERASE, die=0, tag=0, die_s=2.5e-3,
+            kind=CommandKind.ERASE, die=0, tag=0,
+            phases=NandTimingModel.erase_phases(2.5e-3),
         )
         result = session.execute([command])
         assert result.makespan_s == pytest.approx(2.5e-3)
@@ -94,7 +96,7 @@ class TestParallelism:
         programs = [
             DieCommand(
                 kind=CommandKind.PROGRAM, die=die, tag=die,
-                die_s=600e-6, channel_s=60e-6,
+                phases=NandTimingModel.program_phases(600e-6, 60e-6),
             )
             for die in range(4)
         ]
@@ -127,7 +129,7 @@ class TestQueueDepth:
 class TestDeterminism:
     def test_same_inputs_same_timeline(self):
         session = _session(_topology(2, 2))
-        commands = _reads(16, [0, 1, 2, 3], die_s=75e-6, channel_s=170e-6)
+        commands = _reads(16, [0, 1, 2, 3], sense_s=75e-6, transfer_s=170e-6)
         first = session.execute(commands, queue_depth=4)
         second = session.execute(commands, queue_depth=4)
         assert first.completion_order() == second.completion_order()
@@ -160,13 +162,19 @@ class TestValidation:
 
     def test_negative_phase_rejected(self):
         with pytest.raises(SimulationError):
-            DieCommand(kind=CommandKind.READ, die=0, tag=0, die_s=-1.0)
+            DieCommand(
+                kind=CommandKind.READ, die=0, tag=0,
+                phases=NandTimingModel.read_phases(-1.0, 0.0),
+            )
 
-    @pytest.mark.parametrize("field", ("die_s", "channel_s", "cache_busy_s"))
-    def test_nan_duration_rejected(self, field):
-        durations = {"die_s": 1e-6, field: float("nan")}
+    def test_nan_cache_busy_rejected(self):
+        # NaN phase durations are CommandPhase cases (test_timing.py).
         with pytest.raises(SimulationError):
-            DieCommand(kind=CommandKind.READ, die=0, tag=0, **durations)
+            DieCommand(
+                kind=CommandKind.READ, die=0, tag=0,
+                phases=NandTimingModel.read_phases(1e-6, 0.0),
+                cache_busy_s=float("nan"),
+            )
 
     def test_empty_batch(self):
         result = _session(_topology(2, 2)).execute([])
