@@ -12,13 +12,10 @@ orders of magnitude above it once n*RBER exceeds t.  Only
 ``uber_exact`` calls ``scipy.stats``, so scipy's statistics package loads
 on its first call, not with this module.
 
-Nothing here describes a code: every helper takes the message length k
-and the field degree m (or the codeword length n, or the codec itself)
-from its caller.  A controller's code is its
-:class:`~repro.core.policy.CrossLayerPolicy` (k, the t range and the
-UBER target, with m = ``minimum_field_degree(k, t_max)``), and the NAND
-lifetime curve is calibrated once on the paper's code
-(:data:`repro.nand.rber.EOL_RBER_SV`).
+Nothing here describes a code: every helper takes k and m (or n, or
+the codec itself) from its caller, a controller's
+:class:`~repro.core.policy.CrossLayerPolicy` or the paper's code behind
+the lifetime curve (:data:`repro.nand.rber.EOL_RBER_SV`).
 
 :func:`monte_carlo_uber` cross-checks both models against the *real*
 codec it is given: batches of random pages are encoded, corrupted at the
@@ -96,10 +93,10 @@ def required_t(
 ) -> int:
     """Smallest t meeting the UBER target at the given RBER (Eq. (1)).
 
-    The codeword length of a k-bit message over GF(2^m) grows with t
-    (n = k + m*t), which the search
-    accounts for.  Raises :class:`CodeDesignError` when even ``t_max`` is
-    insufficient — the device is past its correctable lifetime.
+    The codeword of a k-bit message over GF(2^m) grows with t
+    (n = k + m*t), which the search accounts for.  Raises
+    :class:`CodeDesignError` when even ``t_max`` is insufficient — the
+    device is past its correctable lifetime.
     """
     if rber == 0.0:
         return t_min

@@ -38,11 +38,9 @@ from repro.nand.program import PageProgrammer
 from repro.nand.retention import RetentionModel
 
 
-#: ISPP-SV RBER at rated endurance, the lifetime curve's one calibration:
-#: 0.995 of the largest RBER the paper's code covers at its UBER target
-#: (a 4 KiB page, t = 65 over GF(2^16), UBER 1e-11), so t = 65 just
-#: covers it (9.977e-4).  Computed once, from the paper's code only: no
-#: policy's t range or target reaches the device's physics.
+#: ISPP-SV RBER at rated endurance (9.977e-4), the curve's one
+#: calibration: 0.995 of the largest RBER the paper's code (a 4 KiB page,
+#: t = 65 over GF(2^16)) covers at UBER 1e-11.  No policy reaches it.
 EOL_RBER_SV = 0.995 * max_rber_for_t(
     canon.T_MAX,
     canon.MESSAGE_BITS,

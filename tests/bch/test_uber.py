@@ -86,11 +86,6 @@ class TestPaperCheckpoints:
     def test_zero_rber_returns_t_min(self):
         assert required_t(0.0, K, M, t_min=2) == 2
 
-    def test_sized_for_the_code_it_is_given(self):
-        # A 512-byte block over GF(2^13) needs fewer bits of correction
-        # than the 4 KiB page at the same RBER.
-        assert required_t(1e-3, 4096, 13) < required_t(1e-3, K, M)
-
 
 class TestMaxRber:
     def test_inverse_of_required_t(self):

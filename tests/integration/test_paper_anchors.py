@@ -1,8 +1,9 @@
 """The paper's headline numbers, asserted in one place.
 
 Every quantitative claim of the abstract/evaluation that the reproduction
-targets (DESIGN.md section 4) is pinned here; if a refactor moves any of
-these, this file is the tripwire.
+targets is pinned here, so this file is their one list (the lifetime
+curve's end-of-life anchor is ``repro.nand.rber.EOL_RBER_SV``); if a
+refactor moves any of these, this file is the tripwire.
 """
 
 import numpy as np
