@@ -1,7 +1,6 @@
 """DES-driven SSD command scheduler over a phase/resource model.
 
-Commands are no longer two opaque scalars: each :class:`DieCommand`
-carries (or derives) an explicit sequence of
+Each :class:`DieCommand` is an explicit sequence of
 :class:`~repro.nand.timing.CommandPhase` stages, and the scheduler
 executes those phases against four kinds of serially-reusable resource:
 
