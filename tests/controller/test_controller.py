@@ -98,7 +98,7 @@ class TestController:
     @pytest.mark.parametrize("page_bytes,policy_args", [
         (512, {"k": 4096, "t_min": 3, "t_max": 40}),
         (4096, {"uber_target": 1e-13}),
-    ])
+    ], ids=["512B-t3-40", "4KiB-uber1e-13"])
     def test_policy_leaves_the_die_lifetime_curve_alone(
         self, page_bytes, policy_args
     ):

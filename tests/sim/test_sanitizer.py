@@ -41,19 +41,18 @@ def _topology(channels: int = 2, dies_per_channel: int = 2) -> SsdTopology:
 
 def _mixed_batch(count: int = 24) -> list[DieCommand]:
     kinds = (CommandKind.READ, CommandKind.PROGRAM, CommandKind.ERASE)
+    plans = (
+        NandTimingModel.read_phases(100e-6, 50e-6),
+        NandTimingModel.program_phases(600e-6, 60e-6),
+        NandTimingModel.erase_phases(2.5e-3),
+    )
     commands = []
     for i in range(count):
-        kind = kinds[i % 3]
-        phases = (
-            NandTimingModel.read_phases(100e-6, 50e-6),
-            NandTimingModel.program_phases(600e-6, 60e-6),
-            NandTimingModel.erase_phases(2.5e-3),
-        )[i % 3]
         commands.append(DieCommand(
-            kind=kind,
+            kind=kinds[i % 3],
             die=i % 4,
             tag=i,
-            phases=phases,
+            phases=plans[i % 3],
         ))
     return commands
 

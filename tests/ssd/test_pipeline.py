@@ -2,8 +2,9 @@
 
 The reference implementation below is a verbatim copy of the PR 3
 two-scalar scheduler (one die process per die, fused transfer+ECC bus
-section), which reads its two scalars off each command's phase plan.  With every pipeline flag disabled, the phase scheduler must
-reproduce its timelines *exactly* — same completion order, same
+section), except that it reads its two scalars off each command's phases.
+With every pipeline flag disabled, the phase scheduler must reproduce
+its timelines *exactly* — same completion order, same
 per-command completion times, same final clock — on arbitrary command
 mixes.  The oracle runs on a generator DES of its own
 (:class:`OracleEngine`), not on the engine under test.  The pipelined
